@@ -12,10 +12,13 @@ from .model import (
     strength_levels,
 )
 from .regions import (
+    BoundIndex,
     CyclicSequence,
     GdofTuple,
     LinearInequality,
     PolyRegion,
+    bound_indices,
+    bound_rhs,
     enumerate_cyclic_sequences,
     membership,
     polyhedral_region,
@@ -31,8 +34,6 @@ from .potential import (
 )
 from .conditions import (
     ConditionReport,
-    check_convexity,
-    check_optimality,
     classify_pimac,
     evaluate_conditions,
     outer_bound_user_partition,

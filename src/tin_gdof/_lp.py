@@ -104,10 +104,7 @@ def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fracti
 
 
 def enumerate_vertices(
-    rows: list[list[Fraction]],
-    rhs: list[Fraction],
-    *,
-    prefilter: bool = True,
+    rows: list[list[Fraction]], rhs: list[Fraction]
 ) -> list[tuple[Fraction, ...]]:
     """Exact vertex set of {x >= 0, rows . x <= rhs}, sorted lexicographically.
 
@@ -133,30 +130,26 @@ def enumerate_vertices(
         )
 
     combos = itertools.combinations(range(m), n)
-    candidates: list[tuple[int, ...]]
-    if prefilter and m > n:
-        a_f = np.array([[float(v) for v in row] for row in full_rows])
-        b_f = np.array([float(v) for v in full_rhs])
-        scale = max(1.0, float(np.max(np.abs(b_f))))
-        candidates = []
-        while True:
-            chunk = list(itertools.islice(combos, _CHUNK))
-            if not chunk:
-                break
-            idx = np.array(chunk)
-            mats = a_f[idx]  # (c, n, n)
-            dets = np.linalg.det(mats)
-            ok = np.abs(dets) > 0.5  # integer determinants: nonsingular iff |det| >= 1
-            if not ok.any():
-                continue
-            sel = np.nonzero(ok)[0]
-            sols = np.linalg.solve(mats[sel], b_f[idx[sel]][..., None])[..., 0]
-            viol = a_f @ sols.T - b_f[:, None]  # (m, k)
-            feas = (viol <= _PREFILTER_TOL * scale).all(axis=0)
-            for j in np.nonzero(feas)[0]:
-                candidates.append(chunk[sel[j]])
-    else:
-        candidates = list(combos)
+    a_f = np.array([[float(v) for v in row] for row in full_rows])
+    b_f = np.array([float(v) for v in full_rhs])
+    scale = max(1.0, float(np.max(np.abs(b_f))))
+    candidates: list[tuple[int, ...]] = []
+    while True:
+        chunk = list(itertools.islice(combos, _CHUNK))
+        if not chunk:
+            break
+        idx = np.array(chunk)
+        mats = a_f[idx]  # (c, n, n)
+        dets = np.linalg.det(mats)
+        ok = np.abs(dets) > 0.5  # integer determinants: nonsingular iff |det| >= 1
+        if not ok.any():
+            continue
+        sel = np.nonzero(ok)[0]
+        sols = np.linalg.solve(mats[sel], b_f[idx[sel]][..., None])[..., 0]
+        viol = a_f @ sols.T - b_f[:, None]  # (m, k)
+        feas = (viol <= _PREFILTER_TOL * scale).all(axis=0)
+        for j in np.nonzero(feas)[0]:
+            candidates.append(chunk[sel[j]])
 
     vertices: set[tuple[Fraction, ...]] = set()
     for combo in candidates:

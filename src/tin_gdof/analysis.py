@@ -9,15 +9,19 @@ channel use (base-2 logs).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from . import _lp
-from .conditions import check_optimality
-from .errors import ConditionsNotMetError, GuardExceededError, NetworkSpecError
+from .conditions import evaluate_conditions
+from .errors import (
+    ConditionsNotMetError,
+    GuardExceededError,
+    InfeasibleAllocationError,
+    NetworkSpecError,
+)
 from .model import (
     DecodingOrder,
     FiniteSnrSpec,
@@ -27,17 +31,12 @@ from .model import (
     enumerate_orders,
     sort_finite_snr,
 )
-from .potential import (
-    PowerAllocation,
-    build_potential_graph,
-    feasible_by_negative_cycle,
-    recover_power_allocation,
-)
+from .potential import PowerAllocation, build_potential_graph, recover_power_allocation
 from .regions import (
     GdofTuple,
     LinearInequality,
     PolyRegion,
-    enumerate_cyclic_sequences,
+    bound_indices,
     polyhedral_region,
 )
 
@@ -138,10 +137,12 @@ def general_membership(net: NetworkSpec, d: GdofTuple) -> GeneralMembership:
     off = frozenset(net.full_subnetwork - support)
     for order in enumerate_orders(net, support):
         g = build_potential_graph(net, order, support, d)
-        if feasible_by_negative_cycle(g).feasible:
+        try:
             alloc = recover_power_allocation(g)
-            alloc = PowerAllocation(alloc.exponents, off)
-            return GeneralMembership(True, MembershipWitness(order, support, alloc))
+        except InfeasibleAllocationError:
+            continue
+        alloc = PowerAllocation(alloc.exponents, off)
+        return GeneralMembership(True, MembershipWitness(order, support, alloc))
     return GeneralMembership(False)
 
 
@@ -282,31 +283,14 @@ def gdof_outer_bound(net: NetworkSpec) -> PolyRegion:
     Only valid when the optimality conditions hold (otherwise the rate bound
     itself is not proven and this refuses).  Each single-cell rate bound
     limits to the top user's direct level; each cyclic rate bound limits to
-    the sum of (direct - cross-to-predecessor) differences.  Built directly
-    from the bound index set, not from the achievable-region generator.
+    the sum of (direct - cross-to-predecessor) differences.  That is the
+    identity-order region, bound for bound.
     """
-    report = check_optimality(net)
-    if not report.optimality_holds:
+    if not evaluate_conditions(net).optimality_holds:
         raise ConditionsNotMetError(
             "outer bound is only established when the optimality conditions hold"
         )
-    inequalities: list[LinearInequality] = []
-    for i in range(1, net.cells + 1):
-        for depth in range(1, net.users_per_cell[i - 1] + 1):
-            users = frozenset(User(i, s) for s in range(1, depth + 1))
-            inequalities.append(LinearInequality(users, net.direct(User(i, depth))))
-    if net.cells >= 2:
-        for seq in enumerate_cyclic_sequences(range(1, net.cells + 1), min_len=2):
-            ranges = [range(1, net.users_per_cell[i - 1] + 1) for i in seq.cells]
-            for depths in itertools.product(*ranges):
-                users: set = set()
-                rhs = Fraction(0)
-                for (cell, pred), depth in zip(seq.pairs(), depths):
-                    top = User(cell, depth)
-                    rhs += net.direct(top) - net.alpha(top, pred)
-                    users |= {User(cell, s) for s in range(1, depth + 1)}
-                inequalities.append(LinearInequality(frozenset(users), rhs))
-    return PolyRegion(net.users, tuple(inequalities), frozenset())
+    return polyhedral_region(net, DecodingOrder.identity(net))
 
 
 # -- finite-SNR rate bounds, achievable rates, gaps ---------------------------
@@ -352,33 +336,25 @@ def outer_bound_rates(fs: FiniteSnrSpec) -> list[RateBound]:
     """
     net, fs = sort_finite_snr(fs)
     _require_link_assumption(net, fs)
-    report = check_optimality(net)
-    if not report.optimality_holds:
+    if not evaluate_conditions(net).optimality_holds:
         raise ConditionsNotMetError(
             "rate outer bound is only established when the optimality conditions hold"
         )
     bounds: list[RateBound] = []
-    for i in range(1, net.cells + 1):
-        for depth in range(1, net.users_per_cell[i - 1] + 1):
-            users = frozenset(User(i, s) for s in range(1, depth + 1))
-            s_top = fs.clipped_link_power(User(i, depth), i)
-            bounds.append(RateBound(users, math.log2(1 + depth * s_top), "cell"))
-    if net.cells >= 2:
-        for seq in enumerate_cyclic_sequences(range(1, net.cells + 1), min_len=2):
-            m = len(seq)
-            ranges = [range(1, net.users_per_cell[i - 1] + 1) for i in seq.cells]
-            for depths in itertools.product(*ranges):
-                users: set = set()
-                total = 0.0
-                depth_of = dict(zip(seq.cells, depths))
-                for (cell, pred), depth in zip(seq.pairs(), depths):
-                    nxt = seq.cells[(seq.cells.index(cell) + 1) % m]
-                    top = User(cell, depth)
-                    ratio = fs.clipped_link_power(top, cell) / fs.clipped_link_power(top, pred)
-                    total += (depth - 1) * math.log2(depth)
-                    total += math.log2(1 + (depth_of[nxt] + depth) * ratio)
-                    users |= {User(cell, s) for s in range(1, depth + 1)}
-                bounds.append(RateBound(frozenset(users), total, "cyclic"))
+    for index in bound_indices(net, DecodingOrder.identity(net)):
+        if index.kind == "cell":
+            (cell,), (depth,), (top,) = index.cells, index.depths, index.tops
+            s_top = fs.clipped_link_power(top, cell)
+            bounds.append(RateBound(index.users, math.log2(1 + depth * s_top), index.kind))
+            continue
+        m = len(index.cells)
+        total = 0.0
+        for j, (cell, depth, top) in enumerate(zip(index.cells, index.depths, index.tops)):
+            pred = index.cells[j - 1]
+            ratio = fs.clipped_link_power(top, cell) / fs.clipped_link_power(top, pred)
+            total += (depth - 1) * math.log2(depth)
+            total += math.log2(1 + (index.depths[(j + 1) % m] + depth) * ratio)
+        bounds.append(RateBound(index.users, total, index.kind))
     return bounds
 
 

@@ -23,7 +23,7 @@ so results are independent of evaluation order and safely parallelizable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 import numpy as np
@@ -156,7 +156,8 @@ def estimate_probabilities(p: ScenarioParams) -> ProbabilityPoint:
     """Empirical probabilities that each condition pair holds, with 95% CIs.
 
     Counted jointly per trial; a trial where the optimality pair holds but
-    the convexity pair does not would be a bug and trips an assertion.
+    the convexity pair does not would be a bug, and ``evaluate_conditions``
+    raises on it.
     """
     conv = opt = 0
     for trial in range(p.trials):
@@ -164,7 +165,6 @@ def estimate_probabilities(p: ScenarioParams) -> ProbabilityPoint:
         report = evaluate_conditions(net)
         conv += report.convexity_holds
         opt += report.optimality_holds
-        assert report.convexity_holds or not report.optimality_holds
     pc, po = conv / p.trials, opt / p.trials
     return ProbabilityPoint(
         p.site_radius_m,
@@ -179,20 +179,8 @@ def estimate_probabilities(p: ScenarioParams) -> ProbabilityPoint:
 
 def sweep(base: ScenarioParams, radii_m: Iterable[float]) -> ProbabilityCurve:
     """Estimate probabilities across site radii with otherwise fixed parameters."""
-    points = []
-    for r in radii_m:
-        params = ScenarioParams(
-            geometry=base.geometry,
-            site_radius_m=float(r),
-            users_per_cell=base.users_per_cell,
-            trials=base.trials,
-            seed=base.seed,
-            cells=base.cells,
-            exclusion_m=base.exclusion_m,
-            tx_power_dbm=base.tx_power_dbm,
-            noise_floor_dbm=base.noise_floor_dbm,
-            pathloss_a=base.pathloss_a,
-            pathloss_b=base.pathloss_b,
-        )
-        points.append(estimate_probabilities(params))
+    points = [
+        estimate_probabilities(replace(base, site_radius_m=float(r)))
+        for r in radii_m
+    ]
     return ProbabilityCurve(tuple(points))

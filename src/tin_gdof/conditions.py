@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import TopologyError
+from .errors import TinGdofError, TopologyError
 from .model import NetworkSpec, User
 
 
@@ -121,20 +121,9 @@ def evaluate_conditions(net: NetworkSpec) -> ConditionReport:
     conv = _mac_order_violations(net, False) + _cross_cell_violations(net, False)
     opt = _mac_order_violations(net, True) + _cross_cell_violations(net, True)
     report = ConditionReport(not conv, not opt, tuple(conv + opt))
-    assert not (report.optimality_holds and not report.convexity_holds), (
-        "the optimality conditions imply the convexity conditions"
-    )
+    if report.optimality_holds and not report.convexity_holds:
+        raise TinGdofError("the optimality conditions hold but the convexity conditions do not")
     return report
-
-
-def check_convexity(net: NetworkSpec) -> ConditionReport:
-    """Convexity sufficient conditions (the optimality pair is also reported)."""
-    return evaluate_conditions(net)
-
-
-def check_optimality(net: NetworkSpec) -> ConditionReport:
-    """Optimality sufficient conditions (the convexity pair is also reported)."""
-    return evaluate_conditions(net)
 
 
 # -- user partition used by the rate outer bound ------------------------------
@@ -153,7 +142,7 @@ def outer_bound_user_partition(net: NetworkSpec, i: int, j: int, l_i: int) -> Us
     its cross level toward cell j still reaches slot s's direct level.  When
     the optimality conditions hold, the primed slots (top user excluded)
     satisfy the chain inequality the outer-bound derivation relies on; this
-    is asserted here.
+    is checked here, and a failure raises ``TinGdofError``.
     """
     if i == j:
         raise TopologyError("partition needs two distinct cells")
@@ -163,14 +152,15 @@ def outer_bound_user_partition(net: NetworkSpec, i: int, j: int, l_i: int) -> Us
         s for s in range(1, l_i) if margin >= net.direct(User(i, s))
     )
     primed = frozenset(range(1, l_i + 1)) - double_primed
-    if check_optimality(net).optimality_holds:
+    if evaluate_conditions(net).optimality_holds:
         chain = sorted(primed - {l_i})
         for s_prime, l_prime in itertools.combinations(chain, 2):
             s_u, l_u = User(i, s_prime), User(i, l_prime)
-            assert margin >= net.direct(s_u) - net.alpha(s_u, j) + net.alpha(l_u, j), (
-                f"partition chain inequality failed for cell {i} slots "
-                f"({s_prime},{l_prime}) toward cell {j}"
-            )
+            if margin < net.direct(s_u) - net.alpha(s_u, j) + net.alpha(l_u, j):
+                raise TinGdofError(
+                    f"partition chain inequality failed for cell {i} slots "
+                    f"({s_prime},{l_prime}) toward cell {j}"
+                )
     return UserPartition(double_primed, primed)
 
 

@@ -351,8 +351,13 @@ def network_from_document(doc: Mapping, where: str = "<document>") -> NetworkSpe
 def load_finite_snr(path) -> FiniteSnrSpec:
     """Load the optional finite-SNR block of a network file."""
     path = Path(path)
-    with path.open() as f:
-        doc = json.load(f)
+    try:
+        with path.open() as f:
+            doc = json.load(f)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise NetworkSpecError(f"{path}: cannot parse network file ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise NetworkSpecError(f"{path}: network file must hold a JSON object")
     block = doc.get("finite_snr")
     if block is None:
         raise NetworkSpecError(f"{path}: file has no finite_snr block")

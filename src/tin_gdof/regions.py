@@ -2,8 +2,9 @@
 
 The achievable GDoF region of a fixed decoding order is a polytope: per-cell
 prefix bounds plus one bound per cyclic sequence of cells and per choice of
-decode-depth in each participating cell.  This module generates that
-inequality list explicitly, evaluates the associated set function, and tests
+decode-depth in each participating cell.  This module enumerates that bound
+index set in one place (``bound_indices``), and maps it to the explicit
+inequality list and to the associated set function.  It also tests
 membership of GDoF tuples with exact rational arithmetic.
 
 Everything here is a pure function over immutable values.
@@ -14,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import NetworkSpecError
 from .model import DecodingOrder, NetworkSpec, Rational, Subnetwork, User, rationalize
@@ -39,12 +40,6 @@ class CyclicSequence:
 
     def __len__(self) -> int:
         return len(self.cells)
-
-    def pairs(self) -> Iterator[tuple[int, int]]:
-        """Yield (cell, predecessor cell) around the cycle."""
-        m = len(self.cells)
-        for j in range(m):
-            yield self.cells[j], self.cells[j - 1]
 
 
 def enumerate_cyclic_sequences(cells: Iterable[int], min_len: int = 1) -> Iterator[CyclicSequence]:
@@ -169,90 +164,115 @@ def _active_per_cell(net: NetworkSpec, s: Subnetwork) -> dict[int, list[int]]:
     return per_cell
 
 
+class BoundIndex(NamedTuple):
+    """One bound of a fixed-order region.
+
+    ``cells`` is one cell (a per-cell bound) or a canonical cyclic sequence
+    of two or more cells (a cyclic bound); ``depths[j]`` is the decode depth
+    taken in ``cells[j]`` and ``tops[j]`` the user at that depth.  ``users``
+    is the union of the per-cell decode prefixes.
+    """
+
+    cells: tuple[int, ...]
+    depths: tuple[int, ...]
+    tops: tuple[User, ...]
+    users: frozenset
+
+    @property
+    def kind(self) -> str:
+        return "cell" if len(self.cells) == 1 else "cyclic"
+
+
+def bound_indices(
+    net: NetworkSpec, order: DecodingOrder, s: Subnetwork | None = None
+) -> Iterator[BoundIndex]:
+    """The bound index set of the fixed-order region of ``s`` under ``order``.
+
+    One index per active cell and decode depth, then one per cyclic sequence
+    of two or more active cells and choice of one depth per cell.  Emission
+    order is deterministic: per-cell bounds by (cell, depth), then cyclic
+    bounds in ``enumerate_cyclic_sequences`` order (length, cell subset,
+    arrangement) and by depth vector.
+    """
+    order.validate(net, s)
+    tops = {k: [User(k, slot) for slot in order.slots(k)] for k in range(1, net.cells + 1)}
+    prefixes = {k: [frozenset(t[:l]) for l in range(1, len(t) + 1)] for k, t in tops.items()}
+    active_cells = [k for k, t in tops.items() if t]
+    for k in active_cells:
+        for l, top in enumerate(tops[k], start=1):
+            yield BoundIndex((k,), (l,), (top,), prefixes[k][l - 1])
+
+    if len(active_cells) >= 2:
+        for seq in enumerate_cyclic_sequences(active_cells, min_len=2):
+            for depths in itertools.product(*(range(1, len(tops[k]) + 1) for k in seq.cells)):
+                picks = list(zip(seq.cells, depths))
+                yield BoundIndex(
+                    seq.cells,
+                    depths,
+                    tuple(tops[k][l - 1] for k, l in picks),
+                    frozenset().union(*(prefixes[k][l - 1] for k, l in picks)),
+                )
+
+
+def bound_rhs(net: NetworkSpec, index: BoundIndex) -> Fraction:
+    """Exact rhs of a bound: the top user's direct level for one cell, else
+    sum_j (alpha_{i_j i_j} - alpha_{i_j -> i_{j-1}}) at the top users, with
+    the predecessor taken around the cycle."""
+    if len(index.cells) == 1:
+        return net.direct(index.tops[0])
+    rhs = Fraction(0)
+    for j, top in enumerate(index.tops):
+        rhs += net.direct(top) - net.alpha(top, index.cells[j - 1])
+    return rhs
+
+
 def polyhedral_region(
     net: NetworkSpec, order: DecodingOrder, s: Subnetwork | None = None
 ) -> PolyRegion:
     """Explicit inequality description of the fixed-order achievable region.
 
-    For each active cell ``i`` and decode depth ``l``: the first ``l`` decode
-    positions obey  sum d <= alpha_ii of the depth-``l`` user.  For each
-    cyclic sequence of two or more active cells and each choice of one depth
-    per cell: the union of the per-cell prefixes obeys
-    sum d <= sum_j (alpha_{i_j i_j} - alpha_{i_j -> i_{j-1}}), levels taken at
-    each cell's depth user, with the predecessor taken around the cycle.
-
-    Users outside ``s`` are forced to zero.  Emission order is deterministic:
-    single-cell bounds by (cell, depth), then cyclic bounds by (length,
-    canonical sequence, depth vector).
+    One inequality  sum of d over the index's users <= ``bound_rhs``  per
+    index of ``bound_indices``, in its emission order.  Users outside ``s``
+    are forced to zero.
     """
     s = net.full_subnetwork if s is None else net.validate_subnetwork(s)
-    order.validate(net, s)
-    per_cell = _active_per_cell(net, s)
-    active_cells = sorted(per_cell)
-
-    inequalities: list[LinearInequality] = []
-
-    def prefix_users(cell: int, depth: int) -> frozenset:
-        return frozenset(order.user_at(cell, p) for p in range(1, depth + 1))
-
-    for i in active_cells:
-        for depth in range(1, len(per_cell[i]) + 1):
-            top = order.user_at(i, depth)
-            inequalities.append(LinearInequality(prefix_users(i, depth), net.direct(top)))
-
-    if len(active_cells) >= 2:
-        for seq in enumerate_cyclic_sequences(active_cells, min_len=2):
-            depth_ranges = [range(1, len(per_cell[i]) + 1) for i in seq.cells]
-            for depths in itertools.product(*depth_ranges):
-                users: set = set()
-                rhs = Fraction(0)
-                for (cell, pred), depth in zip(seq.pairs(), depths):
-                    top = order.user_at(cell, depth)
-                    rhs += net.direct(top) - net.alpha(top, pred)
-                    users |= prefix_users(cell, depth)
-                inequalities.append(LinearInequality(frozenset(users), rhs))
-
-    forced = frozenset(net.full_subnetwork - s)
-    return PolyRegion(net.users, tuple(inequalities), forced)
+    inequalities = tuple(
+        LinearInequality(index.users, bound_rhs(net, index))
+        for index in bound_indices(net, order, s)
+    )
+    return PolyRegion(net.users, inequalities, frozenset(net.full_subnetwork - s))
 
 
 def set_function_f(net: NetworkSpec, order: DecodingOrder, subset: Iterable[User]) -> Fraction:
     """Right-hand side of the region bound attached to a decode-prefix user set.
 
     ``subset`` must be, in every participating cell, exactly the first
-    ``l_i`` decode positions of ``order``.  Returns 0 for the empty set, the
-    depth user's direct level for one cell, and the minimum over full-length
-    cyclic arrangements of the participating cells otherwise.
+    ``l_i`` decode positions of ``order``.  Returns 0 for the empty set, and
+    otherwise the smallest ``bound_rhs`` among the bounds whose user set is
+    ``subset``: the depth user's direct level for one cell, the minimum over
+    full-length cyclic arrangements of the participating cells otherwise.
     """
     subset = frozenset(User(*u) for u in subset)
     if not subset:
         return Fraction(0)
     per_cell = _active_per_cell(net, subset)
-    depth_user: dict[int, User] = {}
     for cell, slots in per_cell.items():
-        depth = len(slots)
-        want = sorted(order.slots(cell)[:depth])
+        want = sorted(order.slots(cell)[: len(slots)])
         if sorted(slots) != want:
             raise NetworkSpecError(
                 f"subset is not a decode prefix in cell {cell}: got slots {sorted(slots)}, "
                 f"prefix would be {want}"
             )
-        depth_user[cell] = order.user_at(cell, depth)
-
-    cells = sorted(per_cell)
-    if len(cells) == 1:
-        return net.direct(depth_user[cells[0]])
-    best = None
-    anchor, rest = cells[0], cells[1:]
-    for perm in itertools.permutations(rest):
-        seq = CyclicSequence((anchor,) + perm)
-        total = Fraction(0)
-        for cell, pred in seq.pairs():
-            top = depth_user[cell]
-            total += net.direct(top) - net.alpha(top, pred)
-        if best is None or total < best:
-            best = total
-    return best
+    # The order restricted to the prefixes: its bounds over all participating
+    # cells at full depth are exactly the bounds with user set ``subset``.
+    prefix_order = DecodingOrder(
+        tuple(order.slots(k)[: len(per_cell.get(k, ()))] for k in range(1, net.cells + 1))
+    )
+    return min(
+        bound_rhs(net, index)
+        for index in bound_indices(net, prefix_order, subset)
+        if index.users == subset
+    )
 
 
 def membership(region: PolyRegion, d: GdofTuple) -> MembershipResult:

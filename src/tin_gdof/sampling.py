@@ -42,10 +42,6 @@ def random_network(
     return NetworkSpec.from_alpha(cells, users_per_cell, alpha)
 
 
-def random_subnetwork(rng: random.Random, net: NetworkSpec) -> Subnetwork:
-    return frozenset(u for u in net.users if rng.random() < 0.75)
-
-
 def random_order(rng: random.Random, net: NetworkSpec, s: Subnetwork | None = None) -> DecodingOrder:
     orders = list(enumerate_orders(net, s))
     return orders[rng.randrange(len(orders))]

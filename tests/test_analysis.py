@@ -236,6 +236,19 @@ def test_gdof_outer_bound_matches_region(pimac_optimal):
     assert outer.same_system(achievable)
 
 
+def test_rate_bounds_in_outer_bound_row_positions():
+    rng = random.Random(41)
+    for _ in range(15):
+        net = random_optimality_network(rng, max_cells=4, max_users=3)
+        rows = gdof_outer_bound(net).inequalities
+        bounds = outer_bound_rates(finite_snr_from_network(net, 1e4))
+        assert [b.users for b in bounds] == [q.users for q in rows]
+        cells_of = [{u.cell for u in q.users} for q in rows]
+        assert [b.kind for b in bounds] == [
+            "cell" if len(cells) == 1 else "cyclic" for cells in cells_of
+        ]
+
+
 def test_gdof_outer_bound_refuses_without_conditions(pimac_nonconvex):
     with pytest.raises(ConditionsNotMetError):
         gdof_outer_bound(pimac_nonconvex)

@@ -9,13 +9,12 @@ from conftest import pimac
 from tin_gdof.conditions import (
     ConditionKind,
     PimacRegimeLabel,
-    check_convexity,
-    check_optimality,
     classify_pimac,
     evaluate_conditions,
     outer_bound_user_partition,
 )
-from tin_gdof.errors import TopologyError
+from tin_gdof import conditions
+from tin_gdof.errors import TinGdofError, TopologyError
 from tin_gdof.model import NetworkSpec, User
 from tin_gdof.sampling import (
     random_convexity_network,
@@ -40,7 +39,7 @@ def test_optimal_instance_satisfies_both(pimac_optimal):
 
 
 def test_nonconvex_instance_fails_mac_condition(pimac_nonconvex):
-    report = check_convexity(pimac_nonconvex)
+    report = evaluate_conditions(pimac_nonconvex)
     assert not report.convexity_holds
     kinds = {v.condition for v in report.violations}
     assert ConditionKind.MAC_ORDER_CONVEXITY in kinds
@@ -61,7 +60,7 @@ def test_convex_only_instance(pimac_convex_only):
 
 def test_zero_cross_levels_trivially_optimal():
     net = pimac("0.5", "1.0", "0.7", "0", "0", "0")
-    report = check_optimality(net)
+    report = evaluate_conditions(net)
     assert report.optimality_holds
 
 
@@ -135,6 +134,21 @@ def test_optimality_implies_convexity_randomized():
     for _ in range(10_000):
         report = evaluate_conditions(random_network(rng))
         assert report.convexity_holds or not report.optimality_holds
+
+
+def test_optimality_without_convexity_raises_even_without_asserts(monkeypatch, pimac_optimal):
+    # A cross-cell check that fails only the convexity pair breaks the
+    # invariant; it must raise a package error, which ``python -O`` keeps.
+    fake = conditions.Violation(
+        ConditionKind.CROSS_CELL_CONVEXITY, (1, 2, 2, 1, 1), Fraction(0), Fraction(1)
+    )
+    monkeypatch.setattr(
+        conditions,
+        "_cross_cell_violations",
+        lambda net, optimality: [] if optimality else [fake],
+    )
+    with pytest.raises(TinGdofError):
+        evaluate_conditions(pimac_optimal)
 
 
 def test_constructive_samplers_meet_their_conditions():

@@ -206,3 +206,18 @@ def test_load_finite_snr_block(tmp_path):
     doc.pop("finite_snr")
     with pytest.raises(NetworkSpecError, match="finite_snr"):
         load_finite_snr(write_network(tmp_path, doc))
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, "{bad", "[1,2]"],
+    ids=["missing-file", "malformed-json", "top-level-list"],
+)
+def test_load_finite_snr_bad_file_is_spec_error(tmp_path, content):
+    from tin_gdof.model import load_finite_snr
+
+    path = tmp_path / "net.json"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(NetworkSpecError):
+        load_finite_snr(path)

@@ -12,6 +12,8 @@ from tin_gdof.model import DecodingOrder, NetworkSpec, User
 from tin_gdof.regions import (
     CyclicSequence,
     GdofTuple,
+    bound_indices,
+    bound_rhs,
     enumerate_cyclic_sequences,
     membership,
     polyhedral_region,
@@ -160,6 +162,37 @@ def test_region_inequality_count_formula():
                 prod *= net.users_per_cell[i - 1]
             expected += prod
         assert len(reg.inequalities) == expected
+
+
+def test_bound_indices_emission_order():
+    # Per-cell bounds by (cell, depth), then cyclic bounds by (length, cell
+    # subset, arrangement, depth vector); the CLI output lists them so.
+    from tin_gdof.sampling import random_order
+
+    rng = random.Random(9)
+    for _ in range(20):
+        net = random_network(rng, max_cells=4, max_users=2)
+        s = frozenset(u for u in net.users if rng.random() < 0.85)
+        order = random_order(rng, net, s)
+        depth_of = {k: len(order.slots(k)) for k in range(1, net.cells + 1)}
+        active = [k for k in sorted(depth_of) if depth_of[k]]
+        cell_keys = [((k,), (l,)) for k in active for l in range(1, depth_of[k] + 1)]
+        cyclic_keys = [
+            (seq, depths)
+            for seq in brute_force_cyclic(active, 2)
+            for depths in itertools.product(*(range(1, depth_of[k] + 1) for k in seq))
+        ]
+        cyclic_keys.sort(key=lambda kd: (len(kd[0]), sorted(kd[0]), kd[0], kd[1]))
+
+        indices = list(bound_indices(net, order, s))
+        assert [(b.cells, b.depths) for b in indices] == cell_keys + cyclic_keys
+        for b in indices:
+            assert b.tops == tuple(order.user_at(k, l) for k, l in zip(b.cells, b.depths))
+            assert b.users == {
+                order.user_at(k, p) for k, l in zip(b.cells, b.depths) for p in range(1, l + 1)
+            }
+        rows = polyhedral_region(net, order, s).inequalities
+        assert [(q.users, q.rhs) for q in rows] == [(b.users, bound_rhs(net, b)) for b in indices]
 
 
 def test_region_inequalities_are_prefix_closed():
