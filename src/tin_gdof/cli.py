@@ -21,6 +21,7 @@ from .conditions import classify_pimac, evaluate_conditions
 from .errors import TinGdofError
 from .model import (
     DecodingOrder,
+    FiniteSnrSpec,
     NetworkSpec,
     User,
     load_finite_snr,
@@ -34,6 +35,26 @@ def _emit(status: str, payload, code: int = 0):
     json.dump({"schema": SCHEMA, "status": status, "payload": payload}, sys.stdout, indent=2)
     sys.stdout.write("\n")
     sys.exit(code)
+
+
+def _load(network_path) -> tuple[NetworkSpec, FiniteSnrSpec | None]:
+    """The file's network and its finite-SNR block, or None when it has none.
+
+    Every subcommand loads both, so a malformed block fails each of them.
+    """
+    return load_network(network_path), load_finite_snr(network_path, required=False)
+
+
+def _rate_model(net: NetworkSpec, fs: FiniteSnrSpec | None, snr: float) -> FiniteSnrSpec:
+    """The file's finite-SNR block, else unit-power gains synthesized at ``snr``."""
+    if fs is None:
+        return sampling.finite_snr_from_network(net, snr)
+    click.echo(
+        f"note: --snr {snr:g} ignored; using nominal power {fs.nominal_power:g} "
+        "from the file's finite_snr block",
+        err=True,
+    )
+    return fs
 
 
 def _frac(x: Fraction) -> dict:
@@ -113,7 +134,7 @@ _format_opt = click.option(
 @click.option("--pimac-regime", is_flag=True, help="Also classify the 2-cell (2,1) regime.")
 def check(network_path, pimac_regime):
     """Evaluate the convexity and optimality conditions of a network."""
-    net = load_network(network_path)
+    net, _ = _load(network_path)
     report = evaluate_conditions(net)
     payload = {
         "convexity_holds": report.convexity_holds,
@@ -147,7 +168,7 @@ def check(network_path, pimac_regime):
 @_format_opt
 def region(network_path, order_spec, sub_spec, fmt):
     """Emit the inequality list of a fixed-order achievable region."""
-    net = load_network(network_path)
+    net, _ = _load(network_path)
     s = _parse_subnetwork(sub_spec, net)
     order = _parse_order(order_spec, net, s)
     reg = regions.polyhedral_region(net, order, s)
@@ -175,7 +196,7 @@ def region(network_path, order_spec, sub_spec, fmt):
 @click.option("--subnetwork", "sub_spec", default=None)
 def membership(network_path, d_spec, order_spec, sub_spec):
     """Test whether a GDoF tuple is achievable (fixed order, or any strategy)."""
-    net = load_network(network_path)
+    net, _ = _load(network_path)
     d = regions.GdofTuple.from_values(net, _parse_fractions(d_spec))
     if order_spec is None:
         result = analysis.general_membership(net, d)
@@ -231,7 +252,7 @@ def membership(network_path, d_spec, order_spec, sub_spec):
 @click.option("--subnetwork", "sub_spec", default=None)
 def sumgdof(network_path, weights_spec, order_spec, sub_spec):
     """Maximize a weighted GDoF sum over a fixed-order region."""
-    net = load_network(network_path)
+    net, _ = _load(network_path)
     s = _parse_subnetwork(sub_spec, net)
     order = _parse_order(order_spec, net, s)
     reg = regions.polyhedral_region(net, order, s)
@@ -253,7 +274,7 @@ def sumgdof(network_path, weights_spec, order_spec, sub_spec):
 @_format_opt
 def vertices_cmd(network_path, order_spec, sub_spec, fmt):
     """Enumerate the vertices of a fixed-order region (plot data)."""
-    net = load_network(network_path)
+    net, _ = _load(network_path)
     s = _parse_subnetwork(sub_spec, net)
     order = _parse_order(order_spec, net, s)
     reg = regions.polyhedral_region(net, order, s)
@@ -279,15 +300,11 @@ def vertices_cmd(network_path, order_spec, sub_spec, fmt):
 @click.option("--snr", "snr", type=float, default=None, help="Nominal power for rate bounds.")
 def outer_bound(network_path, snr):
     """The strength-level outer bound, or finite-SNR rate bounds with --snr."""
-    net = load_network(network_path)
+    net, fs = _load(network_path)
     if snr is None:
         reg = analysis.gdof_outer_bound(net)
         _emit("ok", {"inequalities": [_inequality_record(q) for q in reg.inequalities]})
-    try:
-        fs = load_finite_snr(network_path)
-    except TinGdofError:
-        fs = sampling.finite_snr_from_network(net, snr)
-    bounds = analysis.outer_bound_rates(fs)
+    bounds = analysis.outer_bound_rates(_rate_model(net, fs, snr))
     _emit(
         "ok",
         {
@@ -309,12 +326,8 @@ def outer_bound(network_path, snr):
 @click.option("--corners", type=int, default=16, show_default=True)
 def gap_report_cmd(network_path, snr, corners):
     """Outer bound vs rates achieved at region corners, at finite SNR."""
-    net = load_network(network_path)
-    try:
-        fs = load_finite_snr(network_path)
-    except TinGdofError:
-        fs = sampling.finite_snr_from_network(net, snr)
-    rep = analysis.gap_report(fs, corners)
+    net, fs = _load(network_path)
+    rep = analysis.gap_report(_rate_model(net, fs, snr), corners)
     _emit(
         "ok",
         {

@@ -12,6 +12,13 @@ Two pairs of conditions are evaluated exactly:
 
 These are sufficient conditions only; nothing here decides convexity or
 optimality as such.
+
+The checks run on exact integers: every level is scaled to an integer over
+the common denominator of all levels (``NetworkSpec.integer_levels``), and
+each side of a condition is a sum of at most three such integers.  The
+cross-cell maxima are separable, so the interferer part is maximized once
+per cell pair rather than once per user.  The plain ``Fraction`` triple
+loops that this replaces are kept in the tests as the oracle.
 """
 
 from __future__ import annotations
@@ -53,66 +60,67 @@ def _mac_order_violations(net: NetworkSpec, optimality: bool) -> list[Violation]
     kind = (
         ConditionKind.MAC_ORDER_OPTIMALITY if optimality else ConditionKind.MAC_ORDER_CONVEXITY
     )
+    den, lv = net.integer_levels
     out = []
-    for i in range(1, net.cells + 1):
-        n_i = net.users_per_cell[i - 1]
-        for l_prime, l in itertools.combinations(range(1, n_i + 1), 2):
-            strong, weak = User(i, l), User(i, l_prime)
-            lhs = net.direct(strong)
-            best_j, best = None, None
-            for j in range(1, net.cells + 1):
-                if j == i:
-                    continue
-                if optimality:
-                    term = min(
-                        net.alpha(strong, j),
-                        2 * net.alpha(strong, j) - net.alpha(weak, j),
-                    )
-                else:
-                    term = net.alpha(strong, j) - net.alpha(weak, j)
-                if best is None or term > best:
-                    best_j, best = j, term
-            if best is None:
-                continue  # single cell: nothing to compare against
-            rhs = net.direct(weak) + best
-            if lhs < rhs:
-                out.append(Violation(kind, (i, best_j, None, l, l_prime), lhs, rhs))
+    for i, cell in enumerate(lv):
+        others = [j for j in range(net.cells) if j != i]
+        if not others:
+            continue  # single cell: nothing to compare against
+        for l_prime, l in itertools.combinations(range(len(cell)), 2):
+            strong, weak = cell[l], cell[l_prime]
+            if optimality:
+                terms = [min(strong[j], 2 * strong[j] - weak[j]) for j in others]
+            else:
+                terms = [strong[j] - weak[j] for j in others]
+            best = max(terms)
+            rhs = weak[i] + best
+            if strong[i] < rhs:
+                j = others[terms.index(best)]
+                indices = (i + 1, j + 1, None, l + 1, l_prime + 1)
+                out.append(Violation(kind, indices, Fraction(strong[i], den), Fraction(rhs, den)))
     return out
 
 
 def _cross_cell_violations(net: NetworkSpec, optimality: bool) -> list[Violation]:
-    """Per-user conditions against interference caused plus interference received."""
+    """Per-user conditions against interference caused plus interference received.
+
+    For user u of cell i the condition compares its direct level with the
+    maximum over cells j != i and interferers v = (k, l_k), k != i, of
+    caused(u, j) + received(v, i), less alpha(v, j) when k != j for the
+    convexity pair.  The part that depends on v is maximized once per (i, j),
+    so each user only takes a maximum over j.  Every maximum keeps its first
+    maximizer in (j, k, l_k) order, which is the witness of the plain triple
+    loop.
+    """
     kind = (
         ConditionKind.CROSS_CELL_OPTIMALITY if optimality else ConditionKind.CROSS_CELL_CONVEXITY
     )
+    den, lv = net.integer_levels
     out = []
-    for i in range(1, net.cells + 1):
-        for l in range(1, net.users_per_cell[i - 1] + 1):
-            u = User(i, l)
-            lhs = net.direct(u)
-            worst = None  # (value, j, k, l_k)
-            for j in range(1, net.cells + 1):
-                if j == i:
-                    continue
-                caused = net.alpha(u, j)
-                for k in range(1, net.cells + 1):
-                    if k == i:
-                        continue
-                    for l_k in range(1, net.users_per_cell[k - 1] + 1):
-                        v = User(k, l_k)
-                        received = net.alpha(v, i)
-                        if optimality:
-                            term = caused + received
-                        else:
-                            relief = net.alpha(v, j) if k != j else Fraction(0)
-                            term = caused + received - relief
-                        if worst is None or term > worst[0]:
-                            worst = (term, j, k, l_k)
-            if worst is None:
-                continue
-            rhs, j, k, l_k = worst
-            if lhs < rhs:
-                out.append(Violation(kind, (i, j, k, l, l_k), lhs, rhs))
+    for i, cell in enumerate(lv):
+        others = [j for j in range(net.cells) if j != i]
+        if not others:
+            continue
+        interferers = [(k, l_k, v) for k in others for l_k, v in enumerate(lv[k])]
+        # best[j]: (largest v-term toward cell j, index of its first interferer)
+        if optimality:
+            received = [v[i] for _, _, v in interferers]
+            top = max(received)
+            best = dict.fromkeys(others, (top, received.index(top)))
+        else:
+            best = {}
+            for j in others:
+                terms = [v[i] - v[j] if k != j else v[i] for k, _, v in interferers]
+                top = max(terms)
+                best[j] = (top, terms.index(top))
+        for l, u in enumerate(cell):
+            totals = [u[j] + best[j][0] for j in others]
+            rhs = max(totals)
+            if u[i] < rhs:
+                j = others[totals.index(rhs)]
+                k, l_k, _ = interferers[best[j][1]]
+                indices = (i + 1, j + 1, k + 1, l + 1, l_k + 1)
+                out.append(Violation(kind, indices, Fraction(u[i], den), Fraction(rhs, den)))
     return out
 
 

@@ -17,6 +17,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
@@ -108,7 +109,12 @@ class NetworkSpec:
             user = User(*user)
             if (user, rx) not in expected:
                 raise NetworkSpecError(f"alpha entry for unknown link {user}->rx{rx}")
-            v = rationalize(value)
+            try:
+                v = rationalize(value)
+            except (TypeError, ValueError) as exc:
+                raise NetworkSpecError(
+                    f"alpha entry for link {user}->rx{rx} is not a number ({exc})"
+                ) from exc
             if v < 0:
                 warnings.warn(
                     f"negative strength level {v} on link {user}->rx{rx} clipped to 0",
@@ -145,6 +151,20 @@ class NetworkSpec:
 
     def direct(self, user: User) -> Fraction:
         return self.alpha_map[(user, user.cell)]
+
+    @cached_property
+    def integer_levels(self) -> tuple[int, tuple[tuple[tuple[int, ...], ...], ...]]:
+        """Every level as an integer over the levels' common denominator.
+
+        Returns ``(den, lv)`` with ``alpha(User(k, l), i) == Fraction(lv[k-1][l-1][i-1], den)``,
+        where ``den`` is the lcm of the levels' denominators.  Sums, differences
+        and comparisons of these integers are exact.  Built once per network.
+        """
+        den = math.lcm(*(v.denominator for v in self.alpha_map.values()))
+        lv = [[[0] * self.cells for _ in range(n)] for n in self.users_per_cell]
+        for ((k, l), i), v in self.alpha_map.items():
+            lv[k - 1][l - 1][i - 1] = v.numerator * (den // v.denominator)
+        return den, tuple(tuple(map(tuple, cell)) for cell in lv)
 
     @property
     def users(self) -> tuple[User, ...]:
@@ -310,6 +330,8 @@ def sort_finite_snr(fs: FiniteSnrSpec) -> tuple[NetworkSpec, FiniteSnrSpec]:
 
 
 def _parse_link_records(records, what: str) -> dict:
+    if not isinstance(records, list):
+        raise NetworkSpecError(f"{what}: expected a list of link records")
     out = {}
     for idx, rec in enumerate(records):
         try:
@@ -348,8 +370,12 @@ def network_from_document(doc: Mapping, where: str = "<document>") -> NetworkSpe
     return NetworkSpec.from_alpha(cells, users_per_cell, alpha)
 
 
-def load_finite_snr(path) -> FiniteSnrSpec:
-    """Load the optional finite-SNR block of a network file."""
+def load_finite_snr(path, required: bool = True) -> FiniteSnrSpec | None:
+    """Load the optional finite-SNR block of a network file.
+
+    A file without the block is an error, or gives ``None`` when
+    ``required`` is false.  A malformed block is always an error.
+    """
     path = Path(path)
     try:
         with path.open() as f:
@@ -360,6 +386,8 @@ def load_finite_snr(path) -> FiniteSnrSpec:
         raise NetworkSpecError(f"{path}: network file must hold a JSON object")
     block = doc.get("finite_snr")
     if block is None:
+        if not required:
+            return None
         raise NetworkSpecError(f"{path}: file has no finite_snr block")
     try:
         p = float(block["nominal_power"])
@@ -373,7 +401,16 @@ def load_finite_snr(path) -> FiniteSnrSpec:
             return complex(float(v[0]), float(v[1]))
         return complex(float(v), 0.0)
 
-    gains = {k: as_gain(v) for k, v in _parse_link_records(gains_rec, "gains").items()}
+    gains = {}
+    for (user, rx), v in _parse_link_records(gains_rec, f"{path}: gains").items():
+        try:
+            gains[(user, rx)] = as_gain(v)
+        except (TypeError, ValueError) as exc:
+            raise NetworkSpecError(
+                f"{path}: gain of link {user}->rx{rx} is not a number ({exc})"
+            ) from exc
+    if not isinstance(power_rec, list):
+        raise NetworkSpecError(f"{path}: tx_powers must be a list")
     powers = {}
     for idx, rec in enumerate(power_rec):
         try:

@@ -27,7 +27,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-from .errors import GuardExceededError, InfeasibleAllocationError, NetworkSpecError
+from .errors import GuardExceededError, InfeasibleAllocationError, NetworkSpecError, TinGdofError
 from .model import DecodingOrder, NetworkSpec, Subnetwork, User
 from .regions import GdofTuple
 
@@ -222,7 +222,8 @@ def _extract_negative_circuit(g: PotentialGraph) -> Circuit:
         ):
             target = v
             break
-    assert target is not None, "extraction called on a feasible graph"
+    if target is None:
+        raise TinGdofError("negative-circuit extraction called on a feasible graph")
 
     # Reconstruct the at-most-n-edge walk to the target, then keep splicing
     # out vertex repeats; a repeat whose loop has negative length must exist.
@@ -246,7 +247,8 @@ def _extract_negative_circuit(g: PotentialGraph) -> Circuit:
                 loop = (seen[v], idx)
                 break
             seen[v] = idx
-        assert loop is not None, "walk of n edges must repeat a vertex"
+        if loop is None:
+            raise TinGdofError("a walk of n edges must repeat a vertex")
         a, b = loop
         length = Fraction(0)
         for i in range(a, b):

@@ -423,6 +423,33 @@ def test_zero_interference_gap_within_mac_slack():
         assert -1e-9 <= bg.gap_bits <= slack + 1e-9
 
 
+def test_achievable_gdof_counts_in_cell_and_other_cell_noise():
+    # Full power, identity order.  User (1,2) is decoded first and sees the
+    # in-cell signal of (1,1) at 1 above the other-cell 1/2; users (1,1) and
+    # (2,1) see only other-cell signals.  Each noise group sets some penalty:
+    # without the in-cell terms (1,2) would get 3/2, without the other-cell
+    # terms (1,1) and (2,1) would get 1 and 2.
+    net = NetworkSpec.from_alpha(
+        2,
+        [2, 1],
+        {
+            (User(1, 1), 1): Fraction(1),
+            (User(1, 1), 2): Fraction(1, 4),
+            (User(1, 2), 1): Fraction(2),
+            (User(1, 2), 2): Fraction(1, 2),
+            (User(2, 1), 2): Fraction(2),
+            (User(2, 1), 1): Fraction(1, 2),
+        },
+    )
+    alloc = PowerAllocation({u: Fraction(0) for u in net.users}, frozenset())
+    ceil = achievable_gdof(net, DecodingOrder.identity(net), alloc)
+    assert ceil == {
+        User(1, 1): Fraction(1, 2),
+        User(1, 2): Fraction(1),
+        User(2, 1): Fraction(3, 2),
+    }
+
+
 def test_rates_converge_to_gdof_ceiling():
     # per-user rates approach the exact GDoF evaluator times log2(P).  The
     # user at decode position pos of cell k treats n_u = (pos - 1) in-cell

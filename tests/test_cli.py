@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 CLI = [sys.executable, "-m", "tin_gdof.cli"]
+EXAMPLE = Path(__file__).resolve().parent.parent / "docs" / "example-network.json"
 
 
 def run_cli(*args):
@@ -181,6 +183,58 @@ def test_outer_bound_uses_file_finite_snr(tmp_path, pimac_optimal):
         for b in cell_bounds
         if len(b["users"]) == 1
     )
+
+
+def test_snr_ignored_for_file_block_is_noted(optimal_path):
+    # the example file carries a finite_snr block with nominal power 10000
+    for cmd in ("outer-bound", "gap-report"):
+        ignored = run_cli(cmd, "--network", str(EXAMPLE), "--snr", "999")
+        matching = run_cli(cmd, "--network", str(EXAMPLE), "--snr", "10000")
+        assert ignored.returncode == matching.returncode == 0
+        assert ignored.stdout == matching.stdout
+        assert ignored.stderr.splitlines() == [
+            "note: --snr 999 ignored; using nominal power 10000 "
+            "from the file's finite_snr block"
+        ]
+    # without a block, --snr is used and nothing is noted
+    assert run_cli("outer-bound", "--network", optimal_path, "--snr", "999").stderr == ""
+
+
+def _set_first(records, value):
+    records[0]["value"] = value
+
+
+MALFORMED = {
+    "truncated-json": "{bad",
+    "top-level-list": "[1,2]",
+    "missing-users-per-cell": lambda doc: doc.pop("users_per_cell"),
+    "non-list-alpha": lambda doc: doc.update(alpha=5),
+    "non-numeric-alpha": lambda doc: _set_first(doc["alpha"], "x"),
+    "list-alpha": lambda doc: _set_first(doc["alpha"], [1]),
+    "non-numeric-gain": lambda doc: _set_first(doc["finite_snr"]["gains"], "z"),
+}
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["check"], ["outer-bound", "--snr", "100"], ["gap-report", "--snr", "100"]],
+    ids=["check", "outer-bound", "gap-report"],
+)
+@pytest.mark.parametrize("defect", list(MALFORMED))
+def test_malformed_file_gives_one_line_error(tmp_path, defect, command):
+    edit = MALFORMED[defect]
+    if isinstance(edit, str):
+        text = edit
+    else:
+        doc = json.loads(EXAMPLE.read_text())
+        edit(doc)
+        text = json.dumps(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    proc = run_cli(command[0], "--network", str(path), *command[1:])
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
 
 def test_gap_report(optimal_path):

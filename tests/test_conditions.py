@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import pimac
+from tin_gdof.cellsim import ScenarioParams, sample_network
 from tin_gdof.conditions import (
     ConditionKind,
+    ConditionReport,
     PimacRegimeLabel,
+    Violation,
     classify_pimac,
     evaluate_conditions,
     outer_bound_user_partition,
@@ -168,3 +173,154 @@ def test_condition_booleans_scale_invariant(c_num):
     after = evaluate_conditions(net.scaled(c))
     assert before.convexity_holds == after.convexity_holds
     assert before.optimality_holds == after.optimality_holds
+
+
+# -- reference implementation --------------------------------------------------
+# The plain Fraction triple loops that ``conditions`` replaced with integer
+# levels and separable maxima; kept verbatim as the oracle.
+
+
+def _mac_order_violations(net: NetworkSpec, optimality: bool) -> list[Violation]:
+    """Per-cell conditions comparing a stronger user l against a weaker l' < l."""
+    kind = (
+        ConditionKind.MAC_ORDER_OPTIMALITY if optimality else ConditionKind.MAC_ORDER_CONVEXITY
+    )
+    out = []
+    for i in range(1, net.cells + 1):
+        n_i = net.users_per_cell[i - 1]
+        for l_prime, l in itertools.combinations(range(1, n_i + 1), 2):
+            strong, weak = User(i, l), User(i, l_prime)
+            lhs = net.direct(strong)
+            best_j, best = None, None
+            for j in range(1, net.cells + 1):
+                if j == i:
+                    continue
+                if optimality:
+                    term = min(
+                        net.alpha(strong, j),
+                        2 * net.alpha(strong, j) - net.alpha(weak, j),
+                    )
+                else:
+                    term = net.alpha(strong, j) - net.alpha(weak, j)
+                if best is None or term > best:
+                    best_j, best = j, term
+            if best is None:
+                continue  # single cell: nothing to compare against
+            rhs = net.direct(weak) + best
+            if lhs < rhs:
+                out.append(Violation(kind, (i, best_j, None, l, l_prime), lhs, rhs))
+    return out
+
+
+def _cross_cell_violations(net: NetworkSpec, optimality: bool) -> list[Violation]:
+    """Per-user conditions against interference caused plus interference received."""
+    kind = (
+        ConditionKind.CROSS_CELL_OPTIMALITY if optimality else ConditionKind.CROSS_CELL_CONVEXITY
+    )
+    out = []
+    for i in range(1, net.cells + 1):
+        for l in range(1, net.users_per_cell[i - 1] + 1):
+            u = User(i, l)
+            lhs = net.direct(u)
+            worst = None  # (value, j, k, l_k)
+            for j in range(1, net.cells + 1):
+                if j == i:
+                    continue
+                caused = net.alpha(u, j)
+                for k in range(1, net.cells + 1):
+                    if k == i:
+                        continue
+                    for l_k in range(1, net.users_per_cell[k - 1] + 1):
+                        v = User(k, l_k)
+                        received = net.alpha(v, i)
+                        if optimality:
+                            term = caused + received
+                        else:
+                            relief = net.alpha(v, j) if k != j else Fraction(0)
+                            term = caused + received - relief
+                        if worst is None or term > worst[0]:
+                            worst = (term, j, k, l_k)
+            if worst is None:
+                continue
+            rhs, j, k, l_k = worst
+            if lhs < rhs:
+                out.append(Violation(kind, (i, j, k, l, l_k), lhs, rhs))
+    return out
+
+
+def oracle_report(net: NetworkSpec) -> ConditionReport:
+    conv = _mac_order_violations(net, False) + _cross_cell_violations(net, False)
+    opt = _mac_order_violations(net, True) + _cross_cell_violations(net, True)
+    return ConditionReport(not conv, not opt, tuple(conv + opt))
+
+
+def assert_matches_oracle(net: NetworkSpec) -> ConditionReport:
+    report = evaluate_conditions(net)
+    expected = oracle_report(net)
+    assert report == expected
+    assert repr(report) == repr(expected)  # same Fraction values, not just equal numbers
+    return report
+
+
+def lattice_network(rng: random.Random) -> NetworkSpec:
+    """1..5 cells of 1..3 users, levels from a few values over mixed denominators.
+
+    Every network mixes thirds and sevenths with a third random denominator,
+    and draws its levels from a handful of values, so maxima and the two
+    sides of a condition tie often.  Cell counts lean small, because the
+    oracle's cost grows with the cube of the cell count.
+    """
+    cells = rng.choices((1, 2, 3, 4, 5), weights=(4, 10, 4, 1, 1))[0]
+    users = [rng.randint(1, 3) for _ in range(cells)]
+    denoms = (3, 7, rng.choice((1, 2, 4, 5, 6, 20)))
+    pool = [Fraction(rng.randint(0, 2 * q), q) for q in denoms for _ in range(2)]
+    boost = rng.choice((0, 1, 2))  # lifts direct levels so conditions often hold
+    alpha = {
+        (User(k, l), i): rng.choice(pool) + (boost if i == k else 0)
+        for k in range(1, cells + 1)
+        for l in range(1, users[k - 1] + 1)
+        for i in range(1, cells + 1)
+    }
+    return NetworkSpec.from_alpha(cells, users, alpha)
+
+
+def test_conditions_match_fraction_oracle_on_lattice_networks():
+    rng = random.Random(51)
+    outcomes, checked, cells = Counter(), 0, Counter()
+    while checked < 10_000:
+        net = lattice_network(rng)
+        report = assert_matches_oracle(net)
+        outcomes[report.convexity_holds, report.optimality_holds] += 1
+        cells[net.cells] += 1
+        checked += 1
+        if rng.random() < 0.2:
+            c = Fraction(rng.randint(1, 30), rng.choice((1, 3, 7, 11)))
+            assert_matches_oracle(net.scaled(c))
+            checked += 1
+    assert min(cells[k] for k in range(1, 6)) >= 300
+    # all three outcomes occur: optimal, convex only, neither
+    assert set(outcomes) == {(True, True), (True, False), (False, False)}
+
+
+def test_conditions_match_fraction_oracle_on_cell_samples():
+    params = [
+        ScenarioParams("linear", 243.0, users_per_cell=L, trials=1, seed=7)
+        for L in (1, 3, 5)
+    ] + [
+        ScenarioParams("circular", r, users_per_cell=L, trials=1, seed=7, cells=cells)
+        for cells, L, r in ((4, 2, 150.0), (5, 3, 200.0), (7, 1, 120.0), (7, 5, 250.0))
+    ]
+    for p in params:
+        for trial in range(12):
+            assert_matches_oracle(sample_network(p, trial))
+
+
+def test_boundary_equality_counts_as_holding():
+    # every optimality condition is tight: MAC 1.7 == 1.0 + min(0.7, 2*0.7 - 0.7);
+    # cross-cell 1.0 == 0.7 + 0.3 for user (1,1) and 1 == 0.3 + 0.7 for user (2,1)
+    tight = pimac("1.0", "1.7", "1", "0.7", "0.7", "0.3")
+    report = assert_matches_oracle(tight)
+    assert report.optimality_holds and report.violations == ()
+    # one more tenth of caused interference breaks the MAC and cross-cell conditions
+    over = assert_matches_oracle(pimac("1.0", "1.7", "1", "0.7", "0.8", "0.3"))
+    assert not over.optimality_holds

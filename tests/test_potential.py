@@ -2,7 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from tin_gdof.errors import GuardExceededError, InfeasibleAllocationError
+from tin_gdof import potential
+from tin_gdof.errors import GuardExceededError, InfeasibleAllocationError, TinGdofError
 from tin_gdof.model import DecodingOrder, NetworkSpec, User
 from tin_gdof.potential import (
     GROUND,
@@ -223,3 +224,13 @@ def test_power_allocation_validation():
         PowerAllocation({User(1, 1): Fraction(1, 2)}, frozenset())
     with pytest.raises(ValueError):
         PowerAllocation({User(1, 1): Fraction(0)}, frozenset({User(1, 1)}))
+
+
+def test_circuit_extraction_on_feasible_graph_raises_even_without_asserts(pimac_optimal):
+    # the zero tuple is always achievable, so there is no negative circuit;
+    # the invariant must raise a package error, which ``python -O`` keeps
+    order = DecodingOrder.identity(pimac_optimal)
+    g = build_potential_graph(pimac_optimal, order, None, GdofTuple.zero(pimac_optimal))
+    assert feasible_by_negative_cycle(g).feasible
+    with pytest.raises(TinGdofError, match="feasible graph"):
+        potential._extract_negative_circuit(g)
