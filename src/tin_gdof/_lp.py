@@ -4,7 +4,9 @@ Two routines, both exact:
 
 * ``simplex_max``: maximize a linear functional over {x >= 0, Ax <= b} with
   b >= 0, via the tableau simplex with Bland's rule (no cycling, fully
-  deterministic).
+  deterministic).  It solves hand-built regions only: regions made by
+  ``polyhedral_region`` are optimized as a min-cost flow (``_flow``), and
+  this simplex is the test oracle for that path.
 * ``enumerate_vertices``: all vertices of {x >= 0, Ax <= b} by enumerating
   n-subsets of tight constraints.  A vectorized float pass discards clearly
   singular or clearly infeasible bases first; every surviving candidate is

@@ -14,13 +14,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from . import _lp
+from . import _flow, _lp
 from .conditions import evaluate_conditions
 from .errors import (
     ConditionsNotMetError,
+    EmptyRegionError,
     GuardExceededError,
     InfeasibleAllocationError,
     NetworkSpecError,
+    TinGdofError,
 )
 from .model import (
     DecodingOrder,
@@ -31,7 +33,12 @@ from .model import (
     enumerate_orders,
     sort_finite_snr,
 )
-from .potential import PowerAllocation, build_potential_graph, recover_power_allocation
+from .potential import (
+    GROUND,
+    PowerAllocation,
+    build_potential_graph,
+    recover_power_allocation,
+)
 from .regions import (
     GdofTuple,
     LinearInequality,
@@ -186,16 +193,77 @@ class WeightedOptimum:
     argmax: GdofTuple
 
 
+def _max_weighted_by_flow(
+    net: NetworkSpec, order: DecodingOrder, s: Subnetwork, weights: Mapping
+) -> tuple[Fraction, dict[User, Fraction]]:
+    """Weighted sum-GDoF of a fixed-order region as an integer min-cost flow.
+
+    By the potential theorem, the region is {d >= 0 : some pi has
+    pi_v - pi_u + d_u <= c_uv on every edge out of a user u and
+    pi_v - pi_ground <= 0 on every ground edge}, with c the edge lengths of
+    the potential graph at d = 0.  The LP dual of max sum w_u d_u over it is
+    a min-cost circulation f >= 0 on the same edges in which each user's
+    out-flow is at least w_u.  Each user is split into ``in -> out`` with
+    that lower bound, shifted into a supply w_u at ``out`` and a demand w_u
+    at ``in``.  Lengths are scaled to integers by the levels' common
+    denominator ``den``, weights by theirs, ``den_w``.  The start potentials
+    are the ground distances of the d = 0 graph; a negative circuit there
+    means the region is empty.  Optimal potentials give the argmax
+    d_u = (p(in) - p(out)) / den, the reduced cost of u's split arc.
+    """
+    g = build_potential_graph(net, order, s)
+    try:
+        start = recover_power_allocation(g)
+    except InfeasibleAllocationError as exc:
+        raise EmptyRegionError(f"region is empty: {exc}") from None
+    den = net.integer_levels[0]
+    users = g.vertices[1:]
+    den_w = math.lcm(*(weights.get(u, Fraction(0)).denominator for u in users))
+    node_in = {GROUND: 0, **{u: 2 * i + 1 for i, u in enumerate(users)}}
+    node_out = {GROUND: 0, **{u: 2 * i + 2 for i, u in enumerate(users)}}
+    arcs = [
+        (node_out[e.tail], node_in[e.head], e.length.numerator * (den // e.length.denominator))
+        for e in g.edges
+    ]
+    arcs += [(node_in[u], node_out[u], 0) for u in users]
+    supply = [0] * (2 * len(users) + 1)
+    potential = [0] * len(supply)
+    for u in users:
+        w = int(weights.get(u, Fraction(0)) * den_w)
+        supply[node_out[u]], supply[node_in[u]] = w, -w
+        potential[node_in[u]] = potential[node_out[u]] = (
+            start[u].numerator * (den // start[u].denominator)
+        )
+    cost, p = _flow.min_cost_flow(len(supply), arcs, supply, potential)
+    value = Fraction(cost, den * den_w)
+    d = {u: Fraction(p[node_in[u]] - p[node_out[u]], den) for u in users}
+    # Equal primal and dual objectives certify that both are optimal.
+    if sum(weights.get(u, Fraction(0)) * d[u] for u in users) != value:
+        raise TinGdofError("min-cost flow potentials do not attain the flow cost")
+    return value, d
+
+
 def max_weighted_gdof(region: PolyRegion, weights: Mapping) -> WeightedOptimum:
-    """Exact maximum of a nonnegative-weighted GDoF sum over the region."""
+    """Exact maximum of a nonnegative-weighted GDoF sum over the region.
+
+    A region made by ``polyhedral_region`` is solved as an integer min-cost
+    flow on its potential graph, without building its inequality list; the
+    argmax is an optimal tuple read from the flow potentials.  A hand-built
+    region goes to the exact simplex over its merged inequality system.
+    Raises ``EmptyRegionError`` when the region is empty.
+    """
     weights = {User(*u): Fraction(w) for u, w in weights.items()}
     if any(w < 0 for w in weights.values()):
         raise ValueError("weights must be nonnegative")
-    users, rows, rhs = _system(region)
-    objective = [weights.get(u, Fraction(0)) for u in users]
-    value, x = _lp.simplex_max(objective, rows, rhs)
+    if region.source is not None:
+        value, x = _max_weighted_by_flow(*region.source, weights)
+    else:
+        users, rows, rhs = _system(region)
+        objective = [weights.get(u, Fraction(0)) for u in users]
+        value, point = _lp.simplex_max(objective, rows, rhs)
+        x = dict(zip(users, point))
     d = {u: Fraction(0) for u in region.dim_users}
-    d.update(dict(zip(users, x)))
+    d.update(x)
     return WeightedOptimum(value, GdofTuple(d))
 
 
@@ -234,7 +302,7 @@ def region_includes(outer: PolyRegion, inner: PolyRegion) -> bool:
     """
     if set(outer.dim_users) != set(inner.dim_users):
         raise NetworkSpecError("regions index different user sets")
-    inner_users, rows, rhs = _system(inner)
+    inner_users, _, rhs = _system(inner)
     if any(b < 0 for b in rhs):
         return True  # inner region is empty
     index = {u: j for j, u in enumerate(inner_users)}
@@ -265,10 +333,7 @@ def region_includes(outer: PolyRegion, inner: PolyRegion) -> bool:
         bound = cap_sum if cover is None else min(cover, cap_sum)
         if bound <= q.rhs:
             continue
-        objective = [
-            Fraction(1) if u in live else Fraction(0) for u in inner_users
-        ]
-        sup, _ = _lp.simplex_max(objective, rows, rhs)
+        sup = max_weighted_gdof(inner, {u: Fraction(1) for u in live}).value
         if sup > q.rhs:
             return False
     return True
@@ -413,19 +478,20 @@ class GapReport:
     corners_used: int
 
 
-def gap_report(fs: FiniteSnrSpec, sample_vertices: int = 16) -> GapReport:
+def gap_report(fs: FiniteSnrSpec, sample_vertices: int | None = None) -> GapReport:
     """Gap between the rate outer bound and rates achieved at region corners.
 
     Every corner of the fixed-identity-order region is realized through its
     recovered power allocation and evaluated at finite SNR; each bound is
     compared against the best corner for its user set.  All gaps must be
     nonnegative (up to rate tolerance) on instances where the outer bound
-    applies.
+    applies.  ``sample_vertices`` is deprecated and ignored: a truncated
+    corner list can only raise the reported gaps, so every corner is used.
     """
     bounds = outer_bound_rates(fs)  # also enforces the preconditions
     net, fs_sorted = sort_finite_snr(fs)
     region = polyhedral_region(net, DecodingOrder.identity(net))
-    corner_list = vertices(region)[:sample_vertices]
+    corner_list = vertices(region)
     order = DecodingOrder.identity(net)
     corner_rates = []
     for d in corner_list:

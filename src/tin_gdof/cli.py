@@ -323,11 +323,13 @@ def outer_bound(network_path, snr):
 @cli.command(name="gap-report")
 @_network_opt
 @click.option("--snr", type=float, required=True)
-@click.option("--corners", type=int, default=16, show_default=True)
+@click.option("--corners", type=int, default=None, help="Deprecated and ignored.")
 def gap_report_cmd(network_path, snr, corners):
-    """Outer bound vs rates achieved at region corners, at finite SNR."""
+    """Outer bound vs rates achieved at every region corner, at finite SNR."""
+    if corners is not None:
+        click.echo("note: --corners is deprecated and ignored; every corner is used", err=True)
     net, fs = _load(network_path)
-    rep = analysis.gap_report(_rate_model(net, fs, snr), corners)
+    rep = analysis.gap_report(_rate_model(net, fs, snr))
     _emit(
         "ok",
         {

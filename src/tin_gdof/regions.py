@@ -13,8 +13,9 @@ Everything here is a pure function over immutable values.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import NetworkSpecError
@@ -113,17 +114,38 @@ class GdofTuple:
         c = Fraction(c)
         return GdofTuple({u: c * v for u, v in self.d.items()})
 
-    def as_list(self, users: Sequence[User]) -> list[Fraction]:
-        return [self[u] for u in users]
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolyRegion:
-    """A polytope of GDoF tuples: 0/1 sum inequalities, nonnegativity, forced zeros."""
+    """A polytope of GDoF tuples: 0/1 sum inequalities, nonnegativity, forced zeros.
+
+    A hand-built region passes its inequalities as ``rows`` and has no
+    ``source``.  A region made by ``polyhedral_region`` passes ``rows=None``
+    and keeps its ``source``, the ``(net, order, s)`` it describes; it builds
+    ``inequalities`` on first access, so callers that only optimize over it
+    never pay for the exponential list.  Regions compare by identity; use
+    ``same_system`` for structural equality.
+    """
 
     dim_users: tuple[User, ...]
-    inequalities: tuple[LinearInequality, ...]
+    rows: InitVar[tuple[LinearInequality, ...] | None]
     forced_zero: frozenset
+    source: tuple[NetworkSpec, DecodingOrder, Subnetwork] | None = None
+
+    def __post_init__(self, rows):
+        if (rows is None) == (self.source is None):
+            raise ValueError("a region needs exactly one of explicit rows and a source")
+        if rows is not None:
+            self.__dict__["inequalities"] = tuple(rows)
+
+    @cached_property
+    def inequalities(self) -> tuple[LinearInequality, ...]:
+        """One inequality per index of ``bound_indices``, in its emission order."""
+        net, order, s = self.source
+        return tuple(
+            LinearInequality(index.users, bound_rhs(net, index))
+            for index in bound_indices(net, order, s)
+        )
 
     def active_users(self) -> tuple[User, ...]:
         return tuple(u for u in self.dim_users if u not in self.forced_zero)
@@ -135,16 +157,6 @@ class PolyRegion:
             and self.forced_zero == other.forced_zero
             and [(q.users, q.rhs) for q in self.inequalities]
             == [(q.users, q.rhs) for q in other.inequalities]
-        )
-
-    def scaled(self, c: Rational) -> "PolyRegion":
-        c = Fraction(c)
-        if c <= 0:
-            raise ValueError("scale factor must be positive")
-        return PolyRegion(
-            self.dim_users,
-            tuple(LinearInequality(q.users, c * q.rhs) for q in self.inequalities),
-            self.forced_zero,
         )
 
 
@@ -229,18 +241,16 @@ def bound_rhs(net: NetworkSpec, index: BoundIndex) -> Fraction:
 def polyhedral_region(
     net: NetworkSpec, order: DecodingOrder, s: Subnetwork | None = None
 ) -> PolyRegion:
-    """Explicit inequality description of the fixed-order achievable region.
+    """Inequality description of the fixed-order achievable region.
 
     One inequality  sum of d over the index's users <= ``bound_rhs``  per
-    index of ``bound_indices``, in its emission order.  Users outside ``s``
-    are forced to zero.
+    index of ``bound_indices``, in its emission order, built on first access
+    to ``inequalities``.  Users outside ``s`` are forced to zero.  ``s`` and
+    ``order`` are validated here.
     """
     s = net.full_subnetwork if s is None else net.validate_subnetwork(s)
-    inequalities = tuple(
-        LinearInequality(index.users, bound_rhs(net, index))
-        for index in bound_indices(net, order, s)
-    )
-    return PolyRegion(net.users, inequalities, frozenset(net.full_subnetwork - s))
+    order.validate(net, s)
+    return PolyRegion(net.users, None, frozenset(net.full_subnetwork - s), (net, order, s))
 
 
 def set_function_f(net: NetworkSpec, order: DecodingOrder, subset: Iterable[User]) -> Fraction:
@@ -263,15 +273,20 @@ def set_function_f(net: NetworkSpec, order: DecodingOrder, subset: Iterable[User
                 f"subset is not a decode prefix in cell {cell}: got slots {sorted(slots)}, "
                 f"prefix would be {want}"
             )
-    # The order restricted to the prefixes: its bounds over all participating
-    # cells at full depth are exactly the bounds with user set ``subset``.
-    prefix_order = DecodingOrder(
-        tuple(order.slots(k)[: len(per_cell.get(k, ()))] for k in range(1, net.cells + 1))
-    )
+    # The bounds with user set ``subset`` take every participating cell at its
+    # full prefix depth, in each cyclic arrangement of those cells.
+    depth = {k: len(slots) for k, slots in per_cell.items()}
     return min(
-        bound_rhs(net, index)
-        for index in bound_indices(net, prefix_order, subset)
-        if index.users == subset
+        bound_rhs(
+            net,
+            BoundIndex(
+                seq.cells,
+                tuple(depth[k] for k in seq.cells),
+                tuple(order.user_at(k, depth[k]) for k in seq.cells),
+                subset,
+            ),
+        )
+        for seq in enumerate_cyclic_sequences(per_cell, min_len=len(per_cell))
     )
 
 

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import pimac
+from tin_gdof import _lp, regions
 from tin_gdof.analysis import (
     RATE_TOL_BITS,
+    _system,
     achievable_gdof,
     achievable_rates,
     gap_report,
@@ -26,8 +28,14 @@ from tin_gdof.errors import (
     NetworkSpecError,
 )
 from tin_gdof.model import DecodingOrder, FiniteSnrSpec, NetworkSpec, User, enumerate_orders
-from tin_gdof.potential import PowerAllocation
-from tin_gdof.regions import GdofTuple, membership, polyhedral_region
+from tin_gdof.potential import (
+    GROUND,
+    PowerAllocation,
+    build_potential_graph,
+    feasible_by_negative_cycle,
+    recover_power_allocation,
+)
+from tin_gdof.regions import GdofTuple, PolyRegion, membership, polyhedral_region
 from tin_gdof.sampling import (
     finite_snr_from_network,
     random_convexity_network,
@@ -145,6 +153,105 @@ def test_lp_matches_vertex_maximum_randomized():
         )
         assert opt.value == best
     assert nonempty > 0
+
+
+def _check_flow_against_simplex(net, order, s, weights):
+    """The min-cost-flow optimum of a fixed-order region against the simplex
+    over its explicit, merged inequality system.  Returns whether the region
+    is nonempty."""
+    reg = polyhedral_region(net, order, s)
+    users, rows, rhs = _system(reg)
+    if any(b < 0 for b in rhs):
+        with pytest.raises(EmptyRegionError):
+            max_weighted_gdof(reg, weights)
+        return False
+    opt = max_weighted_gdof(reg, weights)
+    value, _ = _lp.simplex_max([weights[u] for u in users], rows, rhs)
+    assert opt.value == value
+    assert sum(weights[u] * opt.argmax[u] for u in net.users) == opt.value
+    assert feasible_by_negative_cycle(build_potential_graph(net, order, s, opt.argmax))
+    return True
+
+
+def test_flow_optimum_matches_simplex_on_explicit_system():
+    # Test 07's networks: drawing all 100 weight vectors per network keeps the
+    # random stream, and with it the networks, those of test 07.
+    rng = random.Random(107)
+    for _ in range(100):
+        net = random_optimality_network(rng, max_cells=3, max_users=2)
+        draws = [{u: Fraction(rng.randint(0, 12), 4) for u in net.users} for _ in range(100)]
+        identity = DecodingOrder.identity(net)
+        for weights in draws[::5]:
+            assert _check_flow_against_simplex(net, identity, None, weights)
+    # Random orders and subnetworks of unconstrained networks, zero weights
+    # and empty regions included.
+    rng = random.Random(43)
+    nonempty = empty = 0
+    for _ in range(300):
+        net = random_network(rng, max_cells=4, max_users=2)
+        s = frozenset(u for u in net.users if rng.random() < 0.75)
+        order = random_order(rng, net, s)
+        weights = {u: Fraction(rng.randint(0, 12), rng.randint(1, 4)) for u in net.users}
+        if _check_flow_against_simplex(net, order, s, weights):
+            nonempty += 1
+        else:
+            empty += 1
+    assert nonempty > 100 and empty > 50
+
+
+def test_max_weighted_gdof_never_builds_the_inequality_list(monkeypatch, pimac_optimal):
+    net = pimac_optimal
+    with pytest.raises(NetworkSpecError):  # validated at call time, not on first use
+        polyhedral_region(net, DecodingOrder(((1,), (1,))))
+    reg = polyhedral_region(net, DecodingOrder.identity(net))
+    weights = {u: Fraction(1) for u in net.users}
+
+    def refuse(*args):
+        raise AssertionError("the explicit inequality list was built")
+
+    monkeypatch.setattr(regions, "bound_indices", refuse)
+    assert max_weighted_gdof(reg, weights).value == Fraction(19, 10)
+    assert max_weighted_gdof(gdof_outer_bound(net), weights).value == Fraction(19, 10)
+    monkeypatch.undo()
+    # A hand-built copy has no source and goes to the simplex.
+    hand = PolyRegion(reg.dim_users, reg.inequalities, reg.forced_zero)
+    assert hand.source is None and hand.same_system(reg)
+    assert max_weighted_gdof(hand, weights).value == Fraction(19, 10)
+
+
+def _networkx_flow_value(net, order, weights):
+    """The same min-cost flow as the compact optimizer, solved by networkx."""
+    nx = pytest.importorskip("networkx")
+    g = build_potential_graph(net, order)
+    den = net.integer_levels[0]
+    den_w = math.lcm(*(w.denominator for w in weights.values()))
+    flow = nx.DiGraph()
+    flow.add_node("ground", demand=0)
+    for u in g.vertices[1:]:
+        w = int(weights[u] * den_w)
+        flow.add_node(("out", u), demand=-w)
+        flow.add_node(("in", u), demand=w)
+        flow.add_edge(("in", u), ("out", u), weight=0)
+    for e in g.edges:
+        tail = "ground" if e.tail == GROUND else ("out", e.tail)
+        head = "ground" if e.head == GROUND else ("in", e.head)
+        flow.add_edge(tail, head, weight=int(e.length * den))
+    cost, _ = nx.network_simplex(flow)
+    return Fraction(cost, den * den_w)
+
+
+@pytest.mark.parametrize("cells", [6, 8, 10])
+def test_flow_optimum_matches_networkx_at_scale(cells):
+    pytest.importorskip("networkx")
+    rng = random.Random(44 + cells)
+    for _ in range(5):
+        net = random_optimality_network(rng, cells=cells, users_per_cell=[2] * cells)
+        order = DecodingOrder.identity(net)
+        weights = {u: Fraction(rng.randint(0, 12), 4) for u in net.users}
+        opt = max_weighted_gdof(polyhedral_region(net, order), weights)
+        assert opt.value == _networkx_flow_value(net, order, weights)
+        assert sum(weights[u] * opt.argmax[u] for u in net.users) == opt.value
+        assert feasible_by_negative_cycle(build_potential_graph(net, order, None, opt.argmax))
 
 
 def test_vertices_single_user():
@@ -337,6 +444,26 @@ def test_gap_report_nonnegative_and_shrinking(pimac_optimal):
         assert all(bg.gap_bits >= -1e-9 for bg in rep.per_bound)
         ratios.append(rep.max_gap_bits / math.log2(p))
     assert ratios[0] > ratios[1] > ratios[2]
+
+
+def test_gap_report_uses_every_corner():
+    # 308 corners; the lexicographically first 16 gave 17.68 bits, all give 17.11.
+    net = random_optimality_network(random.Random(9), cells=3, users_per_cell=[2, 2, 2])
+    fs = finite_snr_from_network(net, 1e4)
+    order = DecodingOrder.identity(net)
+    corners = vertices(polyhedral_region(net, order))
+    assert len(corners) > 16
+    corner_rates = [
+        achievable_rates(fs, order, recover_power_allocation(build_potential_graph(net, order, None, d)))
+        for d in corners
+    ]
+    expected = max(
+        b.rhs_bits - max(sum(r[u] for u in b.users) for r in corner_rates)
+        for b in outer_bound_rates(fs)
+    )
+    rep = gap_report(fs, sample_vertices=16)
+    assert rep.corners_used == len(corners)
+    assert rep.max_gap_bits == pytest.approx(expected, abs=RATE_TOL_BITS)
 
 
 def test_achievability_sweep_small():

@@ -1,9 +1,16 @@
 import json
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from tin_gdof.analysis import max_weighted_gdof
+from tin_gdof.model import DecodingOrder
+from tin_gdof.regions import polyhedral_region
+from tin_gdof.sampling import random_optimality_network
 
 CLI = [sys.executable, "-m", "tin_gdof.cli"]
 EXAMPLE = Path(__file__).resolve().parent.parent / "docs" / "example-network.json"
@@ -133,6 +140,23 @@ def test_sumgdof(optimal_path):
     assert payload(proc)["value"]["exact"] == "19/10"
 
 
+def test_sumgdof_ten_cells(tmp_path):
+    # A regression back to the explicit region (about 10^7 rows) fails on the
+    # timeout instead of hanging.
+    rng = random.Random(46)
+    net = random_optimality_network(rng, cells=10, users_per_cell=[2] * 10)
+    weights = [Fraction(rng.randint(0, 12), 4) for _ in net.users]
+    path = network_file(tmp_path, net)
+    proc = subprocess.run(
+        CLI + ["sumgdof", "--network", path, "--weights", ",".join(map(str, weights))],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    region = polyhedral_region(net, DecodingOrder.identity(net))
+    expected = max_weighted_gdof(region, dict(zip(net.users, weights))).value
+    assert payload(proc)["value"]["exact"] == str(expected)
+
+
 def test_vertices_csv(optimal_path):
     proc = run_cli("vertices", "--network", optimal_path, "--format", "csv")
     lines = proc.stdout.strip().splitlines()
@@ -243,6 +267,16 @@ def test_gap_report(optimal_path):
     data = payload(proc)
     assert data["max_gap_bits"] >= 0
     assert all(b["gap_bits"] >= -1e-9 for b in data["per_bound"])
+
+
+def test_gap_report_corners_is_deprecated(optimal_path):
+    plain = run_cli("gap-report", "--network", optimal_path, "--snr", "10000")
+    capped = run_cli("gap-report", "--network", optimal_path, "--snr", "10000", "--corners", "2")
+    assert capped.returncode == 0 and capped.stdout == plain.stdout
+    assert capped.stderr.splitlines() == [
+        "note: --corners is deprecated and ignored; every corner is used"
+    ]
+    assert plain.stderr == ""
 
 
 def test_simulate_csv():
