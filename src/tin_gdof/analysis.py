@@ -270,8 +270,11 @@ def max_weighted_gdof(region: PolyRegion, weights: Mapping) -> WeightedOptimum:
 def vertices(region: PolyRegion) -> list[GdofTuple]:
     """Exact vertex set of the region, canonically ordered.
 
-    Forced-zero coordinates are projected out before basis enumeration and
-    re-inserted as zeros.  Guarded to ``VERTEX_GUARD_DIM`` active users.
+    Forced-zero coordinates are projected out, the vertices of the merged
+    system are found by exact double description (``_lp.enumerate_vertices``),
+    and the zeros are re-inserted.  Guarded to ``VERTEX_GUARD_DIM`` active
+    users: 4 cells of 2 users take seconds, and the vertex count grows
+    quickly beyond.
     """
     users, rows, rhs = _system(region)
     if len(users) > VERTEX_GUARD_DIM:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import Counter
@@ -286,6 +287,35 @@ def test_vertices_guard():
         vertices(reg)
 
 
+def test_vertices_of_four_cells_are_the_product_of_cell_vertices():
+    # Zero cross levels make the region the product of the cells' MAC
+    # regions.  Its 88 constraints in 8 dimensions have C(88, 8) ~ 6.4e10
+    # candidate bases, beyond any basis enumeration.
+    levels = [
+        (Fraction(1, 2), Fraction(1)),
+        (Fraction(3, 5), Fraction(7, 5)),
+        (Fraction(2, 3), Fraction(3, 2)),
+        (Fraction(1, 4), Fraction(9, 10)),
+    ]
+    alpha = {
+        (User(k, l), i): v if i == k else Fraction(0)
+        for k, cell in enumerate(levels, start=1)
+        for l, v in enumerate(cell, start=1)
+        for i in range(1, 5)
+    }
+    net = NetworkSpec.from_alpha(4, [2] * 4, alpha)
+    got = vertices(polyhedral_region(net, DecodingOrder.identity(net)))
+    per_cell = []
+    for cell in levels:
+        single = NetworkSpec.from_alpha(1, [2], {(User(1, l), 1): v for l, v in enumerate(cell, 1)})
+        corners = vertices(polyhedral_region(single, DecodingOrder.identity(single)))
+        per_cell.append([tuple(v[u] for u in single.users) for v in corners])
+    assert [tuple(v[u] for u in net.users) for v in got] == [
+        sum(parts, ()) for parts in itertools.product(*per_cell)
+    ]
+    assert len(got) == 4**4
+
+
 def test_vertices_respect_membership():
     rng = random.Random(32)
     for _ in range(15):
@@ -294,6 +324,87 @@ def test_vertices_respect_membership():
         reg = polyhedral_region(net, order)
         for v in vertices(reg):
             assert membership(reg, v).member
+
+
+def _solve_in_place(a):
+    """Gauss-Jordan elimination of the augmented square system ``a``;
+    False when it is singular."""
+    n = len(a)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col]), None)
+        if piv is None:
+            return False
+        a[col], a[piv] = a[piv], a[col]
+        a[col] = [v / a[col][col] for v in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                a[r] = [x - a[r][col] * y for x, y in zip(a[r], a[col])]
+    return True
+
+
+def basis_vertices(rows, rhs):
+    """Vertices of {x >= 0, rows . x <= rhs} by brute force over bases, in
+    plain ``Fraction`` arithmetic: the oracle for ``_lp.enumerate_vertices``.
+
+    A vertex is a feasible point at which n linearly independent constraints
+    are tight.  Each choice of k free coordinates (the others tight at zero)
+    and k tight rows is a square system over the free coordinates.  Rows
+    that agree on the free coordinates take the same value at such a point,
+    so only the one with the smallest rhs can be tight where all hold.
+    """
+    n = len(rows[0]) if rows else 0
+    found = set()
+    for k in range(n + 1):
+        for free in itertools.combinations(range(n), k):
+            lowest = {}
+            for row, b in zip(rows, rhs):
+                key = tuple(row[j] for j in free)
+                lowest[key] = min(b, lowest.get(key, b))
+            for tight in itertools.combinations(lowest.items(), k):
+                a = [list(key) + [b] for key, b in tight]
+                if not _solve_in_place(a):
+                    continue
+                x = [Fraction(0)] * n
+                for j, row in zip(free, a):
+                    x[j] = row[-1]
+                if all(v >= 0 for v in x) and all(
+                    sum(c * v for c, v in zip(row, x)) <= b for row, b in zip(rows, rhs)
+                ):
+                    found.add(tuple(x))
+    return sorted(found)
+
+
+def test_vertices_match_basis_enumeration():
+    # The oracle solves C(m + n, n) systems, so 3-cell networks stop at 4
+    # active users and only smaller ones reach 5.  Levels over denominator 1
+    # tie often, which makes degenerate vertices.
+    rng = random.Random(71)
+    checked = nonempty = 0
+    while checked < 200:
+        cells = rng.randint(1, 3)
+        net = random_network(
+            rng, cells=cells, max_users=2 if cells == 3 else 3, denom=rng.choice([1, 2, 20])
+        )
+        s = frozenset(u for u in net.users if rng.random() < 0.8)
+        if len(s) > (4 if cells == 3 else 5):
+            continue
+        order = random_order(rng, net, s) if rng.random() < 0.7 else DecodingOrder.identity(net, s)
+        _, rows, rhs = _system(polyhedral_region(net, order, s))
+        expected = basis_vertices(rows, rhs)
+        assert _lp.enumerate_vertices(rows, rhs) == expected
+        checked += 1
+        nonempty += bool(expected)
+    assert nonempty > 100
+    # General rational systems, unbounded ones included: rays of the
+    # homogenized cone at t = 0 are recession directions, not vertices.
+    for _ in range(100):
+        n = rng.randint(1, 3)
+        rows = [
+            [Fraction(rng.randint(-2, 3), rng.randint(1, 3)) for _ in range(n)]
+            for _ in range(rng.randint(0, 5))
+        ]
+        rhs = [Fraction(rng.randint(-1, 6), rng.randint(1, 4)) for _ in rows]
+        assert _lp.enumerate_vertices(rows, rhs) == basis_vertices(rows, rhs)
 
 
 def region_includes_by_vertices(outer, inner):

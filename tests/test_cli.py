@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from tin_gdof.analysis import max_weighted_gdof
-from tin_gdof.model import DecodingOrder
+from tin_gdof.model import DecodingOrder, NetworkSpec, User
 from tin_gdof.regions import polyhedral_region
 from tin_gdof.sampling import random_optimality_network
 
@@ -162,6 +162,22 @@ def test_vertices_csv(optimal_path):
     lines = proc.stdout.strip().splitlines()
     assert lines[0] == "1.1,1.2,2.1"
     assert len(lines) > 4
+
+
+def test_vertices_guard_is_one_line_error(tmp_path):
+    # The 3 cells x 3 users of test_analysis.py::test_vertices_guard.
+    alpha = {
+        (User(k, l), i): Fraction(l) if i == k else Fraction(0)
+        for k in range(1, 4)
+        for l in (1, 2, 3)
+        for i in range(1, 4)
+    }
+    net = NetworkSpec.from_alpha(3, [3, 3, 3], alpha)
+    proc = run_cli("vertices", "--network", network_file(tmp_path, net))
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert "vertex enumeration guard (8)" in lines[0]
 
 
 def test_outer_bound_gdof_and_rates(optimal_path, nonconvex_path):
