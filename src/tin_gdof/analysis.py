@@ -36,6 +36,7 @@ from .model import (
 from .potential import (
     GROUND,
     PowerAllocation,
+    _power_allocation_or_none,
     build_potential_graph,
     recover_power_allocation,
 )
@@ -144,12 +145,9 @@ def general_membership(net: NetworkSpec, d: GdofTuple) -> GeneralMembership:
     off = frozenset(net.full_subnetwork - support)
     for order in enumerate_orders(net, support):
         g = build_potential_graph(net, order, support, d)
-        try:
-            alloc = recover_power_allocation(g)
-        except InfeasibleAllocationError:
-            continue
-        alloc = PowerAllocation(alloc.exponents, off)
-        return GeneralMembership(True, MembershipWitness(order, support, alloc))
+        alloc = _power_allocation_or_none(g, off)
+        if alloc is not None:
+            return GeneralMembership(True, MembershipWitness(order, support, alloc))
     return GeneralMembership(False)
 
 

@@ -18,19 +18,28 @@ depend on the reference, by degree-1 homogeneity of the conditions).
 
 Trials are keyed by (seed, trial index) through a counter-based generator,
 so results are independent of evaluation order and safely parallelizable.
+
+Sampling is on integers: a trial draws all its uniforms with one call,
+rounds each level to an integer over ``10**LEVEL_DIGITS`` (the rounding
+``model.rationalize`` applies to floats) and sorts every cell's slots by
+direct level.  ``estimate_probabilities`` checks that table with
+``conditions.condition_flags`` and builds no ``NetworkSpec`` and no
+``Fraction``; ``sample_network`` wraps the same sampler and returns the
+network, equal to the one ``NetworkSpec.from_alpha`` makes of those levels.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
 
-from .conditions import evaluate_conditions
+from .conditions import condition_flags
 from .errors import NetworkSpecError
-from .model import NetworkSpec, User, rationalize
+from .model import NetworkSpec, User
 
 #: Path-loss model PL(d) = A + B log10(d_km), in dB.
 PATHLOSS_A_DB = 148.1
@@ -40,8 +49,9 @@ PATHLOSS_B_DB = 37.6
 #: Any positive value yields the same condition outcomes.
 LEVEL_REFERENCE_DB = 60.0
 
-#: Floats are rationalized at this many decimal digits before exact checks.
+#: Levels are rounded to integers over 10**LEVEL_DIGITS before exact checks.
 LEVEL_DIGITS = 9
+_LEVEL_SCALE = 10**LEVEL_DIGITS
 
 
 def path_loss_db(d_km: float, a: float = PATHLOSS_A_DB, b: float = PATHLOSS_B_DB) -> float:
@@ -82,50 +92,98 @@ def _rng(p: ScenarioParams, trial_index: int) -> np.random.Generator:
     )
 
 
-def _level(p: ScenarioParams, distance_m: float):
+def _level(p: ScenarioParams, distance_m: float) -> int:
+    """Level of a link of this length, as an integer over ``10**LEVEL_DIGITS``.
+
+    The same float expression ``rationalize`` rounds at ``LEVEL_DIGITS``.
+    """
     margin_db = p.tx_power_dbm - path_loss_db(
         distance_m / 1000.0, p.pathloss_a, p.pathloss_b
     ) - p.noise_floor_dbm
-    return rationalize(max(0.0, margin_db) / LEVEL_REFERENCE_DB, LEVEL_DIGITS)
+    return round(max(0.0, margin_db) / LEVEL_REFERENCE_DB * _LEVEL_SCALE)
 
 
-def sample_network(p: ScenarioParams, trial_index: int) -> NetworkSpec:
-    """Draw one random user placement and return its strength-level network."""
-    rng = _rng(p, trial_index)
+def _uniform(a: float, b: float, u: float) -> float:
+    """numpy's ``uniform(a, b)`` for the standard uniform draw ``u``."""
+    return a + (b - a) * u
+
+
+def _sample_levels(p: ScenarioParams, trial_index: int):
+    """Levels of one random user placement as an integer table.
+
+    Returns ``(lv, provenance)``: ``lv[k][l][i]`` is the level of slot
+    ``l + 1`` of cell ``k + 1`` at the receiver of cell ``i + 1``, over
+    ``10**LEVEL_DIGITS``, with each cell's slots stable-sorted by direct level;
+    ``provenance[k][s]`` is the drawn slot stored as slot ``s + 1``.
+
+    All uniforms of a trial come from one ``random(m)`` call.  ``_uniform``
+    maps each as numpy's ``uniform(a, b)`` does, so the draws are bit for bit
+    those of one scalar ``uniform`` call per number, in the same order.
+    """
     r, r0, n = p.site_radius_m, p.exclusion_m, p.users_per_cell
-    alpha: dict[tuple[User, int], object] = {}
 
     if p.geometry == "linear":
         # Site 1 at 0 facing right, site 2 at 2r facing left; both sectors
         # cover (0, r) resp. (r, 2r), users keep r0 clear of their site.
-        for slot in range(1, n + 1):
-            x = rng.uniform(r0, r)
-            alpha[(User(1, slot), 1)] = _level(p, x)
-            alpha[(User(1, slot), 2)] = _level(p, 2 * r - x)
-            y = rng.uniform(r + 0.0, 2 * r - r0)
-            alpha[(User(2, slot), 2)] = _level(p, 2 * r - y)
-            alpha[(User(2, slot), 1)] = _level(p, y)
-        return NetworkSpec.from_alpha(2, [n, n], alpha)
+        u = _rng(p, trial_index).random(2 * n).tolist()
+        near, far = [], []
+        for slot in range(n):
+            x = _uniform(r0, r, u[2 * slot])
+            near.append((_level(p, x), _level(p, 2 * r - x)))
+            y = _uniform(r + 0.0, 2 * r - r0, u[2 * slot + 1])
+            far.append((_level(p, y), _level(p, 2 * r - y)))
+        return _sorted_by_direct([near, far])
 
     cells = p.cells
     circumference = 2 * r * cells
-    for k in range(1, cells + 1):
-        for slot in range(1, n + 1):
-            side = 1 if rng.uniform() < 0.5 else -1
-            offset = side * rng.uniform(r0, r)
-            for i in range(1, cells + 1):
-                ring_gap = min(abs(k - i), cells - abs(k - i))
-                if ring_gap > 1:
-                    alpha[(User(k, slot), i)] = 0
-                    continue
+    # Receivers a cell's users reach: its own and the adjacent ones on the ring.
+    reach = [
+        [i for i in range(cells) if min(abs(k - i), cells - abs(k - i)) <= 1]
+        for k in range(cells)
+    ]
+    u = _rng(p, trial_index).random(2 * cells * n).tolist()
+    table = []
+    for k in range(cells):
+        rows = []
+        for slot in range(n):
+            t = 2 * (k * n + slot)
+            side = 1 if u[t] < 0.5 else -1
+            offset = side * _uniform(r0, r, u[t + 1])
+            row = [0] * cells
+            for i in reach[k]:
                 if i == k:
                     delta = abs(offset)
                 else:
                     # signed ring distance, folded to the shorter arc
                     raw = (2 * r * (i - k) - offset) % circumference
                     delta = min(raw, circumference - raw)
-                alpha[(User(k, slot), i)] = _level(p, delta)
-    return NetworkSpec.from_alpha(cells, [n] * cells, alpha)
+                row[i] = _level(p, delta)
+            rows.append(row)
+        table.append(rows)
+    return _sorted_by_direct(table)
+
+
+def _sorted_by_direct(table):
+    """``(lv, provenance)`` of a drawn table, as ``_sample_levels`` returns them."""
+    lv, provenance = [], []
+    for k, rows in enumerate(table):
+        slots = sorted(range(len(rows)), key=lambda l: rows[l][k])
+        lv.append([rows[l] for l in slots])
+        provenance.append(tuple(l + 1 for l in slots))
+    return lv, tuple(provenance)
+
+
+def sample_network(p: ScenarioParams, trial_index: int) -> NetworkSpec:
+    """Draw one random user placement and return its strength-level network."""
+    lv, provenance = _sample_levels(p, trial_index)
+    cells = len(lv)
+    alpha = {
+        (User(k, l), i): Fraction(level, _LEVEL_SCALE)
+        for k, rows in enumerate(lv, start=1)
+        for l, row in enumerate(rows, start=1)
+        for i, level in enumerate(row, start=1)
+    }
+    return NetworkSpec(cells, (p.users_per_cell,) * cells, alpha, provenance)
 
 
 @dataclass(frozen=True)
@@ -155,16 +213,15 @@ def _ci95(p_hat: float, trials: int) -> float:
 def estimate_probabilities(p: ScenarioParams) -> ProbabilityPoint:
     """Empirical probabilities that each condition pair holds, with 95% CIs.
 
-    Counted jointly per trial; a trial where the optimality pair holds but
-    the convexity pair does not would be a bug, and ``evaluate_conditions``
-    raises on it.
+    Counted jointly per trial on the integer level table; no network is
+    built.  A trial where the optimality pair holds but the convexity pair
+    does not would be a bug, and ``condition_flags`` raises on it.
     """
     conv = opt = 0
     for trial in range(p.trials):
-        net = sample_network(p, trial)
-        report = evaluate_conditions(net)
-        conv += report.convexity_holds
-        opt += report.optimality_holds
+        convexity, optimality = condition_flags(_sample_levels(p, trial)[0])
+        conv += convexity
+        opt += optimality
     pc, po = conv / p.trials, opt / p.trials
     return ProbabilityPoint(
         p.site_radius_m,

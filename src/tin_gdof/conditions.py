@@ -14,11 +14,15 @@ These are sufficient conditions only; nothing here decides convexity or
 optimality as such.
 
 The checks run on exact integers: every level is scaled to an integer over
-the common denominator of all levels (``NetworkSpec.integer_levels``), and
-each side of a condition is a sum of at most three such integers.  The
-cross-cell maxima are separable, so the interferer part is maximized once
-per cell pair rather than once per user.  The plain ``Fraction`` triple
-loops that this replaces are kept in the tests as the oracle.
+a common denominator, and each side of a condition is a sum of at most
+three such integers.  One kernel yields the failing conditions of such a
+table.  ``evaluate_conditions`` runs it on ``NetworkSpec.integer_levels`` and
+turns each failure into a ``Violation`` witness; ``condition_flags`` takes
+only the two booleans of any integer table, stopping at the first failure,
+which is what the cellular Monte Carlo needs.  The cross-cell maxima are
+separable, so the interferer part is maximized once per cell pair rather
+than once per user.  The plain ``Fraction`` triple loops that this replaces
+are kept in the tests as the oracle.
 """
 
 from __future__ import annotations
@@ -55,15 +59,15 @@ class ConditionReport:
     violations: tuple[Violation, ...]
 
 
-def _mac_order_violations(net: NetworkSpec, optimality: bool) -> list[Violation]:
-    """Per-cell conditions comparing a stronger user l against a weaker l' < l."""
-    kind = (
-        ConditionKind.MAC_ORDER_OPTIMALITY if optimality else ConditionKind.MAC_ORDER_CONVEXITY
-    )
-    den, lv = net.integer_levels
-    out = []
+def _mac_order_failures(lv, optimality: bool):
+    """Per-cell conditions comparing a stronger user l against a weaker l' < l.
+
+    Yields ``(indices, lhs, rhs)`` for each failing condition of the integer
+    table ``lv``, with both sides at the table's scale.
+    """
+    cells = len(lv)
     for i, cell in enumerate(lv):
-        others = [j for j in range(net.cells) if j != i]
+        others = [j for j in range(cells) if j != i]
         if not others:
             continue  # single cell: nothing to compare against
         for l_prime, l in itertools.combinations(range(len(cell)), 2):
@@ -76,12 +80,10 @@ def _mac_order_violations(net: NetworkSpec, optimality: bool) -> list[Violation]
             rhs = weak[i] + best
             if strong[i] < rhs:
                 j = others[terms.index(best)]
-                indices = (i + 1, j + 1, None, l + 1, l_prime + 1)
-                out.append(Violation(kind, indices, Fraction(strong[i], den), Fraction(rhs, den)))
-    return out
+                yield (i + 1, j + 1, None, l + 1, l_prime + 1), strong[i], rhs
 
 
-def _cross_cell_violations(net: NetworkSpec, optimality: bool) -> list[Violation]:
+def _cross_cell_failures(lv, optimality: bool):
     """Per-user conditions against interference caused plus interference received.
 
     For user u of cell i the condition compares its direct level with the
@@ -90,15 +92,11 @@ def _cross_cell_violations(net: NetworkSpec, optimality: bool) -> list[Violation
     convexity pair.  The part that depends on v is maximized once per (i, j),
     so each user only takes a maximum over j.  Every maximum keeps its first
     maximizer in (j, k, l_k) order, which is the witness of the plain triple
-    loop.
+    loop.  Yields failures as ``_mac_order_failures`` does.
     """
-    kind = (
-        ConditionKind.CROSS_CELL_OPTIMALITY if optimality else ConditionKind.CROSS_CELL_CONVEXITY
-    )
-    den, lv = net.integer_levels
-    out = []
+    cells = len(lv)
     for i, cell in enumerate(lv):
-        others = [j for j in range(net.cells) if j != i]
+        others = [j for j in range(cells) if j != i]
         if not others:
             continue
         interferers = [(k, l_k, v) for k in others for l_k, v in enumerate(lv[k])]
@@ -119,19 +117,63 @@ def _cross_cell_violations(net: NetworkSpec, optimality: bool) -> list[Violation
             if u[i] < rhs:
                 j = others[totals.index(rhs)]
                 k, l_k, _ = interferers[best[j][1]]
-                indices = (i + 1, j + 1, k + 1, l + 1, l_k + 1)
-                out.append(Violation(kind, indices, Fraction(u[i], den), Fraction(rhs, den)))
-    return out
+                yield (i + 1, j + 1, k + 1, l + 1, l_k + 1), u[i], rhs
+
+
+def _violations(failures, kind: ConditionKind, den: int) -> list[Violation]:
+    return [
+        Violation(kind, indices, Fraction(lhs, den), Fraction(rhs, den))
+        for indices, lhs, rhs in failures
+    ]
+
+
+def _mac_order_violations(net: NetworkSpec, optimality: bool) -> list[Violation]:
+    kind = (
+        ConditionKind.MAC_ORDER_OPTIMALITY if optimality else ConditionKind.MAC_ORDER_CONVEXITY
+    )
+    den, lv = net.integer_levels
+    return _violations(_mac_order_failures(lv, optimality), kind, den)
+
+
+def _cross_cell_violations(net: NetworkSpec, optimality: bool) -> list[Violation]:
+    kind = (
+        ConditionKind.CROSS_CELL_OPTIMALITY if optimality else ConditionKind.CROSS_CELL_CONVEXITY
+    )
+    den, lv = net.integer_levels
+    return _violations(_cross_cell_failures(lv, optimality), kind, den)
+
+
+def _implied(convexity_holds: bool, optimality_holds: bool) -> None:
+    """The optimality pair implies the convexity pair; anything else is a bug."""
+    if optimality_holds and not convexity_holds:
+        raise TinGdofError("the optimality conditions hold but the convexity conditions do not")
 
 
 def evaluate_conditions(net: NetworkSpec) -> ConditionReport:
     """Evaluate both condition pairs; all comparisons exact and non-strict."""
     conv = _mac_order_violations(net, False) + _cross_cell_violations(net, False)
     opt = _mac_order_violations(net, True) + _cross_cell_violations(net, True)
-    report = ConditionReport(not conv, not opt, tuple(conv + opt))
-    if report.optimality_holds and not report.convexity_holds:
-        raise TinGdofError("the optimality conditions hold but the convexity conditions do not")
-    return report
+    _implied(not conv, not opt)
+    return ConditionReport(not conv, not opt, tuple(conv + opt))
+
+
+def condition_flags(lv) -> tuple[bool, bool]:
+    """``(convexity_holds, optimality_holds)`` of an integer level table.
+
+    ``lv[k][l][i]`` is the level of slot ``l + 1`` of cell ``k + 1`` at the
+    receiver of cell ``i + 1``, times any common positive scale, with slots
+    ascending by direct level in every cell.  The conditions are linear and
+    homogeneous, so the scale does not change the outcome.  The same checks
+    as ``evaluate_conditions``, without witnesses: each pair stops at its
+    first failing condition.
+    """
+    conv, opt = (
+        next(_mac_order_failures(lv, optimality), None) is None
+        and next(_cross_cell_failures(lv, optimality), None) is None
+        for optimality in (False, True)
+    )
+    _implied(conv, opt)
+    return conv, opt
 
 
 # -- user partition used by the rate outer bound ------------------------------

@@ -97,17 +97,20 @@ class NetworkSpec:
         if any(n < 1 for n in users_per_cell):
             raise NetworkSpecError("every cell needs at least one user")
 
-        expected = {
-            (User(k, l), i)
-            for k in range(1, cells + 1)
-            for l in range(1, users_per_cell[k - 1] + 1)
-            for i in range(1, cells + 1)
-        }
-        cleaned: dict[tuple[User, int], Fraction] = {}
+        # levels[k-1][l-1][i-1]: the cleaned level of link (User(k, l), i)
+        levels = [[[None] * cells for _ in range(n)] for n in users_per_cell]
+        cell_ids = range(1, cells + 1)
+        filled = 0  # distinct keys of a mapping name distinct links
         for key, value in alpha.items():
             user, rx = key
-            user = User(*user)
-            if (user, rx) not in expected:
+            if not isinstance(user, User):
+                user = User(*user)
+            k, l = user
+            if not (
+                k in cell_ids
+                and rx in cell_ids
+                and l in range(1, users_per_cell[int(k) - 1] + 1)
+            ):
                 raise NetworkSpecError(f"alpha entry for unknown link {user}->rx{rx}")
             try:
                 v = rationalize(value)
@@ -115,31 +118,38 @@ class NetworkSpec:
                 raise NetworkSpecError(
                     f"alpha entry for link {user}->rx{rx} is not a number ({exc})"
                 ) from exc
-            if v < 0:
+            if v.numerator < 0:
                 warnings.warn(
                     f"negative strength level {v} on link {user}->rx{rx} clipped to 0",
                     stacklevel=2,
                 )
                 v = Fraction(0)
-            cleaned[(user, rx)] = v
-        missing = expected - set(cleaned)
+            levels[int(k) - 1][int(l) - 1][int(rx) - 1] = v
+            filled += 1
+        missing = cells * sum(users_per_cell) - filled
         if missing:
-            key = min(missing)
+            k, l, i = next(
+                (k, l, i)
+                for k, rows in enumerate(levels, start=1)
+                for l, row in enumerate(rows, start=1)
+                for i, v in enumerate(row, start=1)
+                if v is None
+            )
             raise NetworkSpecError(
-                f"missing alpha entry for link {key[0]}->rx{key[1]} "
-                f"({len(missing)} missing in total)"
+                f"missing alpha entry for link {User(k, l)}->rx{i} "
+                f"({missing} missing in total)"
             )
 
         # Relabel slots so direct levels are ascending in every cell (stable).
         provenance = []
         sorted_alpha: dict[tuple[User, int], Fraction] = {}
-        for k in range(1, cells + 1):
-            slots = list(range(1, users_per_cell[k - 1] + 1))
-            slots.sort(key=lambda l: cleaned[(User(k, l), k)])
-            provenance.append(tuple(slots))
-            for new_slot, old_slot in enumerate(slots, start=1):
-                for i in range(1, cells + 1):
-                    sorted_alpha[(User(k, new_slot), i)] = cleaned[(User(k, old_slot), i)]
+        for k, rows in enumerate(levels, start=1):
+            slots = sorted(range(len(rows)), key=lambda l: rows[l][k - 1])
+            provenance.append(tuple(l + 1 for l in slots))
+            for new_slot, old in enumerate(slots, start=1):
+                user = User(k, new_slot)
+                for i, v in enumerate(rows[old], start=1):
+                    sorted_alpha[(user, i)] = v
 
         return cls(cells, users_per_cell, sorted_alpha, tuple(provenance))
 

@@ -165,8 +165,12 @@ def build_potential_graph(
     return PotentialGraph((GROUND, *active), tuple(edges))
 
 
-def _bellman_ford(g: PotentialGraph):
-    """Shortest paths from ground; returns (distances, negative-cycle witness)."""
+def _shortest_distances(g: PotentialGraph) -> dict[User, Fraction] | None:
+    """Shortest-path lengths from ground, or ``None`` on a negative circuit.
+
+    Only the distances: a caller that needs the circuit as a witness runs
+    ``_extract_negative_circuit`` on ``None``.
+    """
     dist: dict[User, Fraction] = {v: None for v in g.vertices}
     dist[GROUND] = Fraction(0)
     n = len(g.vertices)
@@ -181,9 +185,8 @@ def _bellman_ford(g: PotentialGraph):
                 dist[e.head] = cand
                 changed = True
         if not changed:
-            return dist, None
-    # A relaxation in round n proves a negative circuit; extract one exactly.
-    return dist, _extract_negative_circuit(g)
+            return dist
+    return None  # a relaxation in round n proves a negative circuit
 
 
 def _extract_negative_circuit(g: PotentialGraph) -> Circuit:
@@ -265,8 +268,9 @@ def feasible_by_negative_cycle(g: PotentialGraph) -> FeasibilityResult:
     Decided by shortest-path relaxation from ground; on failure the witness
     is a concrete simple circuit with strictly negative length.
     """
-    _, cycle = _bellman_ford(g)
-    return FeasibilityResult(cycle is None, cycle)
+    if _shortest_distances(g) is not None:
+        return FeasibilityResult(True)
+    return FeasibilityResult(False, _extract_negative_circuit(g))
 
 
 def recover_power_allocation(g: PotentialGraph) -> PowerAllocation:
@@ -277,14 +281,21 @@ def recover_power_allocation(g: PotentialGraph) -> PowerAllocation:
     constraint the graph encodes, so the achievable-GDoF evaluator dominates
     the tuple the graph was built for.
     """
-    dist, cycle = _bellman_ford(g)
-    if cycle is not None:
+    alloc = _power_allocation_or_none(g)
+    if alloc is None:
+        cycle = _extract_negative_circuit(g)
         raise InfeasibleAllocationError(
             f"no feasible power allocation: circuit {cycle.vertices} has length {cycle.length}"
         )
-    return PowerAllocation(
-        {v: dist[v] for v in g.vertices if v != GROUND}, frozenset()
-    )
+    return alloc
+
+
+def _power_allocation_or_none(g: PotentialGraph, off: frozenset = frozenset()):
+    """``recover_power_allocation`` without the witness: ``None`` when infeasible."""
+    dist = _shortest_distances(g)
+    if dist is None:
+        return None
+    return PowerAllocation({v: dist[v] for v in g.vertices if v != GROUND}, off)
 
 
 def iter_simple_circuits(g: PotentialGraph) -> Iterator[Circuit]:

@@ -261,7 +261,7 @@ def test_09_finite_snr_consistency():
 
 
 def test_10_cellular_reproduction():
-    with criterion("10 cellular reproduction", 300.0):
+    with criterion("10 cellular reproduction", 60.0):
         trials = 1_000
         sweep_radii = [80.0, 120.0, 160.0, 200.0, 243.0]
         for geometry, cells in (("linear", 2), ("circular", 4)):

@@ -1,8 +1,12 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from tin_gdof import cellsim, conditions
 from tin_gdof.cellsim import (
+    LEVEL_DIGITS,
     LEVEL_REFERENCE_DB,
     ScenarioParams,
     estimate_probabilities,
@@ -12,7 +16,7 @@ from tin_gdof.cellsim import (
 )
 from tin_gdof.conditions import evaluate_conditions
 from tin_gdof.errors import NetworkSpecError
-from tin_gdof.model import User
+from tin_gdof.model import NetworkSpec, User, rationalize
 
 
 def params(**kw):
@@ -145,3 +149,112 @@ def test_params_validation():
             seed=0,
             cells=1,
         )
+
+
+# -- reference sampler -----------------------------------------------------------
+# The scalar sampler that the integer one replaced: one ``uniform`` call per
+# number, ``Fraction`` levels and ``NetworkSpec.from_alpha``; kept verbatim as
+# the oracle.
+
+
+def _rng(p: ScenarioParams, trial_index: int) -> np.random.Generator:
+    return np.random.Generator(
+        np.random.Philox(key=[p.seed & (2**64 - 1), trial_index & (2**64 - 1)])
+    )
+
+
+def _level(p: ScenarioParams, distance_m: float):
+    margin_db = p.tx_power_dbm - path_loss_db(
+        distance_m / 1000.0, p.pathloss_a, p.pathloss_b
+    ) - p.noise_floor_dbm
+    return rationalize(max(0.0, margin_db) / LEVEL_REFERENCE_DB, LEVEL_DIGITS)
+
+
+def reference_sample_network(p: ScenarioParams, trial_index: int) -> NetworkSpec:
+    """Draw one random user placement and return its strength-level network."""
+    rng = _rng(p, trial_index)
+    r, r0, n = p.site_radius_m, p.exclusion_m, p.users_per_cell
+    alpha: dict[tuple[User, int], object] = {}
+
+    if p.geometry == "linear":
+        # Site 1 at 0 facing right, site 2 at 2r facing left; both sectors
+        # cover (0, r) resp. (r, 2r), users keep r0 clear of their site.
+        for slot in range(1, n + 1):
+            x = rng.uniform(r0, r)
+            alpha[(User(1, slot), 1)] = _level(p, x)
+            alpha[(User(1, slot), 2)] = _level(p, 2 * r - x)
+            y = rng.uniform(r + 0.0, 2 * r - r0)
+            alpha[(User(2, slot), 2)] = _level(p, 2 * r - y)
+            alpha[(User(2, slot), 1)] = _level(p, y)
+        return NetworkSpec.from_alpha(2, [n, n], alpha)
+
+    cells = p.cells
+    circumference = 2 * r * cells
+    for k in range(1, cells + 1):
+        for slot in range(1, n + 1):
+            side = 1 if rng.uniform() < 0.5 else -1
+            offset = side * rng.uniform(r0, r)
+            for i in range(1, cells + 1):
+                ring_gap = min(abs(k - i), cells - abs(k - i))
+                if ring_gap > 1:
+                    alpha[(User(k, slot), i)] = 0
+                    continue
+                if i == k:
+                    delta = abs(offset)
+                else:
+                    # signed ring distance, folded to the shorter arc
+                    raw = (2 * r * (i - k) - offset) % circumference
+                    delta = min(raw, circumference - raw)
+                alpha[(User(k, slot), i)] = _level(p, delta)
+    return NetworkSpec.from_alpha(cells, [n] * cells, alpha)
+
+
+#: Seeds that neither the benchmark nor the other tests draw with.
+ORACLE_SEEDS = (3, 2024, 2**40 + 17)
+
+
+def oracle_scenarios(trials=1):
+    for seed in ORACLE_SEEDS:
+        for geometry, cells in [("linear", 2)] + [("circular", c) for c in range(2, 8)]:
+            for users in (1, 3, 5):
+                for r in (40.0, 97.5, 243.0, 400.0):
+                    yield ScenarioParams(geometry, r, users, trials, seed, cells=cells)
+
+
+def test_sampler_matches_scalar_reference():
+    checked = 0
+    for p in oracle_scenarios():
+        for trial in range(3):
+            got, want = sample_network(p, trial), reference_sample_network(p, trial)
+            assert got.alpha_map == want.alpha_map, (p, trial)
+            assert got.slot_provenance == want.slot_provenance, (p, trial)
+            assert got == want
+            checked += 1
+    assert checked == 3 * 7 * 3 * 4 * 3
+
+
+def test_estimate_probabilities_equals_network_recount():
+    for p in oracle_scenarios(trials=6):
+        pt = estimate_probabilities(p)
+        conv = opt = 0
+        for trial in range(p.trials):
+            report = evaluate_conditions(sample_network(p, trial))
+            conv += report.convexity_holds
+            opt += report.optimality_holds
+        assert (pt.p_convexity, pt.p_optimality) == (conv / p.trials, opt / p.trials), p
+
+
+def test_estimate_probabilities_never_builds_a_network(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a network was built")
+
+    monkeypatch.setattr(NetworkSpec, "from_alpha", refuse)
+    monkeypatch.setattr(NetworkSpec, "__init__", refuse)
+    monkeypatch.setattr(conditions, "evaluate_conditions", refuse)
+    monkeypatch.setattr(cellsim, "sample_network", refuse)
+    for geometry, cells in (("linear", 2), ("circular", 5)):
+        pt = estimate_probabilities(params(geometry=geometry, cells=cells, site_radius_m=243.0))
+        assert pt.p_convexity == pt.p_optimality == 1.0
+        pt = estimate_probabilities(params(geometry=geometry, cells=cells, site_radius_m=80.0))
+        assert 0 <= pt.p_optimality <= pt.p_convexity <= 1
+        assert math.isfinite(pt.ci95_halfwidth)

@@ -1,7 +1,11 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +19,7 @@ from tin_gdof.conditions import (
     PimacRegimeLabel,
     Violation,
     classify_pimac,
+    condition_flags,
     evaluate_conditions,
     outer_bound_user_partition,
 )
@@ -154,6 +159,55 @@ def test_optimality_without_convexity_raises_even_without_asserts(monkeypatch, p
     )
     with pytest.raises(TinGdofError):
         evaluate_conditions(pimac_optimal)
+
+
+OPTIMALITY_WITHOUT_CONVEXITY = """
+import sys
+from tin_gdof import conditions
+from tin_gdof.cellsim import ScenarioParams, estimate_probabilities
+from tin_gdof.errors import TinGdofError
+from tin_gdof.model import NetworkSpec, User
+
+if __debug__:
+    sys.exit("expected python -O")
+
+
+def convexity_only_failure(lv, optimality):
+    if not optimality:
+        yield (1, 2, 2, 1, 1), 0, 1
+
+
+conditions._cross_cell_failures = convexity_only_failure
+net = NetworkSpec.from_alpha(
+    2, [1, 1], {(User(1, 1), 1): 1, (User(1, 1), 2): 0, (User(2, 1), 2): 1, (User(2, 1), 1): 0}
+)
+calls = {
+    "evaluate_conditions": lambda: conditions.evaluate_conditions(net),
+    "condition_flags": lambda: conditions.condition_flags(net.integer_levels[1]),
+    "estimate_probabilities": lambda: estimate_probabilities(
+        ScenarioParams("linear", 243.0, users_per_cell=2, trials=3, seed=5)
+    ),
+}
+for name, call in calls.items():
+    try:
+        call()
+    except TinGdofError:
+        continue
+    sys.exit(f"{name} did not raise")
+"""
+
+
+def test_optimality_without_convexity_raises_under_python_O():
+    # The same broken invariant as above, in a fresh ``python -O`` process,
+    # through the witness report and through the Monte Carlo's booleans.
+    src = str(Path(conditions.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMALITY_WITHOUT_CONVEXITY],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_constructive_samplers_meet_their_conditions():
@@ -299,6 +353,23 @@ def test_conditions_match_fraction_oracle_on_lattice_networks():
             checked += 1
     assert min(cells[k] for k in range(1, 6)) >= 300
     # all three outcomes occur: optimal, convex only, neither
+    assert set(outcomes) == {(True, True), (True, False), (False, False)}
+
+
+def test_condition_flags_match_reports_on_lattice_networks():
+    # The boolean kernel at another scale than ``integer_levels``: every
+    # level times 10^9, the scale of the cellular Monte Carlo's tables.
+    rng = random.Random(51)
+    outcomes = Counter()
+    for _ in range(3_000):
+        net = lattice_network(rng)
+        report = evaluate_conditions(net)
+        den, lv = net.integer_levels
+        scaled = [[[x * 10**9 for x in row] for row in cell] for cell in lv]
+        flags = (report.convexity_holds, report.optimality_holds)
+        assert condition_flags(scaled) == flags
+        assert condition_flags(lv) == flags
+        outcomes[flags] += 1
     assert set(outcomes) == {(True, True), (True, False), (False, False)}
 
 
