@@ -1,81 +1,18 @@
-"""Exact linear programming over rationals.
+"""Exact vertex enumeration over rationals.
 
-Two routines, both exact:
-
-* ``simplex_max``: maximize a linear functional over {x >= 0, Ax <= b} with
-  b >= 0, via the tableau simplex with Bland's rule (no cycling, fully
-  deterministic).  It solves hand-built regions only: regions made by
-  ``polyhedral_region`` are optimized as a min-cost flow (``_flow``), and
-  this simplex is the test oracle for that path.
-* ``enumerate_vertices``: all vertices of {x >= 0, Ax <= b} by the
-  double-description method on the homogenized cone, in exact integer
-  arithmetic.  Its cost grows with the number of vertices and of
-  intermediate rays, not with the number of candidate bases: 3 cells of 2
-  users take tens of milliseconds and 4 cells of 2 users a few seconds.  The
-  only size guard is ``analysis.VERTEX_GUARD_DIM``.
+``enumerate_vertices`` finds all vertices of {x >= 0, Ax <= b} by the
+double-description method on the homogenized cone, in exact integer
+arithmetic.  Its cost grows with the number of vertices and of intermediate
+rays, not with the number of candidate bases: 3 cells of 2 users take tens
+of milliseconds and 4 cells of 2 users a few seconds.  The only size guard
+is ``analysis.VERTEX_GUARD_DIM``.  Weighted sums are maximized elsewhere, as
+a min-cost flow (``_flow``).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-from .errors import EmptyRegionError, TinGdofError
-
-
-class UnboundedProgramError(TinGdofError):
-    """The LP is unbounded (cannot happen for well-formed GDoF regions)."""
-
-
-def simplex_max(
-    objective: list[Fraction],
-    rows: list[list[Fraction]],
-    rhs: list[Fraction],
-) -> tuple[Fraction, list[Fraction]]:
-    """Maximize objective . x subject to rows . x <= rhs and x >= 0.
-
-    Requires rhs >= 0 (the origin is then feasible); raises
-    EmptyRegionError otherwise.
-    """
-    n, m = len(objective), len(rows)
-    if any(b < 0 for b in rhs):
-        raise EmptyRegionError("system is infeasible at the origin")
-    # Tableau columns: n structural + m slacks + rhs.
-    tab = [list(rows[i]) + [Fraction(0)] * m + [rhs[i]] for i in range(m)]
-    for i in range(m):
-        tab[i][n + i] = Fraction(1)
-    cost = list(objective) + [Fraction(0)] * (m + 1)
-    basis = [n + i for i in range(m)]
-
-    while True:
-        enter = next((j for j in range(n + m) if cost[j] > 0), None)  # Bland
-        if enter is None:
-            break
-        leave, best = None, None
-        for i in range(m):
-            coef = tab[i][enter]
-            if coef > 0:
-                ratio = tab[i][-1] / coef
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    leave, best = i, ratio
-        if leave is None:
-            raise UnboundedProgramError("objective is unbounded over the region")
-        piv = tab[leave][enter]
-        tab[leave] = [v / piv for v in tab[leave]]
-        for i in range(m):
-            if i != leave and tab[i][enter]:
-                factor = tab[i][enter]
-                tab[i] = [a - factor * b for a, b in zip(tab[i], tab[leave])]
-        if cost[enter]:
-            factor = cost[enter]
-            cost = [a - factor * b for a, b in zip(cost, tab[leave])]
-        basis[leave] = enter
-
-    x = [Fraction(0)] * n
-    for i, var in enumerate(basis):
-        if var < n:
-            x[var] = tab[i][-1]
-    return -cost[-1], x
 
 
 def enumerate_vertices(

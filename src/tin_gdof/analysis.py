@@ -36,7 +36,6 @@ from .model import (
 from .potential import (
     GROUND,
     PowerAllocation,
-    _power_allocation_or_none,
     build_potential_graph,
     recover_power_allocation,
 )
@@ -145,9 +144,11 @@ def general_membership(net: NetworkSpec, d: GdofTuple) -> GeneralMembership:
     off = frozenset(net.full_subnetwork - support)
     for order in enumerate_orders(net, support):
         g = build_potential_graph(net, order, support, d)
-        alloc = _power_allocation_or_none(g, off)
-        if alloc is not None:
-            return GeneralMembership(True, MembershipWitness(order, support, alloc))
+        try:
+            alloc = recover_power_allocation(g, off)
+        except InfeasibleAllocationError:
+            continue
+        return GeneralMembership(True, MembershipWitness(order, support, alloc))
     return GeneralMembership(False)
 
 
@@ -244,22 +245,15 @@ def _max_weighted_by_flow(
 def max_weighted_gdof(region: PolyRegion, weights: Mapping) -> WeightedOptimum:
     """Exact maximum of a nonnegative-weighted GDoF sum over the region.
 
-    A region made by ``polyhedral_region`` is solved as an integer min-cost
-    flow on its potential graph, without building its inequality list; the
-    argmax is an optimal tuple read from the flow potentials.  A hand-built
-    region goes to the exact simplex over its merged inequality system.
-    Raises ``EmptyRegionError`` when the region is empty.
+    Solved as an integer min-cost flow on the potential graph of the
+    region's ``source``, without building its inequality list; the argmax is
+    an optimal tuple read from the flow potentials.  Raises
+    ``EmptyRegionError`` when the region is empty.
     """
     weights = {User(*u): Fraction(w) for u, w in weights.items()}
     if any(w < 0 for w in weights.values()):
         raise ValueError("weights must be nonnegative")
-    if region.source is not None:
-        value, x = _max_weighted_by_flow(*region.source, weights)
-    else:
-        users, rows, rhs = _system(region)
-        objective = [weights.get(u, Fraction(0)) for u in users]
-        value, point = _lp.simplex_max(objective, rows, rhs)
-        x = dict(zip(users, point))
+    value, x = _max_weighted_by_flow(*region.source, weights)
     d = {u: Fraction(0) for u in region.dim_users}
     d.update(x)
     return WeightedOptimum(value, GdofTuple(d))

@@ -18,7 +18,7 @@ import click
 
 from . import analysis, cellsim, potential, regions, sampling
 from .conditions import classify_pimac, evaluate_conditions
-from .errors import TinGdofError
+from .errors import InfeasibleAllocationError, TinGdofError
 from .model import (
     DecodingOrder,
     FiniteSnrSpec,
@@ -97,10 +97,6 @@ def _inequality_record(q: regions.LinearInequality) -> dict:
         "users": sorted([u.cell, u.slot] for u in q.users),
         "rhs": _frac(q.rhs),
     }
-
-
-class _Fail(click.ClickException):
-    exit_code = 2
 
 
 def main():
@@ -220,20 +216,20 @@ def membership(network_path, d_spec, order_spec, sub_spec):
     s = _parse_subnetwork(sub_spec, net)
     order = _parse_order(order_spec, net, s)
     g = potential.build_potential_graph(net, order, s, d)
-    res = potential.feasible_by_negative_cycle(g)
-    if not res.feasible:
+    try:
+        alloc = potential.recover_power_allocation(g)
+    except InfeasibleAllocationError as exc:
         _emit(
             "violation",
             {
                 "member": False,
                 "witness_circuit": {
-                    "vertices": [_user_str(v) for v in res.witness.vertices],
-                    "length": _frac(res.witness.length),
+                    "vertices": [_user_str(v) for v in exc.circuit.vertices],
+                    "length": _frac(exc.circuit.length),
                 },
             },
             1,
         )
-    alloc = potential.recover_power_allocation(g)
     _emit(
         "ok",
         {
@@ -360,7 +356,7 @@ def gap_report_cmd(network_path, snr, corners):
 def simulate(geometry, radius, r_sweep, users, trials, seed, cells):
     """Estimate the probability that the TIN conditions hold (CSV output)."""
     if (radius is None) == (r_sweep is None):
-        raise _Fail("exactly one of --r and --r-sweep is required")
+        raise click.ClickException("exactly one of --r and --r-sweep is required")
     radii = [radius] if radius is not None else [float(t) for t in r_sweep.split(",")]
     base = cellsim.ScenarioParams(
         geometry=geometry,

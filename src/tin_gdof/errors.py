@@ -22,7 +22,11 @@ class ConditionsNotMetError(TinGdofError):
 
 
 class InfeasibleAllocationError(TinGdofError):
-    """No feasible power allocation exists for the requested GDoF tuple."""
+    """No feasible power allocation exists; ``circuit`` is a negative circuit proving it."""
+
+    def __init__(self, message: str, circuit=None):
+        super().__init__(message)
+        self.circuit = circuit
 
 
 class EmptyRegionError(TinGdofError):

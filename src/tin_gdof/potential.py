@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, Mapping
 
@@ -64,13 +65,9 @@ class PotentialGraph:
     def length(self, tail: User, head: User) -> Fraction:
         return self._length_map[(tail, head)]
 
-    @property
+    @cached_property
     def _length_map(self) -> Mapping:
-        m = self.__dict__.get("_lm")
-        if m is None:
-            m = {(e.tail, e.head): e.length for e in self.edges}
-            self.__dict__["_lm"] = m
-        return m
+        return {(e.tail, e.head): e.length for e in self.edges}
 
     def family_count(self, family: EdgeFamily) -> int:
         return sum(1 for e in self.edges if e.family is family)
@@ -165,17 +162,31 @@ def build_potential_graph(
     return PotentialGraph((GROUND, *active), tuple(edges))
 
 
-def _shortest_distances(g: PotentialGraph) -> dict[User, Fraction] | None:
-    """Shortest-path lengths from ground, or ``None`` on a negative circuit.
+def _bellman_ford(g: PotentialGraph) -> dict[User, Fraction] | Circuit:
+    """Shortest-path lengths from ground, or a negative simple circuit.
 
-    Only the distances: a caller that needs the circuit as a witness runs
-    ``_extract_negative_circuit`` on ``None``.
+    Rounds of relaxation over every edge; each vertex keeps the edge that
+    last lowered its distance d, its parent.  A parent edge (u, v) keeps
+    d(v) >= d(u) + len(u, v), since d(u) only falls afterwards.  Hence
+    (Cherkassky & Goldberg, "Negative-cycle detection algorithms", Math.
+    Programming 1999):
+
+    * Every cycle of the parent graph is negative: the edge (u, v) that
+      closed it lowered d(v), which made the next edge (v, w) strict, and
+      the inequalities sum around the cycle to 0 > its length.
+    * If round n still lowers d(v), the parent chain from v meets a cycle.
+      Round n - 1 left d(v) at most the length of every simple path from
+      ground to v (at most n - 1 edges), and round n went below that.  A
+      chain ending at ground, the one parentless vertex, would sum to such
+      a path of length at most d(v).
+
+    The circuit's length is summed again and checked negative.
     """
-    dist: dict[User, Fraction] = {v: None for v in g.vertices}
+    dist: dict[User, Fraction] = dict.fromkeys(g.vertices)
     dist[GROUND] = Fraction(0)
-    n = len(g.vertices)
-    for round_ in range(n):
-        changed = False
+    parent: dict[User, Edge] = {}
+    for _ in range(len(g.vertices)):
+        lowered = None
         for e in g.edges:
             du = dist[e.tail]
             if du is None:
@@ -183,119 +194,50 @@ def _shortest_distances(g: PotentialGraph) -> dict[User, Fraction] | None:
             cand = du + e.length
             if dist[e.head] is None or cand < dist[e.head]:
                 dist[e.head] = cand
-                changed = True
-        if not changed:
+                parent[e.head] = e
+                lowered = e.head
+        if lowered is None:
             return dist
-    return None  # a relaxation in round n proves a negative circuit
 
-
-def _extract_negative_circuit(g: PotentialGraph) -> Circuit:
-    """Find a simple circuit of negative length via leveled shortest walks.
-
-    Level k holds the minimum length over walks from ground using at most k
-    edges, with one parent table per level (levels are immutable once built,
-    so the parent chains telescope exactly).  A level-n improvement yields a
-    walk whose repeated-vertex loops must include a negative one; that closed
-    walk is then decomposed into simple circuits.
-    """
-    verts = list(g.vertices)
-    n = len(verts)
-    prev: dict[User, Fraction] = {v: None for v in verts}
-    prev[GROUND] = Fraction(0)
-    levels = [prev]
-    parents: list[dict[User, User]] = [{}]
-    target = None
-    for _ in range(n):
-        cur = dict(prev)
-        par: dict[User, User] = {}
-        for e in g.edges:
-            du = prev[e.tail]
-            if du is None:
-                continue
-            cand = du + e.length
-            if cur[e.head] is None or cand < cur[e.head]:
-                cur[e.head] = cand
-                par[e.head] = e.tail
-        levels.append(cur)
-        parents.append(par)
-        prev = cur
-    for v in verts:
-        if levels[n][v] is not None and (
-            levels[n - 1][v] is None or levels[n][v] < levels[n - 1][v]
-        ):
-            target = v
-            break
-    if target is None:
-        raise TinGdofError("negative-circuit extraction called on a feasible graph")
-
-    # Reconstruct the at-most-n-edge walk to the target, then keep splicing
-    # out vertex repeats; a repeat whose loop has negative length must exist.
-    walk = [target]
-    k, v = n, target
-    while k > 0:
-        u = parents[k].get(v)
-        if u is None:
-            k -= 1  # value inherited from the previous level, no edge taken
-            continue
-        walk.append(u)
-        v = u
-        k -= 1
-    walk.reverse()  # ground ... target
-
-    while True:
-        seen: dict[User, int] = {}
-        loop = None
-        for idx, v in enumerate(walk):
-            if v in seen:
-                loop = (seen[v], idx)
-                break
-            seen[v] = idx
-        if loop is None:
-            raise TinGdofError("a walk of n edges must repeat a vertex")
-        a, b = loop
-        length = Fraction(0)
-        for i in range(a, b):
-            length += g.length(walk[i], walk[i + 1])
-        if length < 0:
-            cycle = tuple(walk[a:b])
-            return Circuit(cycle, length)
-        del walk[a:b]  # nonnegative loop: splice it out and look again
+    # Round n lowered a distance: follow the parent chain until it repeats.
+    chain, v = [], lowered
+    while v not in chain:
+        chain.append(v)
+        v = parent[v].tail
+    cycle = chain[chain.index(v):][::-1]
+    length = sum((parent[u].length for u in cycle), Fraction(0))
+    if length >= 0:
+        raise TinGdofError(f"parent-graph cycle {tuple(cycle)} has length {length} >= 0")
+    return Circuit(tuple(cycle), length)
 
 
 def feasible_by_negative_cycle(g: PotentialGraph) -> FeasibilityResult:
     """Feasible iff no directed circuit of ``g`` has negative total length.
 
-    Decided by shortest-path relaxation from ground; on failure the witness
-    is a concrete simple circuit with strictly negative length.
+    Decided by one Bellman-Ford pass from ground; on failure the witness is
+    a concrete simple circuit with strictly negative length.
     """
-    if _shortest_distances(g) is not None:
-        return FeasibilityResult(True)
-    return FeasibilityResult(False, _extract_negative_circuit(g))
+    result = _bellman_ford(g)
+    witness = result if isinstance(result, Circuit) else None
+    return FeasibilityResult(witness is None, witness)
 
 
-def recover_power_allocation(g: PotentialGraph) -> PowerAllocation:
+def recover_power_allocation(g: PotentialGraph, off: frozenset = frozenset()) -> PowerAllocation:
     """Ground-shortest-path potentials as transmit power exponents.
 
-    Only valid on feasible graphs.  The returned exponents are <= 0 (the
-    zero-length ground edges cap them) and satisfy every difference
-    constraint the graph encodes, so the achievable-GDoF evaluator dominates
-    the tuple the graph was built for.
+    The returned exponents are <= 0 (the zero-length ground edges cap them)
+    and satisfy every difference constraint the graph encodes, so the
+    achievable-GDoF evaluator dominates the tuple the graph was built for.
+    ``off`` marks the deactivated users.  On an infeasible graph it raises
+    ``InfeasibleAllocationError`` whose ``circuit`` is a negative circuit.
     """
-    alloc = _power_allocation_or_none(g)
-    if alloc is None:
-        cycle = _extract_negative_circuit(g)
+    result = _bellman_ford(g)
+    if isinstance(result, Circuit):
         raise InfeasibleAllocationError(
-            f"no feasible power allocation: circuit {cycle.vertices} has length {cycle.length}"
+            f"no feasible power allocation: circuit {result.vertices} has length {result.length}",
+            result,
         )
-    return alloc
-
-
-def _power_allocation_or_none(g: PotentialGraph, off: frozenset = frozenset()):
-    """``recover_power_allocation`` without the witness: ``None`` when infeasible."""
-    dist = _shortest_distances(g)
-    if dist is None:
-        return None
-    return PowerAllocation({v: dist[v] for v in g.vertices if v != GROUND}, off)
+    return PowerAllocation({v: result[v] for v in g.vertices if v != GROUND}, off)
 
 
 def iter_simple_circuits(g: PotentialGraph) -> Iterator[Circuit]:

@@ -13,7 +13,7 @@ Everything here is a pure function over immutable values.
 from __future__ import annotations
 
 import itertools
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -119,24 +119,15 @@ class GdofTuple:
 class PolyRegion:
     """A polytope of GDoF tuples: 0/1 sum inequalities, nonnegativity, forced zeros.
 
-    A hand-built region passes its inequalities as ``rows`` and has no
-    ``source``.  A region made by ``polyhedral_region`` passes ``rows=None``
-    and keeps its ``source``, the ``(net, order, s)`` it describes; it builds
-    ``inequalities`` on first access, so callers that only optimize over it
-    never pay for the exponential list.  Regions compare by identity; use
-    ``same_system`` for structural equality.
+    Made by ``polyhedral_region`` from its ``source``, the ``(net, order, s)``
+    it describes; ``inequalities`` is built on first access, so callers that
+    only optimize over it never pay for the exponential list.  Regions
+    compare by identity; use ``same_system`` for structural equality.
     """
 
     dim_users: tuple[User, ...]
-    rows: InitVar[tuple[LinearInequality, ...] | None]
     forced_zero: frozenset
-    source: tuple[NetworkSpec, DecodingOrder, Subnetwork] | None = None
-
-    def __post_init__(self, rows):
-        if (rows is None) == (self.source is None):
-            raise ValueError("a region needs exactly one of explicit rows and a source")
-        if rows is not None:
-            self.__dict__["inequalities"] = tuple(rows)
+    source: tuple[NetworkSpec, DecodingOrder, Subnetwork]
 
     @cached_property
     def inequalities(self) -> tuple[LinearInequality, ...]:
@@ -250,7 +241,7 @@ def polyhedral_region(
     """
     s = net.full_subnetwork if s is None else net.validate_subnetwork(s)
     order.validate(net, s)
-    return PolyRegion(net.users, None, frozenset(net.full_subnetwork - s), (net, order, s))
+    return PolyRegion(net.users, frozenset(net.full_subnetwork - s), (net, order, s))
 
 
 def set_function_f(net: NetworkSpec, order: DecodingOrder, subset: Iterable[User]) -> Fraction:

@@ -6,7 +6,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
+from tin_gdof import cli, potential
 from tin_gdof.analysis import max_weighted_gdof
 from tin_gdof.model import DecodingOrder, NetworkSpec, User
 from tin_gdof.regions import polyhedral_region
@@ -116,6 +118,25 @@ def test_membership_fixed_and_general(nonconvex_path):
 
     over = run_cli("membership", "--network", nonconvex_path, "--d", "0.26,0.65,1.3")
     assert over.returncode == 1
+
+
+def test_fixed_order_membership_runs_one_relaxation_pass(monkeypatch, nonconvex_path):
+    original = potential._bellman_ford
+    passes = []
+
+    def counting(g):
+        passes.append(g)
+        return original(g)
+
+    monkeypatch.setattr(potential, "_bellman_ford", counting)
+    for d, code in (("0.2,0.1,0.5", 0), ("0.2,0.5,1.0", 1)):
+        passes.clear()
+        result = CliRunner().invoke(
+            cli.cli, ["membership", "--network", nonconvex_path, "--d", d, "--order", "id"]
+        )
+        assert result.exit_code == code, result.output
+        assert json.loads(result.output)["payload"]["member"] == (code == 0)
+        assert len(passes) == 1
 
 
 def test_membership_subnetwork(nonconvex_path):
@@ -317,6 +338,14 @@ def test_simulate_csv():
 
     both = run_cli("simulate", "--geometry", "linear", "--L", "1")
     assert both.returncode == 2
+
+
+@pytest.mark.parametrize("radius_args", [["--r", "243", "--r-sweep", "100,243"], []])
+def test_simulate_needs_exactly_one_radius_option(radius_args):
+    proc = run_cli("simulate", "--geometry", "linear", *radius_args, "--L", "1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == ["Error: exactly one of --r and --r-sweep is required"]
 
 
 def test_simulate_deterministic():

@@ -1,10 +1,16 @@
+import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from tin_gdof import potential
-from tin_gdof.errors import GuardExceededError, InfeasibleAllocationError, TinGdofError
-from tin_gdof.model import DecodingOrder, NetworkSpec, User
+from tin_gdof.analysis import general_membership
+from tin_gdof.errors import GuardExceededError, InfeasibleAllocationError
+from tin_gdof.model import DecodingOrder, NetworkSpec, User, enumerate_orders
 from tin_gdof.potential import (
     GROUND,
     EdgeFamily,
@@ -226,11 +232,109 @@ def test_power_allocation_validation():
         PowerAllocation({User(1, 1): Fraction(0)}, frozenset({User(1, 1)}))
 
 
-def test_circuit_extraction_on_feasible_graph_raises_even_without_asserts(pimac_optimal):
-    # the zero tuple is always achievable, so there is no negative circuit;
-    # the invariant must raise a package error, which ``python -O`` keeps
-    order = DecodingOrder.identity(pimac_optimal)
-    g = build_potential_graph(pimac_optimal, order, None, GdofTuple.zero(pimac_optimal))
-    assert feasible_by_negative_cycle(g).feasible
-    with pytest.raises(TinGdofError, match="feasible graph"):
-        potential._extract_negative_circuit(g)
+HEAVY_TIE_WITNESSES = """
+import random
+import sys
+from fractions import Fraction
+
+from tin_gdof.errors import InfeasibleAllocationError
+from tin_gdof.potential import build_potential_graph, feasible_by_negative_cycle, recover_power_allocation
+from tin_gdof.sampling import random_gdof_tuple, random_network, random_order
+
+if __debug__:
+    sys.exit("expected python -O")
+
+rng = random.Random(16)
+infeasible_seen = 0
+for _ in range(400):
+    net = random_network(rng, denom=2, max_level=1)
+    order = random_order(rng, net)
+    d = random_gdof_tuple(rng, net, denom=2, max_level=1)
+    g = build_potential_graph(net, order, None, d)
+    witness = feasible_by_negative_cycle(g).witness
+    if witness is None:
+        continue
+    infeasible_seen += 1
+    verts = witness.vertices
+    if len(set(verts)) != len(verts):
+        sys.exit(f"witness {verts} repeats a vertex")
+    total = sum((g.length(verts[i - 1], verts[i]) for i in range(len(verts))), Fraction(0))
+    if not total == witness.length < 0:
+        sys.exit(f"witness {verts} sums to {total}, reports {witness.length}")
+    try:
+        recover_power_allocation(g)
+    except InfeasibleAllocationError as exc:
+        if exc.circuit != witness:
+            sys.exit(f"recovery witness {exc.circuit} differs from {witness}")
+    else:
+        sys.exit("recovery on an infeasible graph did not raise")
+if infeasible_seen <= 20:
+    sys.exit(f"only {infeasible_seen} infeasible graphs")
+"""
+
+
+def test_heavy_tie_witnesses_are_negative_simple_circuits_under_python_O():
+    # The seed-16 graphs of ``test_negative_cycle_extraction_with_heavy_ties``
+    # in a fresh ``python -O`` process, where no ``assert`` of the code runs.
+    src = str(Path(potential.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", HEAVY_TIE_WITNESSES],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def count_passes(monkeypatch) -> list:
+    """Record every graph handed to ``potential._bellman_ford``."""
+    graphs = []
+    original = potential._bellman_ford
+
+    def counting(g):
+        graphs.append(g)
+        return original(g)
+
+    monkeypatch.setattr(potential, "_bellman_ford", counting)
+    return graphs
+
+
+def test_one_relaxation_pass_per_decision(monkeypatch, pimac_nonconvex):
+    net = pimac_nonconvex
+    order = DecodingOrder.identity(net)
+    feasible = build_potential_graph(net, order)
+    infeasible = build_potential_graph(net, order, None, GdofTuple.from_values(net, [2, 2, 2]))
+    passes = count_passes(monkeypatch)
+    for g in (feasible, infeasible):
+        feasible_by_negative_cycle(g)
+        assert passes == [g]
+        passes.clear()
+    recover_power_allocation(feasible)
+    assert passes == [feasible]
+    passes.clear()
+    with pytest.raises(InfeasibleAllocationError) as info:
+        recover_power_allocation(infeasible)
+    assert passes == [infeasible]
+    assert info.value.circuit == feasible_by_negative_cycle(infeasible).witness
+
+
+def test_general_membership_runs_one_pass_per_order(monkeypatch):
+    # A member stops at its witness order; a non-member with full support
+    # scans every order, the product of |S_i|!.
+    rng = random.Random(17)
+    passes = count_passes(monkeypatch)
+    members = 0
+    for _ in range(10):
+        net = random_network(rng, max_cells=3, max_users=3)
+        above_every_level = GdofTuple({u: Fraction(5) for u in net.users})
+        for d in (random_gdof_tuple(rng, net), above_every_level):
+            passes.clear()
+            result = general_membership(net, d)
+            orders = list(enumerate_orders(net, d.support()))
+            if result.member:
+                members += 1
+                assert len(passes) == orders.index(result.witness.order) + 1
+            else:
+                assert len(passes) == len(orders)
+        assert len(passes) == math.prod(math.factorial(n) for n in net.users_per_cell)
+    assert members > 0
