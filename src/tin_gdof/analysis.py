@@ -31,7 +31,6 @@ from .model import (
     Subnetwork,
     User,
     enumerate_orders,
-    sort_finite_snr,
 )
 from .potential import (
     GROUND,
@@ -61,18 +60,14 @@ def achievable_gdof(
     net: NetworkSpec,
     order: DecodingOrder,
     alloc: PowerAllocation,
-    *,
-    clip: bool = True,
 ) -> dict[User, Fraction]:
     """Per-user GDoF ceiling of a decoding order and power allocation.
 
     For the user at decode position ``l`` of cell ``k``: its own received
     exponent minus the larger of (a) the strongest not-yet-decoded in-cell
     exponent and (b) the strongest inter-cell exponent, the penalty floored
-    at zero.  With ``clip`` the result itself is floored at zero (the
-    operational form); without, the raw value is returned (the polyhedral
-    form, which may be negative).  Users marked off contribute nothing and
-    get zero.
+    at zero, and the result floored at zero.  Users marked off contribute
+    nothing and get zero.
     """
     active = order.active_users()
     if any(alloc.is_off(u) for u in active):
@@ -80,20 +75,12 @@ def achievable_gdof(
     out: dict[User, Fraction] = {u: Fraction(0) for u in net.users}
     rx_exponent = {u: alloc[u] + net.direct(u) for u in active}
     for k in range(1, net.cells + 1):
-        slots = order.slots(k)
-        for pos in range(1, len(slots) + 1):
+        interference = [alloc[v] + net.alpha(v, k) for v in active if v.cell != k]
+        for pos in range(1, len(order.slots(k)) + 1):
+            undecoded = [rx_exponent[order.user_at(k, p)] for p in range(1, pos)]
+            penalty = max([Fraction(0), *undecoded, *interference])
             u = order.user_at(k, pos)
-            noise_terms = [
-                rx_exponent[order.user_at(k, p)] for p in range(1, pos)
-            ]
-            noise_terms += [
-                alloc[v] + net.alpha(v, k) for v in active if v.cell != k
-            ]
-            penalty = Fraction(0)
-            if noise_terms:
-                penalty = max(max(noise_terms), Fraction(0))
-            value = rx_exponent[u] - penalty
-            out[u] = max(value, Fraction(0)) if clip else value
+            out[u] = max(rx_exponent[u] - penalty, Fraction(0))
     return out
 
 
@@ -156,7 +143,8 @@ def general_membership(net: NetworkSpec, d: GdofTuple) -> GeneralMembership:
 
 
 def _system(region: PolyRegion) -> tuple[list[User], list[list[Fraction]], list[Fraction]]:
-    """Inequality system of a region over its active coordinates only.
+    """Inequality system of a region over its active coordinates, the only
+    ones its rows range over.
 
     Constraints with the same user support are merged to their smallest rhs
     (only that one can bind), which keeps the feasible set identical.
@@ -164,25 +152,16 @@ def _system(region: PolyRegion) -> tuple[list[User], list[list[Fraction]], list[
     users = list(region.active_users())
     index = {u: j for j, u in enumerate(users)}
     best: dict[frozenset, Fraction] = {}
-    empty_marker = None
     for q in region.inequalities:
-        live = frozenset(u for u in q.users if u in index)
-        if live:
-            if live not in best or q.rhs < best[live]:
-                best[live] = q.rhs
-        elif q.rhs < 0:
-            # Constraint only over forced-zero users with negative rhs: empty region.
-            empty_marker = q.rhs
+        if q.users not in best or q.rhs < best[q.users]:
+            best[q.users] = q.rhs
     rows, rhs = [], []
-    for live, bound in sorted(best.items(), key=lambda kv: (sorted(kv[0]), kv[1])):
+    for support, bound in sorted(best.items(), key=lambda kv: sorted(kv[0])):
         row = [Fraction(0)] * len(users)
-        for u in live:
+        for u in support:
             row[index[u]] = Fraction(1)
         rows.append(row)
         rhs.append(bound)
-    if empty_marker is not None:
-        rows.append([Fraction(0)] * len(users))
-        rhs.append(empty_marker)
     return users, rows, rhs
 
 
@@ -274,9 +253,6 @@ def vertices(region: PolyRegion) -> list[GdofTuple]:
             f"{len(users)} active users exceed the vertex enumeration guard "
             f"({VERTEX_GUARD_DIM})"
         )
-    covered = {u for q in region.inequalities for u in q.users}
-    if any(u not in covered for u in users):
-        raise NetworkSpecError("region is unbounded in some coordinate")
     if any(b < 0 for b in rhs):
         return []  # all-zero is infeasible, so the region is empty
     out = []
@@ -297,25 +273,19 @@ def region_includes(outer: PolyRegion, inner: PolyRegion) -> bool:
     """
     if set(outer.dim_users) != set(inner.dim_users):
         raise NetworkSpecError("regions index different user sets")
-    inner_users, _, rhs = _system(inner)
-    if any(b < 0 for b in rhs):
-        return True  # inner region is empty
-    index = {u: j for j, u in enumerate(inner_users)}
+    if any(q.rhs < 0 for q in inner.inequalities):
+        return True  # the all-zero tuple fails, so the inner region is empty
+    inner_active = set(inner.active_users())
 
-    cap: dict[User, Fraction] = {}
-    for q in inner.inequalities:
-        for u in q.users:
-            if u in index and (u not in cap or q.rhs < cap[u]):
-                cap[u] = q.rhs
-    if any(u not in cap for u in inner_users):
-        raise NetworkSpecError("inner region is unbounded in some coordinate")
+    # every active user is in its cell's full-depth bound, so each has a cap
+    cap = {u: min(q.rhs for q in inner.inequalities if u in q.users) for u in inner_active}
 
     outer_constraints = list(outer.inequalities)
     for u in sorted(outer.forced_zero - inner.forced_zero):
         outer_constraints.append(LinearInequality(frozenset([u]), Fraction(0)))
 
     for q in outer_constraints:
-        live = frozenset(u for u in q.users if u in index)
+        live = frozenset(u for u in q.users if u in inner_active)
         if not live:
             if q.rhs < 0:
                 return False
@@ -394,7 +364,7 @@ def outer_bound_rates(fs: FiniteSnrSpec) -> list[RateBound]:
     a user's direct level is at least the cross level it causes plus a
     received level, and levels are nonnegative.
     """
-    net, fs = sort_finite_snr(fs)
+    net, fs = fs.levels
     _require_link_assumption(net, fs)
     if not evaluate_conditions(net).optimality_holds:
         raise ConditionsNotMetError(
@@ -434,7 +404,7 @@ def achievable_rates(
     its unit floor, lies in [P^pen, (1 + n) P^pen] for the floored penalty
     ``pen``.  A user whose ceiling is zero can still get up to one bit.
     """
-    net, fs = sort_finite_snr(fs)
+    net, fs = fs.levels
     order.validate(net, order.active_users())
     p = fs.nominal_power
 
@@ -484,10 +454,9 @@ def gap_report(fs: FiniteSnrSpec, sample_vertices: int | None = None) -> GapRepo
     corner list can only raise the reported gaps, so every corner is used.
     """
     bounds = outer_bound_rates(fs)  # also enforces the preconditions
-    net, fs_sorted = sort_finite_snr(fs)
-    region = polyhedral_region(net, DecodingOrder.identity(net))
-    corner_list = vertices(region)
+    net, fs_sorted = fs.levels
     order = DecodingOrder.identity(net)
+    corner_list = vertices(polyhedral_region(net, order))
     corner_rates = []
     for d in corner_list:
         g = build_potential_graph(net, order, None, d)

@@ -24,8 +24,9 @@ from .model import (
     FiniteSnrSpec,
     NetworkSpec,
     User,
-    load_finite_snr,
-    load_network,
+    _read_document,
+    finite_snr_from_document,
+    network_from_document,
 )
 
 SCHEMA = "tin-gdof/1"
@@ -38,11 +39,10 @@ def _emit(status: str, payload, code: int = 0):
 
 
 def _load(network_path) -> tuple[NetworkSpec, FiniteSnrSpec | None]:
-    """The file's network and its finite-SNR block, or None when it has none.
-
-    Every subcommand loads both, so a malformed block fails each of them.
-    """
-    return load_network(network_path), load_finite_snr(network_path, required=False)
+    """The file's network and its finite-SNR block (None without one), from one
+    read; every subcommand loads both, so a malformed block fails each of them."""
+    doc, where = _read_document(network_path)
+    return network_from_document(doc, where), finite_snr_from_document(doc, where)
 
 
 def _rate_model(net: NetworkSpec, fs: FiniteSnrSpec | None, snr: float) -> FiniteSnrSpec:
@@ -65,19 +65,27 @@ def _user_str(u: User) -> str:
     return f"{u.cell}.{u.slot}"
 
 
+def _parse_list(option: str, spec: str, item) -> list:
+    """The comma-separated items of ``spec``; a malformed one is a one-line error (exit 2)."""
+    try:
+        return [item(tok) for tok in spec.split(",") if tok]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise click.ClickException(f"invalid {option} value {spec!r}: {exc}") from None
+
+
 def _parse_user(tok: str) -> User:
-    cell, slot = tok.split(".")
-    return User(int(cell), int(slot))
+    parts = tok.split(".")
+    if len(parts) != 2:
+        raise ValueError(f"user {tok!r} is not of the form cell.slot")
+    return User(int(parts[0]), int(parts[1]))
 
 
 def _parse_order(spec: str, net: NetworkSpec, s) -> DecodingOrder:
     if spec == "id":
         return DecodingOrder.identity(net, s)
-    parts = spec.split("|")
-    per_cell = tuple(
-        tuple(int(t) for t in part.split(",") if t) for part in parts
+    order = DecodingOrder(
+        tuple(tuple(_parse_list("--order", part, int)) for part in spec.split("|"))
     )
-    order = DecodingOrder(per_cell)
     order.validate(net, s)
     return order
 
@@ -85,11 +93,18 @@ def _parse_order(spec: str, net: NetworkSpec, s) -> DecodingOrder:
 def _parse_subnetwork(spec: str | None, net: NetworkSpec):
     if spec is None:
         return net.full_subnetwork
-    return net.validate_subnetwork({_parse_user(t) for t in spec.split(",") if t})
+    return net.validate_subnetwork(_parse_list("--subnetwork", spec, _parse_user))
 
 
-def _parse_fractions(spec: str) -> list[Fraction]:
-    return [Fraction(tok) for tok in spec.split(",") if tok]
+def _parse_per_user(option: str, spec: str, net: NetworkSpec) -> dict[User, Fraction]:
+    """One nonnegative rational per user, in canonical (cell, slot) order."""
+    values = _parse_list(option, spec, Fraction)
+    if len(values) != len(net.users) or min(values) < 0:
+        raise click.ClickException(
+            f"invalid {option} value {spec!r}: expected {len(net.users)} nonnegative values, "
+            "one per user"
+        )
+    return dict(zip(net.users, values))
 
 
 def _inequality_record(q: regions.LinearInequality) -> dict:
@@ -193,7 +208,7 @@ def region(network_path, order_spec, sub_spec, fmt):
 def membership(network_path, d_spec, order_spec, sub_spec):
     """Test whether a GDoF tuple is achievable (fixed order, or any strategy)."""
     net, _ = _load(network_path)
-    d = regions.GdofTuple.from_values(net, _parse_fractions(d_spec))
+    d = regions.GdofTuple(_parse_per_user("--d", d_spec, net))
     if order_spec is None:
         result = analysis.general_membership(net, d)
         if not result.member:
@@ -252,7 +267,7 @@ def sumgdof(network_path, weights_spec, order_spec, sub_spec):
     s = _parse_subnetwork(sub_spec, net)
     order = _parse_order(order_spec, net, s)
     reg = regions.polyhedral_region(net, order, s)
-    weights = dict(zip(net.users, _parse_fractions(weights_spec)))
+    weights = _parse_per_user("--weights", weights_spec, net)
     opt = analysis.max_weighted_gdof(reg, weights)
     _emit(
         "ok",
@@ -357,7 +372,7 @@ def simulate(geometry, radius, r_sweep, users, trials, seed, cells):
     """Estimate the probability that the TIN conditions hold (CSV output)."""
     if (radius is None) == (r_sweep is None):
         raise click.ClickException("exactly one of --r and --r-sweep is required")
-    radii = [radius] if radius is not None else [float(t) for t in r_sweep.split(",")]
+    radii = [radius] if radius is not None else _parse_list("--r-sweep", r_sweep, float)
     base = cellsim.ScenarioParams(
         geometry=geometry,
         site_radius_m=radii[0],

@@ -277,13 +277,29 @@ class FiniteSnrSpec:
 
     ``gains[(user, rx_cell)]`` is the complex (or magnitude) channel
     coefficient; ``tx_powers[user]`` the transmit power budget in linear
-    scale.  ``nominal_power`` must exceed 1 so the level normalization is
-    well defined.
+    scale.  ``nominal_power`` must be finite and exceed 1 so the level
+    normalization is well defined.
     """
 
     nominal_power: float
     gains: Mapping[tuple[User, int], complex]
     tx_powers: Mapping[User, float]
+
+    @cached_property
+    def levels(self) -> tuple[NetworkSpec, "FiniteSnrSpec"]:
+        """The level network, derived once, plus this description relabelled
+        to its slot order, which rate computations index users by.  A
+        description built from a network (``sampling.finite_snr_from_network``)
+        keeps that exact network instead."""
+        net = strength_levels(self)
+        old = {
+            User(k, new): User(k, slot)
+            for k, slots in enumerate(net.slot_provenance, start=1)
+            for new, slot in enumerate(slots, start=1)
+        }
+        gains = {(u, i): self.gains[(old[u], i)] for u in net.users for i in range(1, net.cells + 1)}
+        powers = {u: self.tx_powers[old[u]] for u in net.users}
+        return net, _with_levels(FiniteSnrSpec(self.nominal_power, gains, powers), net)
 
     def link_power(self, user: User, rx_cell: int) -> float:
         """|h|^2 * P_tx of a link, the quantity whose exponent is the level."""
@@ -294,46 +310,39 @@ class FiniteSnrSpec:
         return max(1.0, self.link_power(user, rx_cell))
 
 
+def _check_nominal_power(p: float) -> None:
+    if not 1 < p < math.inf:
+        raise NetworkSpecError(f"nominal power must be finite and exceed 1, got {p!r}")
+
+
+def _with_levels(fs: FiniteSnrSpec, net: NetworkSpec) -> FiniteSnrSpec:
+    """Record ``net`` as the level network of ``fs``, whose users are already
+    labelled in ``net``'s slot order, so that ``fs.levels`` is ``(net, fs)``."""
+    _check_nominal_power(fs.nominal_power)
+    fs.__dict__["levels"] = (net, fs)
+    return fs
+
+
 def strength_levels(fs: FiniteSnrSpec) -> NetworkSpec:
     """Strength-level network of a finite-SNR description.
 
     Level of each link: log(max(1, |h|^2 P_tx)) / log(P), rationalized and
-    slot-sorted.  Raises for P <= 1 (degenerate log base).
+    slot-sorted.  Raises unless 1 < P < inf (degenerate log base).
     """
-    if fs.nominal_power <= 1:
-        raise NetworkSpecError("nominal power must exceed 1")
+    _check_nominal_power(fs.nominal_power)
     missing = {u for (u, _) in fs.gains} - set(fs.tx_powers)
     if missing:
         raise NetworkSpecError(f"no power budget for users {sorted(missing)}")
     cells = max(rx for (_, rx) in fs.gains)
-    counts: dict[int, int] = {}
-    for user in fs.tx_powers:
-        counts[user.cell] = max(counts.get(user.cell, 0), user.slot)
-    users_per_cell = [counts.get(k, 0) for k in range(1, cells + 1)]
+    users_per_cell = [
+        max((u.slot for u in fs.tx_powers if u.cell == k), default=0) for k in range(1, cells + 1)
+    ]
     log_p = math.log(fs.nominal_power)
-    alpha = {}
-    for (user, rx), _ in fs.gains.items():
-        level = math.log(fs.clipped_link_power(user, rx)) / log_p
-        alpha[(user, rx)] = rationalize(level)
+    alpha = {
+        (user, rx): rationalize(math.log(fs.clipped_link_power(user, rx)) / log_p)
+        for (user, rx) in fs.gains
+    }
     return NetworkSpec.from_alpha(cells, users_per_cell, alpha)
-
-
-def sort_finite_snr(fs: FiniteSnrSpec) -> tuple[NetworkSpec, FiniteSnrSpec]:
-    """Return the level network plus ``fs`` re-labelled to match its slot order.
-
-    Rate computations index users through the sorted network, so the
-    finite-SNR maps must be permuted by the same relabelling.
-    """
-    net = strength_levels(fs)
-    gains = {}
-    powers = {}
-    for k in range(1, net.cells + 1):
-        for new_slot, old_slot in enumerate(net.slot_provenance[k - 1], start=1):
-            old, new = User(k, old_slot), User(k, new_slot)
-            powers[new] = fs.tx_powers[old]
-            for i in range(1, net.cells + 1):
-                gains[(new, i)] = fs.gains[(old, i)]
-    return net, FiniteSnrSpec(fs.nominal_power, gains, powers)
 
 
 # -- network files ----------------------------------------------------------
@@ -355,18 +364,23 @@ def _parse_link_records(records, what: str) -> dict:
     return out
 
 
+def _read_document(path) -> tuple[object, str]:
+    """The parsed JSON of a network file, with decimal literals as exact
+    rationals, and the file name that error messages use."""
+    path = Path(path)
+    try:
+        with path.open() as f:
+            return json.load(f, parse_float=Fraction), str(path)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise NetworkSpecError(f"{path}: cannot parse network file ({exc})") from exc
+
+
 def load_network(path) -> NetworkSpec:
     """Load and validate a network file (see docs/cli.md for the schema).
 
     Decimal literals in the file are parsed exactly as rationals.
     """
-    path = Path(path)
-    try:
-        with path.open() as f:
-            doc = json.load(f, parse_float=Fraction)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise NetworkSpecError(f"{path}: cannot parse network file ({exc})") from exc
-    return network_from_document(doc, where=str(path))
+    return network_from_document(*_read_document(path))
 
 
 def network_from_document(doc: Mapping, where: str = "<document>") -> NetworkSpec:
@@ -380,31 +394,28 @@ def network_from_document(doc: Mapping, where: str = "<document>") -> NetworkSpe
     return NetworkSpec.from_alpha(cells, users_per_cell, alpha)
 
 
-def load_finite_snr(path, required: bool = True) -> FiniteSnrSpec | None:
-    """Load the optional finite-SNR block of a network file.
+def load_finite_snr(path) -> FiniteSnrSpec:
+    """Load the finite-SNR block of a network file; a file without one is an error."""
+    fs = finite_snr_from_document(*_read_document(path))
+    if fs is None:
+        raise NetworkSpecError(f"{Path(path)}: file has no finite_snr block")
+    return fs
 
-    A file without the block is an error, or gives ``None`` when
-    ``required`` is false.  A malformed block is always an error.
-    """
-    path = Path(path)
-    try:
-        with path.open() as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise NetworkSpecError(f"{path}: cannot parse network file ({exc})") from exc
+
+def finite_snr_from_document(doc: Mapping, where: str = "<document>") -> FiniteSnrSpec | None:
+    """The optional finite-SNR block of a network document, or ``None``
+    when it has none.  A malformed block is an error."""
     if not isinstance(doc, dict):
-        raise NetworkSpecError(f"{path}: network file must hold a JSON object")
+        raise NetworkSpecError(f"{where}: network file must hold a JSON object")
     block = doc.get("finite_snr")
     if block is None:
-        if not required:
-            return None
-        raise NetworkSpecError(f"{path}: file has no finite_snr block")
+        return None
     try:
         p = float(block["nominal_power"])
         gains_rec = block["gains"]
         power_rec = block["tx_powers"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise NetworkSpecError(f"{path}: malformed finite_snr block ({exc})") from exc
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise NetworkSpecError(f"{where}: malformed finite_snr block ({exc})") from exc
 
     def as_gain(v):
         if isinstance(v, (list, tuple)) and len(v) == 2:
@@ -412,22 +423,22 @@ def load_finite_snr(path, required: bool = True) -> FiniteSnrSpec | None:
         return complex(float(v), 0.0)
 
     gains = {}
-    for (user, rx), v in _parse_link_records(gains_rec, f"{path}: gains").items():
+    for (user, rx), v in _parse_link_records(gains_rec, f"{where}: gains").items():
         try:
             gains[(user, rx)] = as_gain(v)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise NetworkSpecError(
-                f"{path}: gain of link {user}->rx{rx} is not a number ({exc})"
+                f"{where}: gain of link {user}->rx{rx} is not a number ({exc})"
             ) from exc
     if not isinstance(power_rec, list):
-        raise NetworkSpecError(f"{path}: tx_powers must be a list")
+        raise NetworkSpecError(f"{where}: tx_powers must be a list")
     powers = {}
     for idx, rec in enumerate(power_rec):
         try:
             powers[User(int(rec["cell"]), int(rec["slot"]))] = float(rec["value"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise NetworkSpecError(f"{path}: tx_powers[{idx}] malformed ({exc})") from exc
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise NetworkSpecError(f"{where}: tx_powers[{idx}] malformed ({exc})") from exc
     for user, p_tx in powers.items():
         if p_tx <= 0:
-            raise NetworkSpecError(f"{path}: nonpositive power budget for {user}")
+            raise NetworkSpecError(f"{where}: nonpositive power budget for {user}")
     return FiniteSnrSpec(p, gains, powers)

@@ -12,7 +12,9 @@ from fractions import Fraction
 from typing import Iterable
 
 from .conditions import evaluate_conditions
-from .model import DecodingOrder, FiniteSnrSpec, NetworkSpec, Subnetwork, User, enumerate_orders
+from .model import (
+    DecodingOrder, FiniteSnrSpec, NetworkSpec, Subnetwork, User, _with_levels, enumerate_orders
+)
 from .potential import PowerAllocation
 from .regions import GdofTuple
 
@@ -179,11 +181,12 @@ def finite_snr_from_network(net: NetworkSpec, nominal_power: float) -> FiniteSnr
     """A finite-SNR description whose strength levels reproduce ``net``.
 
     Unit power budgets; gain magnitudes set to P^(level/2) so every link sits
-    at or above the noise floor.
+    at or above the noise floor.  Its ``levels`` are ``net`` itself, exactly,
+    not re-derived from the float gains.
     """
     gains = {}
     powers = {u: 1.0 for u in net.users}
     for u in net.users:
         for i in range(1, net.cells + 1):
             gains[(u, i)] = complex(nominal_power ** (float(net.alpha(u, i)) / 2.0), 0.0)
-    return FiniteSnrSpec(nominal_power, gains, powers)
+    return _with_levels(FiniteSnrSpec(nominal_power, gains, powers), net)

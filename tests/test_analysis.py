@@ -819,3 +819,36 @@ def test_outer_bound_equality_under_conditions():
             assert max_weighted_gdof(region, weights).value == max_weighted_gdof(
                 outer, weights
             ).value
+
+
+def test_levels_are_derived_once_per_description(monkeypatch):
+    from tin_gdof import model
+
+    calls = []
+    original = model.strength_levels
+
+    def counting(fs):
+        calls.append(fs)
+        return original(fs)
+
+    monkeypatch.setattr(model, "strength_levels", counting)
+    net = random_optimality_network(random.Random(9), cells=3, users_per_cell=[2, 2, 2])
+    exact = finite_snr_from_network(net, 1e4)
+    rep = gap_report(exact)
+    outer_bound_rates(exact)
+    assert calls == []  # a description built from a network keeps it
+
+    # The same gains without the network: one derivation per call, not one
+    # per corner, and the same report.
+    assert gap_report(FiniteSnrSpec(exact.nominal_power, exact.gains, exact.tx_powers)) == rep
+    assert len(calls) == 1
+    assert rep.corners_used == 308
+    assert rep.max_gap_bits == pytest.approx(17.1125, abs=1e-4)
+    outer_bound_rates(FiniteSnrSpec(exact.nominal_power, exact.gains, exact.tx_powers))
+    assert len(calls) == 2
+
+
+def test_synthesized_description_rejects_non_finite_power(pimac_optimal):
+    for p in (math.nan, math.inf, 1.0):
+        with pytest.raises(NetworkSpecError, match="nominal power"):
+            finite_snr_from_network(pimac_optimal, p)

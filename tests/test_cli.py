@@ -362,3 +362,78 @@ def test_oracle_verify():
     data = payload(proc)
     assert data["negative_cycle_mismatches"] == 0
     assert data["all_circuits_mismatches"] == 0
+
+
+BAD_ARGUMENTS = {
+    "subnetwork-no-dot": ["region", "--subnetwork", "1"],
+    "subnetwork-bad-slot": ["region", "--subnetwork", "1.x"],
+    "order-bad-slot": ["region", "--order", "1,x"],
+    "d-not-numbers": ["membership", "--d", "a,b,c"],
+    "d-too-few": ["membership", "--d", "1,2"],
+    "d-zero-denominator": ["membership", "--d", "1/0,1,1"],
+    "weights-not-numbers": ["sumgdof", "--weights", "x,1,1"],
+    "weights-negative": ["sumgdof", "--weights", "-1,1,1"],
+    "r-sweep-not-numbers": ["simulate", "--geometry", "linear", "--L", "1", "--r-sweep", "100,x"],
+    "outer-bound-snr-nan": ["outer-bound", "--snr", "nan"],
+    "outer-bound-snr-inf": ["outer-bound", "--snr", "inf"],
+    "gap-report-snr-overflow": ["gap-report", "--snr", "1e400"],
+    "gap-report-snr-nan": ["gap-report", "--snr", "nan"],
+}
+
+
+@pytest.mark.parametrize("args", list(BAD_ARGUMENTS.values()), ids=list(BAD_ARGUMENTS))
+def test_bad_argument_is_one_line_error(optimal_path, args):
+    # optimal_path has no finite_snr block, so --snr is used for the rate model
+    if args[0] != "simulate":
+        args = [args[0], "--network", optimal_path, *args[1:]]
+    proc = run_cli(*args)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "Traceback" not in proc.stderr, proc.stderr
+
+
+@pytest.mark.parametrize("weights", ["1,1", "1,1,1,5"])
+def test_weights_take_one_value_per_user(optimal_path, weights):
+    proc = run_cli("sumgdof", "--network", optimal_path, "--weights", weights)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        f"Error: invalid --weights value '{weights}': expected 3 nonnegative values, one per user"
+    ]
+
+
+def test_exact_levels_settle_a_tie(tmp_path):
+    # Optimality holds with equality: 5/6 = 1/6 + 2/3 at cell 1's receiver.
+    # Levels re-derived from the unit-power gains came back as
+    # 0.833333333 > 0.166666667 + 0.666666667, and the rate commands refused.
+    alpha = {
+        (User(1, 1), 1): Fraction(5, 6),
+        (User(1, 1), 2): Fraction(1, 6),
+        (User(2, 1), 1): Fraction(2, 3),
+        (User(2, 1), 2): Fraction(5, 3),
+    }
+    path = network_file(tmp_path, NetworkSpec.from_alpha(2, [1, 1], alpha))
+    for args in (["check"], ["outer-bound", "--snr", "10000"], ["gap-report", "--snr", "10000"]):
+        proc = run_cli(args[0], "--network", path, *args[1:])
+        assert proc.returncode == 0, (args, proc.stderr)
+        assert proc.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["check"], ["sumgdof", "--weights", "1,1,1"], ["outer-bound", "--snr", "100"],
+     ["gap-report", "--snr", "100"]],
+    ids=["check", "sumgdof", "outer-bound", "gap-report"],
+)
+def test_each_subcommand_reads_the_network_file_once(monkeypatch, args):
+    original = json.load
+    reads = []
+
+    def counting(*a, **kw):
+        reads.append(a)
+        return original(*a, **kw)
+
+    monkeypatch.setattr(json, "load", counting)
+    result = CliRunner().invoke(cli.cli, [args[0], "--network", str(EXAMPLE), *args[1:]])
+    assert result.exit_code == 0, result.output
+    assert len(reads) == 1

@@ -221,3 +221,31 @@ def test_load_finite_snr_bad_file_is_spec_error(tmp_path, content):
         path.write_text(content)
     with pytest.raises(NetworkSpecError):
         load_finite_snr(path)
+
+
+def test_levels_relabel_the_description_once():
+    # cell 1's input slot 1 is the stronger user, so the slots swap
+    fs = FiniteSnrSpec(
+        100.0,
+        {
+            (User(1, 1), 1): complex(100.0),
+            (User(1, 2), 1): complex(10.0),
+            (User(1, 1), 2): complex(2.0),
+            (User(1, 2), 2): complex(1.0),
+            (User(2, 1), 1): complex(1.0),
+            (User(2, 1), 2): complex(10.0),
+        },
+        {User(1, 1): 1.0, User(1, 2): 2.0, User(2, 1): 1.0},
+    )
+    net, relabelled = fs.levels
+    assert fs.levels is fs.levels
+    assert net.slot_provenance == ((2, 1), (1,))
+    assert relabelled.tx_powers == {User(1, 1): 2.0, User(1, 2): 1.0, User(2, 1): 1.0}
+    assert relabelled.gains[(User(1, 2), 2)] == complex(2.0)
+    assert relabelled.levels == (net, relabelled)
+
+
+@pytest.mark.parametrize("p", [1.0, math.nan, math.inf])
+def test_strength_levels_rejects_non_finite_or_degenerate_power(p):
+    with pytest.raises(NetworkSpecError, match="nominal power"):
+        strength_levels(single_link_fs(p, 10.0))
