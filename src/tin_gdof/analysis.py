@@ -116,18 +116,13 @@ def general_membership(net: NetworkSpec, d: GdofTuple) -> GeneralMembership:
 
     It suffices to activate exactly the support of ``d`` and scan the decode
     orders of that subnetwork; a tuple achievable with any strategy is also
-    achievable with its zero users switched off.
+    achievable with its zero users switched off.  The all-zero tuple has one
+    such order, the empty one, and every user off.
     """
     support = d.support()
     unknown = support - set(net.users)
     if unknown:
         raise NetworkSpecError(f"GDoF tuple indexes unknown users {sorted(unknown)}")
-    if not support:
-        empty_order = DecodingOrder(tuple(() for _ in range(net.cells)))
-        return GeneralMembership(
-            True,
-            MembershipWitness(empty_order, frozenset(), PowerAllocation.all_off(net)),
-        )
     off = frozenset(net.full_subnetwork - support)
     for order in enumerate_orders(net, support):
         g = build_potential_graph(net, order, support, d)
@@ -443,15 +438,14 @@ class GapReport:
     corners_used: int
 
 
-def gap_report(fs: FiniteSnrSpec, sample_vertices: int | None = None) -> GapReport:
+def gap_report(fs: FiniteSnrSpec) -> GapReport:
     """Gap between the rate outer bound and rates achieved at region corners.
 
     Every corner of the fixed-identity-order region is realized through its
     recovered power allocation and evaluated at finite SNR; each bound is
     compared against the best corner for its user set.  All gaps must be
     nonnegative (up to rate tolerance) on instances where the outer bound
-    applies.  ``sample_vertices`` is deprecated and ignored: a truncated
-    corner list can only raise the reported gaps, so every corner is used.
+    applies.
     """
     bounds = outer_bound_rates(fs)  # also enforces the preconditions
     net, fs_sorted = fs.levels

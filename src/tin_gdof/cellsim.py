@@ -41,7 +41,10 @@ from .conditions import condition_flags
 from .errors import NetworkSpecError
 from .model import NetworkSpec, User
 
-#: Path-loss model PL(d) = A + B log10(d_km), in dB.
+#: Radio setup of every scenario: transmit power and noise floor in dBm, and
+#: the path-loss model PL(d) = A + B log10(d_km) in dB.
+TX_POWER_DBM = 23.0
+NOISE_FLOOR_DBM = -102.0
 PATHLOSS_A_DB = 148.1
 PATHLOSS_B_DB = 37.6
 
@@ -54,15 +57,17 @@ LEVEL_DIGITS = 9
 _LEVEL_SCALE = 10**LEVEL_DIGITS
 
 
-def path_loss_db(d_km: float, a: float = PATHLOSS_A_DB, b: float = PATHLOSS_B_DB) -> float:
-    """Distance-dependent path loss in dB for a distance in kilometers."""
+def path_loss_db(d_km: float) -> float:
+    """Path loss PL(d) in dB for a distance in kilometers."""
     if d_km <= 0:
         raise ValueError("distance must be positive")
-    return a + b * math.log10(d_km)
+    return PATHLOSS_A_DB + PATHLOSS_B_DB * math.log10(d_km)
 
 
 @dataclass(frozen=True)
 class ScenarioParams:
+    """One Monte Carlo scenario, in the radio setup of the module constants."""
+
     geometry: str  # "linear" or "circular"
     site_radius_m: float
     users_per_cell: int
@@ -70,10 +75,6 @@ class ScenarioParams:
     seed: int
     cells: int = 4  # circular geometry only; linear is always 2 cells
     exclusion_m: float = 35.0
-    tx_power_dbm: float = 23.0
-    noise_floor_dbm: float = -102.0
-    pathloss_a: float = PATHLOSS_A_DB
-    pathloss_b: float = PATHLOSS_B_DB
 
     def __post_init__(self):
         if self.geometry not in ("linear", "circular"):
@@ -87,19 +88,18 @@ class ScenarioParams:
 
 
 def _rng(p: ScenarioParams, trial_index: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(key=[p.seed & (2**64 - 1), trial_index & (2**64 - 1)])
-    )
+    """Philox keyed by the 128-bit int with words (seed, trial) mod 2**64; a
+    list key would pass through float64 and merge negative seeds."""
+    key = (p.seed & (2**64 - 1)) | ((trial_index & (2**64 - 1)) << 64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
-def _level(p: ScenarioParams, distance_m: float) -> int:
+def _level(distance_m: float) -> int:
     """Level of a link of this length, as an integer over ``10**LEVEL_DIGITS``.
 
     The same float expression ``rationalize`` rounds at ``LEVEL_DIGITS``.
     """
-    margin_db = p.tx_power_dbm - path_loss_db(
-        distance_m / 1000.0, p.pathloss_a, p.pathloss_b
-    ) - p.noise_floor_dbm
+    margin_db = TX_POWER_DBM - path_loss_db(distance_m / 1000.0) - NOISE_FLOOR_DBM
     return round(max(0.0, margin_db) / LEVEL_REFERENCE_DB * _LEVEL_SCALE)
 
 
@@ -129,9 +129,9 @@ def _sample_levels(p: ScenarioParams, trial_index: int):
         near, far = [], []
         for slot in range(n):
             x = _uniform(r0, r, u[2 * slot])
-            near.append((_level(p, x), _level(p, 2 * r - x)))
+            near.append((_level(x), _level(2 * r - x)))
             y = _uniform(r + 0.0, 2 * r - r0, u[2 * slot + 1])
-            far.append((_level(p, y), _level(p, 2 * r - y)))
+            far.append((_level(y), _level(2 * r - y)))
         return _sorted_by_direct([near, far])
 
     cells = p.cells
@@ -157,7 +157,7 @@ def _sample_levels(p: ScenarioParams, trial_index: int):
                     # signed ring distance, folded to the shorter arc
                     raw = (2 * r * (i - k) - offset) % circumference
                     delta = min(raw, circumference - raw)
-                row[i] = _level(p, delta)
+                row[i] = _level(delta)
             rows.append(row)
         table.append(rows)
     return _sorted_by_direct(table)

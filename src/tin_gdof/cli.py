@@ -204,9 +204,11 @@ def region(network_path, order_spec, sub_spec, fmt):
 @_network_opt
 @click.option("--d", "d_spec", required=True, help="Comma-separated values, canonical user order.")
 @click.option("--order", "order_spec", default=None, help="Fix the decoding order; omit to search all.")
-@click.option("--subnetwork", "sub_spec", default=None)
+@click.option("--subnetwork", "sub_spec", default=None, help="Needs --order.")
 def membership(network_path, d_spec, order_spec, sub_spec):
     """Test whether a GDoF tuple is achievable (fixed order, or any strategy)."""
+    if sub_spec is not None and order_spec is None:
+        raise click.ClickException("--subnetwork needs --order")
     net, _ = _load(network_path)
     d = regions.GdofTuple(_parse_per_user("--d", d_spec, net))
     if order_spec is None:
@@ -334,11 +336,8 @@ def outer_bound(network_path, snr):
 @cli.command(name="gap-report")
 @_network_opt
 @click.option("--snr", type=float, required=True)
-@click.option("--corners", type=int, default=None, help="Deprecated and ignored.")
-def gap_report_cmd(network_path, snr, corners):
+def gap_report_cmd(network_path, snr):
     """Outer bound vs rates achieved at every region corner, at finite SNR."""
-    if corners is not None:
-        click.echo("note: --corners is deprecated and ignored; every corner is used", err=True)
     net, fs = _load(network_path)
     rep = analysis.gap_report(_rate_model(net, fs, snr))
     _emit(
@@ -367,11 +366,13 @@ def gap_report_cmd(network_path, snr, corners):
 @click.option("--L", "users", type=int, required=True)
 @click.option("--trials", type=int, default=1000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--cells", type=int, default=4, show_default=True, help="Circular geometry only.")
+@click.option("--cells", type=int, default=None, help="Ring size, circular geometry only (default 4).")
 def simulate(geometry, radius, r_sweep, users, trials, seed, cells):
     """Estimate the probability that the TIN conditions hold (CSV output)."""
     if (radius is None) == (r_sweep is None):
         raise click.ClickException("exactly one of --r and --r-sweep is required")
+    if cells is not None and geometry == "linear":
+        raise click.ClickException("--cells applies to the circular geometry only")
     radii = [radius] if radius is not None else _parse_list("--r-sweep", r_sweep, float)
     base = cellsim.ScenarioParams(
         geometry=geometry,
@@ -379,7 +380,7 @@ def simulate(geometry, radius, r_sweep, users, trials, seed, cells):
         users_per_cell=users,
         trials=trials,
         seed=seed,
-        cells=cells,
+        cells=4 if cells is None else cells,
     )
     curve = cellsim.sweep(base, radii)
     w = csv.writer(sys.stdout)

@@ -304,7 +304,13 @@ class FiniteSnrSpec:
     def link_power(self, user: User, rx_cell: int) -> float:
         """|h|^2 * P_tx of a link, the quantity whose exponent is the level."""
         h = self.gains[(user, rx_cell)]
-        return abs(h) ** 2 * self.tx_powers[user]
+        try:
+            power = abs(h) ** 2 * self.tx_powers[user]
+        except OverflowError:
+            power = math.inf
+        if power == math.inf:
+            raise NetworkSpecError(f"link {user}->rx{rx_cell} has a power beyond the float range")
+        return power
 
     def clipped_link_power(self, user: User, rx_cell: int) -> float:
         return max(1.0, self.link_power(user, rx_cell))
@@ -435,9 +441,12 @@ def finite_snr_from_document(doc: Mapping, where: str = "<document>") -> FiniteS
     powers = {}
     for idx, rec in enumerate(power_rec):
         try:
-            powers[User(int(rec["cell"]), int(rec["slot"]))] = float(rec["value"])
+            user, p_tx = User(int(rec["cell"]), int(rec["slot"])), float(rec["value"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise NetworkSpecError(f"{where}: tx_powers[{idx}] malformed ({exc})") from exc
+        if user in powers:
+            raise NetworkSpecError(f"{where}: tx_powers[{idx}]: duplicate entry for {user}")
+        powers[user] = p_tx
     for user, p_tx in powers.items():
         if p_tx <= 0:
             raise NetworkSpecError(f"{where}: nonpositive power budget for {user}")

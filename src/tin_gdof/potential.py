@@ -30,7 +30,7 @@ from typing import Iterator, Mapping
 
 from .errors import GuardExceededError, InfeasibleAllocationError, NetworkSpecError, TinGdofError
 from .model import DecodingOrder, NetworkSpec, Subnetwork, User
-from .regions import GdofTuple
+from .regions import GdofTuple, enumerate_cyclic_sequences
 
 #: Ground vertex sentinel; cells are 1-based so (0, 0) is never a real user.
 GROUND = User(0, 0)
@@ -111,10 +111,6 @@ class PowerAllocation:
 
     def __getitem__(self, user: User) -> Fraction:
         return self.exponents[user]
-
-    @classmethod
-    def all_off(cls, net: NetworkSpec) -> "PowerAllocation":
-        return cls({}, frozenset(net.users))
 
 
 def build_potential_graph(
@@ -242,17 +238,10 @@ def recover_power_allocation(g: PotentialGraph, off: frozenset = frozenset()) ->
 
 def iter_simple_circuits(g: PotentialGraph) -> Iterator[Circuit]:
     """Every simple directed circuit of the (complete) potential graph."""
-    verts = sorted(g.vertices)
     lengths = g._length_map
-    for m in range(2, len(verts) + 1):
-        for subset in itertools.combinations(verts, m):
-            anchor, rest = subset[0], subset[1:]
-            for perm in itertools.permutations(rest):
-                cycle = (anchor, *perm)
-                total = Fraction(0)
-                for i in range(len(cycle)):
-                    total += lengths[(cycle[i - 1], cycle[i])]
-                yield Circuit(cycle, total)
+    for seq in enumerate_cyclic_sequences(g.vertices, min_len=2):
+        c = seq.cells
+        yield Circuit(c, sum((lengths[(c[i - 1], c[i])] for i in range(len(c))), Fraction(0)))
 
 
 def all_circuits_region_oracle(net: NetworkSpec, order: DecodingOrder, d: GdofTuple) -> bool:

@@ -12,6 +12,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .conditions import evaluate_conditions
+from .errors import NetworkSpecError
 from .model import (
     DecodingOrder, FiniteSnrSpec, NetworkSpec, Subnetwork, User, _with_levels, enumerate_orders
 )
@@ -136,15 +137,13 @@ def random_optimality_network(
     denom: int = 20,
     cells: int | None = None,
     users_per_cell: Iterable[int] | None = None,
-    margin: Fraction = Fraction(0),
 ) -> NetworkSpec:
     """A network satisfying the optimality conditions, built constructively.
 
     As for the convexity sampler, but a stronger user's cross level toward
     any cell is additionally capped by its direct-level gap to each weaker
     user, which settles the strict per-cell condition through its first
-    branch.  ``margin`` uniformly shrinks all cross levels to keep a strict
-    slack.
+    branch.
     """
     if cells is None:
         cells = rng.randint(1, max_cells)
@@ -159,7 +158,7 @@ def random_optimality_network(
             directs[k] = vals
             for l, v in enumerate(vals, start=1):
                 alpha[(User(k, l), k)] = v
-        cap = min(v for vals in directs.values() for v in vals) / 2 - margin
+        cap = min(v for vals in directs.values() for v in vals) / 2
         for k in range(1, cells + 1):
             for j in range(1, cells + 1):
                 if j == k:
@@ -188,5 +187,10 @@ def finite_snr_from_network(net: NetworkSpec, nominal_power: float) -> FiniteSnr
     powers = {u: 1.0 for u in net.users}
     for u in net.users:
         for i in range(1, net.cells + 1):
-            gains[(u, i)] = complex(nominal_power ** (float(net.alpha(u, i)) / 2.0), 0.0)
+            try:
+                gains[(u, i)] = complex(nominal_power ** (float(net.alpha(u, i)) / 2.0), 0.0)
+            except OverflowError:
+                raise NetworkSpecError(
+                    f"link {u}->rx{i} has a power beyond the float range"
+                ) from None
     return _with_levels(FiniteSnrSpec(nominal_power, gains, powers), net)

@@ -605,7 +605,7 @@ def test_gap_report_nonnegative_and_shrinking(pimac_optimal):
     ratios = []
     for p in (1e2, 1e4, 1e6):
         fs = finite_snr_from_network(pimac_optimal, p)
-        rep = gap_report(fs, sample_vertices=16)
+        rep = gap_report(fs)
         assert all(bg.gap_bits >= -1e-9 for bg in rep.per_bound)
         ratios.append(rep.max_gap_bits / math.log2(p))
     assert ratios[0] > ratios[1] > ratios[2]
@@ -626,7 +626,7 @@ def test_gap_report_uses_every_corner():
         b.rhs_bits - max(sum(r[u] for u in b.users) for r in corner_rates)
         for b in outer_bound_rates(fs)
     )
-    rep = gap_report(fs, sample_vertices=16)
+    rep = gap_report(fs)
     assert rep.corners_used == len(corners)
     assert rep.max_gap_bits == pytest.approx(expected, abs=RATE_TOL_BITS)
 
@@ -700,7 +700,7 @@ def test_zero_interference_gap_within_mac_slack():
     # single-cell decoding slack
     net = pimac("0.5", "1.0", "0.7", "0", "0", "0")
     fs = finite_snr_from_network(net, 100.0)
-    rep = gap_report(fs, sample_vertices=16)
+    rep = gap_report(fs)
     for bg in rep.per_bound:
         if bg.bound.kind != "cell":
             continue

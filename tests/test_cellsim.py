@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,8 @@ from tin_gdof import cellsim, conditions
 from tin_gdof.cellsim import (
     LEVEL_DIGITS,
     LEVEL_REFERENCE_DB,
+    NOISE_FLOOR_DBM,
+    TX_POWER_DBM,
     ScenarioParams,
     estimate_probabilities,
     path_loss_db,
@@ -164,9 +167,7 @@ def _rng(p: ScenarioParams, trial_index: int) -> np.random.Generator:
 
 
 def _level(p: ScenarioParams, distance_m: float):
-    margin_db = p.tx_power_dbm - path_loss_db(
-        distance_m / 1000.0, p.pathloss_a, p.pathloss_b
-    ) - p.noise_floor_dbm
+    margin_db = TX_POWER_DBM - path_loss_db(distance_m / 1000.0) - NOISE_FLOOR_DBM
     return rationalize(max(0.0, margin_db) / LEVEL_REFERENCE_DB, LEVEL_DIGITS)
 
 
@@ -258,3 +259,22 @@ def test_estimate_probabilities_never_builds_a_network(monkeypatch):
         pt = estimate_probabilities(params(geometry=geometry, cells=cells, site_radius_m=80.0))
         assert 0 <= pt.p_optimality <= pt.p_convexity <= 1
         assert math.isfinite(pt.ci95_halfwidth)
+
+
+def test_trial_keys_do_not_collide():
+    # A key list holding a word of 2**63 or more would pass through float64
+    # and give each pair below one stream, with a RuntimeWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in ((-1, -2), (-2, -3), (2**63 + 1, 2**63 + 2)):
+            draws_a = cellsim._rng(params(seed=a), 0).random(4)
+            draws_b = cellsim._rng(params(seed=b), 0).random(4)
+            assert not np.array_equal(draws_a, draws_b), (a, b)
+
+
+def test_trial_key_words_are_seed_and_trial():
+    for seed, trial in ((0, 0), (7, 3), (2**40 + 17, 5), (2**63 - 1, 2**32)):
+        key = np.array([seed, trial], dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key)).random(4)
+        got = cellsim._rng(params(seed=seed), trial).random(4)
+        assert np.array_equal(got, want), (seed, trial)

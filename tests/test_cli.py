@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -273,6 +274,9 @@ MALFORMED = {
     "non-numeric-alpha": lambda doc: _set_first(doc["alpha"], "x"),
     "list-alpha": lambda doc: _set_first(doc["alpha"], [1]),
     "non-numeric-gain": lambda doc: _set_first(doc["finite_snr"]["gains"], "z"),
+    "duplicate-tx-power": lambda doc: doc["finite_snr"]["tx_powers"].append(
+        {"cell": 1, "slot": 1, "value": 5.0}
+    ),
 }
 
 
@@ -306,14 +310,25 @@ def test_gap_report(optimal_path):
     assert all(b["gap_bits"] >= -1e-9 for b in data["per_bound"])
 
 
-def test_gap_report_corners_is_deprecated(optimal_path):
-    plain = run_cli("gap-report", "--network", optimal_path, "--snr", "10000")
+def test_gap_report_rejects_corners(optimal_path):
     capped = run_cli("gap-report", "--network", optimal_path, "--snr", "10000", "--corners", "2")
-    assert capped.returncode == 0 and capped.stdout == plain.stdout
-    assert capped.stderr.splitlines() == [
-        "note: --corners is deprecated and ignored; every corner is used"
+    assert capped.returncode == 2 and capped.stdout == ""
+    assert "No such option '--corners'" in capped.stderr
+
+
+@pytest.mark.parametrize("command", ["outer-bound", "gap-report"])
+def test_link_power_overflow_is_one_line_error(tmp_path, command):
+    # Without the block, --snr 1e250 synthesizes |h|^2 = 1e375 for the 1.5 link.
+    doc = json.loads(EXAMPLE.read_text())
+    del doc["finite_snr"]
+    path = tmp_path / "no-block.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli(command, "--network", str(path), "--snr", "1e250")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: link u(1,2)->rx1 has a power beyond the float range"
     ]
-    assert plain.stderr == ""
+    assert run_cli(command, "--network", str(path), "--snr", "1e200").returncode == 0
 
 
 def test_simulate_csv():
@@ -356,6 +371,17 @@ def test_simulate_deterministic():
     assert run_cli(*args).stdout == run_cli(*args).stdout
 
 
+def test_docs_headings_list_every_option():
+    # Each "### `sub ...`" heading of docs/cli.md names exactly the options of
+    # that subcommand, and every subcommand has one.
+    text = (EXAMPLE.parent / "cli.md").read_text()
+    headings = re.findall(r"^### `([\w-]+)([^`]*)`", text, flags=re.MULTILINE)
+    assert {name for name, _ in headings} == set(cli.cli.commands)
+    for name, synopsis in headings:
+        options = {opt for p in cli.cli.commands[name].params for opt in p.opts}
+        assert set(re.findall(r"--[\w-]+", synopsis)) == options, name
+
+
 def test_oracle_verify():
     proc = run_cli("oracle-verify", "--instances", "40", "--seed", "5")
     assert proc.returncode == 0
@@ -378,6 +404,12 @@ BAD_ARGUMENTS = {
     "outer-bound-snr-inf": ["outer-bound", "--snr", "inf"],
     "gap-report-snr-overflow": ["gap-report", "--snr", "1e400"],
     "gap-report-snr-nan": ["gap-report", "--snr", "nan"],
+    "membership-subnetwork-without-order": [
+        "membership", "--d", "0.2,0.5,1.0", "--subnetwork", "1.1"
+    ],
+    "simulate-linear-cells": [
+        "simulate", "--geometry", "linear", "--r", "100", "--L", "1", "--cells", "3"
+    ],
 }
 
 

@@ -97,6 +97,37 @@ def test_partition_examples(pimac_optimal):
         outer_bound_user_partition(pimac_optimal, 1, 1, 2)
 
 
+def _three_user_cell(cross_12):
+    """Cell 1: directs 21/10, 11/5, 11/5 with cross levels 11/10, ``cross_12``,
+    1/5 toward cell 2; user 2.1: direct 29/10, cross level 1/2 toward cell 1."""
+    levels = {
+        (User(1, 1), 1): Fraction(21, 10), (User(1, 1), 2): Fraction(11, 10),
+        (User(1, 2), 1): Fraction(11, 5), (User(1, 2), 2): cross_12,
+        (User(1, 3), 1): Fraction(11, 5), (User(1, 3), 2): Fraction(1, 5),
+        (User(2, 1), 2): Fraction(29, 10), (User(2, 1), 1): Fraction(1, 2),
+    }
+    return NetworkSpec.from_alpha(2, [3, 1], levels)
+
+
+def test_partition_chain_inequality(monkeypatch):
+    # The top user's margin 11/5 - 1/5 = 2 clears neither weaker direct, so
+    # slots 1 and 2 are primed and the chain pair (1, 2) is checked:
+    # 2 >= 21/10 - 11/10 + cross_12.
+    net = _three_user_cell(Fraction(3, 5))
+    assert evaluate_conditions(net).optimality_holds
+    part = outer_bound_user_partition(net, 1, 2, 3)
+    assert part.double_primed == frozenset()
+    assert part.primed == {1, 2, 3}
+
+    # Past the optimality conditions the chain can be tight or fail; claim
+    # they hold to reach the check itself.
+    holds = ConditionReport(True, True, ())
+    monkeypatch.setattr(conditions, "evaluate_conditions", lambda net: holds)
+    assert outer_bound_user_partition(_three_user_cell(Fraction(1)), 1, 2, 3).primed == {1, 2, 3}
+    with pytest.raises(TinGdofError, match=r"cell 1 slots \(1,2\) toward cell 2"):
+        outer_bound_user_partition(_three_user_cell(Fraction(11, 10)), 1, 2, 3)
+
+
 def test_classify_pimac_regimes(pimac_optimal, pimac_convex_only, pimac_nonconvex):
     regime = classify_pimac(pimac_optimal)
     assert regime.label is PimacRegimeLabel.A_O_PRIME

@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tin_gdof.errors import NetworkSpecError
+from tin_gdof.sampling import finite_snr_from_network
 from tin_gdof.model import (
     DecodingOrder,
     FiniteSnrSpec,
     NetworkSpec,
     User,
     enumerate_orders,
+    finite_snr_from_document,
     load_network,
     rationalize,
     strength_levels,
@@ -113,6 +115,38 @@ def test_duplicate_entry_rejected(tmp_path):
     }
     with pytest.raises(NetworkSpecError, match="duplicate"):
         load_network(write_network(tmp_path, doc))
+
+
+@pytest.mark.parametrize("block", ["gains", "tx_powers"])
+def test_duplicate_finite_snr_record_rejected(block):
+    doc = {
+        "cells": 1,
+        "users_per_cell": [1],
+        "alpha": alpha_records({(1, 1, 1): 1.0}),
+        "finite_snr": {
+            "nominal_power": 100.0,
+            "gains": alpha_records({(1, 1, 1): 10.0}),
+            "tx_powers": [{"cell": 1, "slot": 1, "value": 1.0}],
+        },
+    }
+    records = doc["finite_snr"][block]
+    records.append(dict(records[0], value=5.0))
+    with pytest.raises(NetworkSpecError, match=rf"{block}\[1\]: duplicate entry"):
+        finite_snr_from_document(doc)
+
+
+def test_link_power_beyond_float_range_names_the_link():
+    for gain, power in ((1e200, 1.0), (1e150, 1e10)):
+        fs = FiniteSnrSpec(100.0, {(User(1, 1), 1): complex(gain)}, {User(1, 1): power})
+        with pytest.raises(NetworkSpecError, match=r"link u\(1,1\)->rx1"):
+            fs.link_power(User(1, 1), 1)
+
+
+def test_synthesized_gain_beyond_float_range_names_the_link():
+    # The gain P^(level/2) = 1e375 overflows before any link power is formed.
+    net = NetworkSpec.from_alpha(1, [1], {(User(1, 1), 1): Fraction(3)})
+    with pytest.raises(NetworkSpecError, match=r"link u\(1,1\)->rx1"):
+        finite_snr_from_network(net, 1e250)
 
 
 def single_link_fs(p, link_power):

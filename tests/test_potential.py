@@ -214,6 +214,23 @@ def test_single_user_oracle_reduces_to_cap():
     assert not all_circuits_region_oracle(net, order, GdofTuple({User(1, 1): Fraction(1)}))
 
 
+def test_simple_circuits_each_once_with_their_lengths():
+    rng = random.Random(16)
+    for _ in range(20):
+        net = random_network(rng)
+        g = build_potential_graph(net, random_order(rng, net), None, random_gdof_tuple(rng, net))
+        n = len(g.vertices)
+        circuits = list(iter_simple_circuits(g))
+        assert len(circuits) == sum(
+            math.comb(n, m) * math.factorial(m - 1) for m in range(2, n + 1)
+        )
+        assert len({frozenset(zip(c.vertices, c.vertices[1:] + c.vertices[:1]))
+                    for c in circuits}) == len(circuits)
+        for c in circuits:
+            cycle = c.vertices
+            assert c.length == sum(g.length(cycle[i - 1], cycle[i]) for i in range(len(cycle)))
+
+
 def test_circuit_enumeration_guard():
     alpha = {}
     for l in range(1, 10):
