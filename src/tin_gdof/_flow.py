@@ -13,15 +13,16 @@ are deterministic.
 from __future__ import annotations
 
 import heapq
+from typing import Sequence
 
 from .errors import TinGdofError
 
 
 def min_cost_flow(
     n: int,
-    arcs: list[tuple[int, int, int]],
-    supply: list[int],
-    potential: list[int],
+    arcs: Sequence[tuple[int, int, int]],
+    supply: Sequence[int],
+    potential: Sequence[int],
 ) -> tuple[int, list[int]]:
     """Minimum cost of routing ``supply`` over the uncapacitated ``arcs``.
 

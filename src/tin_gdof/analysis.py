@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import _flow, _lp
 from .conditions import evaluate_conditions
@@ -118,6 +118,17 @@ def general_membership(net: NetworkSpec, d: GdofTuple) -> GeneralMembership:
     orders of that subnetwork; a tuple achievable with any strategy is also
     achievable with its zero users switched off.  The all-zero tuple has one
     such order, the empty one, and every user off.
+
+    When the network meets the convexity conditions, the first order, the
+    identity order of the support S, decides alone.  By the paper's
+    convexity theorem every fixed-order region of every subnetwork lies in
+    the identity-order region P of the full network, so an achievable d is
+    in P.  Each bound of the identity-order region P_S of S has the same
+    tops, and so the same rhs, as a bound of P whose user set adds only
+    users outside S, where d is 0.  Hence P ∩ {supp d ⊆ S} ⊆ P_S: d is
+    achievable iff it passes the identity order of S.  Members get the same
+    witness as from the full scan; non-members cost one Bellman-Ford pass
+    instead of prod_i |S_i|!.  Other networks scan every order.
     """
     support = d.support()
     unknown = support - set(net.users)
@@ -129,6 +140,8 @@ def general_membership(net: NetworkSpec, d: GdofTuple) -> GeneralMembership:
         try:
             alloc = recover_power_allocation(g, off)
         except InfeasibleAllocationError:
+            if net.convexity_holds:
+                break
             continue
         return GeneralMembership(True, MembershipWitness(order, support, alloc))
     return GeneralMembership(False)
@@ -166,23 +179,29 @@ class WeightedOptimum:
     argmax: GdofTuple
 
 
-def _max_weighted_by_flow(
-    net: NetworkSpec, order: DecodingOrder, s: Subnetwork, weights: Mapping
-) -> tuple[Fraction, dict[User, Fraction]]:
-    """Weighted sum-GDoF of a fixed-order region as an integer min-cost flow.
+class FlowNetwork(NamedTuple):
+    """The weight-independent part of a region's min-cost-flow problem.
 
-    By the potential theorem, the region is {d >= 0 : some pi has
-    pi_v - pi_u + d_u <= c_uv on every edge out of a user u and
-    pi_v - pi_ground <= 0 on every ground edge}, with c the edge lengths of
-    the potential graph at d = 0.  The LP dual of max sum w_u d_u over it is
-    a min-cost circulation f >= 0 on the same edges in which each user's
-    out-flow is at least w_u.  Each user is split into ``in -> out`` with
-    that lower bound, shifted into a supply w_u at ``out`` and a demand w_u
-    at ``in``.  Lengths are scaled to integers by the levels' common
-    denominator ``den``, weights by theirs, ``den_w``.  The start potentials
-    are the ground distances of the d = 0 graph; a negative circuit there
-    means the region is empty.  Optimal potentials give the argmax
-    d_u = (p(in) - p(out)) / den, the reduced cost of u's split arc.
+    ``users`` are the active users; user ``users[i]`` is split into nodes
+    ``2i + 1`` (in) and ``2i + 2`` (out), and node 0 is ground.  ``arcs`` are
+    the potential-graph edges at d = 0 and the split arcs, with integer
+    costs over ``den``; ``potential`` gives each of them a nonnegative
+    reduced cost.
+    """
+
+    den: int
+    users: tuple[User, ...]
+    arcs: tuple[tuple[int, int, int], ...]
+    potential: tuple[int, ...]
+
+
+def flow_network(net: NetworkSpec, order: DecodingOrder, s: Subnetwork) -> FlowNetwork:
+    """The ``FlowNetwork`` of the fixed-order region of ``s`` under ``order``.
+
+    Built from the potential graph at d = 0; its ground distances are the
+    start potentials, and a negative circuit there means the region is
+    empty.  ``PolyRegion.flow_network`` keeps it, so repeated solves over
+    one region build it once.
     """
     g = build_potential_graph(net, order, s)
     try:
@@ -191,7 +210,6 @@ def _max_weighted_by_flow(
         raise EmptyRegionError(f"region is empty: {exc}") from None
     den = net.integer_levels[0]
     users = g.vertices[1:]
-    den_w = math.lcm(*(weights.get(u, Fraction(0)).denominator for u in users))
     node_in = {GROUND: 0, **{u: 2 * i + 1 for i, u in enumerate(users)}}
     node_out = {GROUND: 0, **{u: 2 * i + 2 for i, u in enumerate(users)}}
     arcs = [
@@ -199,37 +217,48 @@ def _max_weighted_by_flow(
         for e in g.edges
     ]
     arcs += [(node_in[u], node_out[u], 0) for u in users]
-    supply = [0] * (2 * len(users) + 1)
-    potential = [0] * len(supply)
+    potential = [0]
     for u in users:
-        w = int(weights.get(u, Fraction(0)) * den_w)
-        supply[node_out[u]], supply[node_in[u]] = w, -w
-        potential[node_in[u]] = potential[node_out[u]] = (
-            start[u].numerator * (den // start[u].denominator)
-        )
-    cost, p = _flow.min_cost_flow(len(supply), arcs, supply, potential)
-    value = Fraction(cost, den * den_w)
-    d = {u: Fraction(p[node_in[u]] - p[node_out[u]], den) for u in users}
-    # Equal primal and dual objectives certify that both are optimal.
-    if sum(weights.get(u, Fraction(0)) * d[u] for u in users) != value:
-        raise TinGdofError("min-cost flow potentials do not attain the flow cost")
-    return value, d
+        potential += [start[u].numerator * (den // start[u].denominator)] * 2
+    return FlowNetwork(den, users, tuple(arcs), tuple(potential))
 
 
 def max_weighted_gdof(region: PolyRegion, weights: Mapping) -> WeightedOptimum:
     """Exact maximum of a nonnegative-weighted GDoF sum over the region.
 
     Solved as an integer min-cost flow on the potential graph of the
-    region's ``source``, without building its inequality list; the argmax is
-    an optimal tuple read from the flow potentials.  Raises
-    ``EmptyRegionError`` when the region is empty.
+    region's ``source``, without building its inequality list.  By the
+    potential theorem, the region is {d >= 0 : some pi has
+    pi_v - pi_u + d_u <= c_uv on every edge out of a user u and
+    pi_v - pi_ground <= 0 on every ground edge}, with c the edge lengths of
+    the potential graph at d = 0.  The LP dual of max sum w_u d_u over it is
+    a min-cost circulation f >= 0 on the same edges in which each user's
+    out-flow is at least w_u.  Each user is split into ``in -> out`` with
+    that lower bound, shifted into a supply w_u at ``out`` and a demand w_u
+    at ``in``.  Lengths are scaled to integers by the levels' common
+    denominator ``den``, weights by theirs, ``den_w``.  The arcs and start
+    potentials are the region's ``flow_network``, built on its first solve.
+    Optimal potentials give the argmax d_u = (p(in) - p(out)) / den, the
+    reduced cost of u's split arc.  Raises ``EmptyRegionError`` when the
+    region is empty.
     """
     weights = {User(*u): Fraction(w) for u, w in weights.items()}
     if any(w < 0 for w in weights.values()):
         raise ValueError("weights must be nonnegative")
-    value, x = _max_weighted_by_flow(*region.source, weights)
+    den, users, arcs, potential = region.flow_network
+    w = [weights.get(u, Fraction(0)) for u in users]
+    den_w = math.lcm(*(x.denominator for x in w))
+    supply = [0] * len(potential)
+    for i, x in enumerate(w):
+        supply[2 * i + 2] = int(x * den_w)
+        supply[2 * i + 1] = -supply[2 * i + 2]
+    cost, p = _flow.min_cost_flow(len(supply), arcs, supply, potential)
+    value = Fraction(cost, den * den_w)
     d = {u: Fraction(0) for u in region.dim_users}
-    d.update(x)
+    d.update((u, Fraction(p[2 * i + 1] - p[2 * i + 2], den)) for i, u in enumerate(users))
+    # Equal primal and dual objectives certify that both are optimal.
+    if sum(x * d[u] for x, u in zip(w, users)) != value:
+        raise TinGdofError("min-cost flow potentials do not attain the flow cost")
     return WeightedOptimum(value, GdofTuple(d))
 
 

@@ -87,11 +87,35 @@ class ScenarioParams:
             raise NetworkSpecError("circular geometry needs at least 2 cells")
 
 
+_WORD = 2**64 - 1
+
+
+def _trial_rngs(seed: int):
+    """The function from a trial index to the generator of that trial.
+
+    Every trial's generator is Philox keyed by the words (seed, trial)
+    mod 2**64, at counter 0.  One Philox serves all trials: each call
+    writes the trial's key into a saved fresh state, with a zero counter
+    and an empty buffer, so its draws are those of a newly keyed Philox
+    without the cost of building one.  Every call returns the same
+    generator, so it serves one trial at a time.
+    """
+    bits = np.random.Philox(key=seed & _WORD)
+    gen = np.random.Generator(bits)
+    state = bits.state
+    key = state["state"]["key"]
+
+    def rng(trial_index: int) -> np.random.Generator:
+        key[1] = trial_index & _WORD
+        bits.state = state
+        return gen
+
+    return rng
+
+
 def _rng(p: ScenarioParams, trial_index: int) -> np.random.Generator:
-    """Philox keyed by the 128-bit int with words (seed, trial) mod 2**64; a
-    list key would pass through float64 and merge negative seeds."""
-    key = (p.seed & (2**64 - 1)) | ((trial_index & (2**64 - 1)) << 64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """The generator of one trial, as ``_trial_rngs`` keys it."""
+    return _trial_rngs(p.seed)(trial_index)
 
 
 def _level(distance_m: float) -> int:
@@ -108,8 +132,8 @@ def _uniform(a: float, b: float, u: float) -> float:
     return a + (b - a) * u
 
 
-def _sample_levels(p: ScenarioParams, trial_index: int):
-    """Levels of one random user placement as an integer table.
+def _sample_levels(p: ScenarioParams, rng: np.random.Generator):
+    """Levels of one random user placement, drawn from ``rng``, as an integer table.
 
     Returns ``(lv, provenance)``: ``lv[k][l][i]`` is the level of slot
     ``l + 1`` of cell ``k + 1`` at the receiver of cell ``i + 1``, over
@@ -125,7 +149,7 @@ def _sample_levels(p: ScenarioParams, trial_index: int):
     if p.geometry == "linear":
         # Site 1 at 0 facing right, site 2 at 2r facing left; both sectors
         # cover (0, r) resp. (r, 2r), users keep r0 clear of their site.
-        u = _rng(p, trial_index).random(2 * n).tolist()
+        u = rng.random(2 * n).tolist()
         near, far = [], []
         for slot in range(n):
             x = _uniform(r0, r, u[2 * slot])
@@ -141,7 +165,7 @@ def _sample_levels(p: ScenarioParams, trial_index: int):
         [i for i in range(cells) if min(abs(k - i), cells - abs(k - i)) <= 1]
         for k in range(cells)
     ]
-    u = _rng(p, trial_index).random(2 * cells * n).tolist()
+    u = rng.random(2 * cells * n).tolist()
     table = []
     for k in range(cells):
         rows = []
@@ -175,7 +199,7 @@ def _sorted_by_direct(table):
 
 def sample_network(p: ScenarioParams, trial_index: int) -> NetworkSpec:
     """Draw one random user placement and return its strength-level network."""
-    lv, provenance = _sample_levels(p, trial_index)
+    lv, provenance = _sample_levels(p, _rng(p, trial_index))
     cells = len(lv)
     alpha = {
         (User(k, l), i): Fraction(level, _LEVEL_SCALE)
@@ -217,9 +241,10 @@ def estimate_probabilities(p: ScenarioParams) -> ProbabilityPoint:
     built.  A trial where the optimality pair holds but the convexity pair
     does not would be a bug, and ``condition_flags`` raises on it.
     """
+    rngs = _trial_rngs(p.seed)
     conv = opt = 0
     for trial in range(p.trials):
-        convexity, optimality = condition_flags(_sample_levels(p, trial)[0])
+        convexity, optimality = condition_flags(_sample_levels(p, rngs(trial))[0])
         conv += convexity
         opt += optimality
     pc, po = conv / p.trials, opt / p.trials

@@ -176,6 +176,13 @@ class NetworkSpec:
             lv[k - 1][l - 1][i - 1] = v.numerator * (den // v.denominator)
         return den, tuple(tuple(map(tuple, cell)) for cell in lv)
 
+    @cached_property
+    def convexity_holds(self) -> bool:
+        """Whether the convexity conditions hold, checked once, on first access."""
+        from .conditions import condition_flags  # conditions imports this module
+
+        return condition_flags(self.integer_levels[1])[0]
+
     @property
     def users(self) -> tuple[User, ...]:
         """All users, in canonical (cell, slot) order."""

@@ -138,6 +138,14 @@ class PolyRegion:
             for index in bound_indices(net, order, s)
         )
 
+    @cached_property
+    def flow_network(self):
+        """``analysis.flow_network`` of the source, built on the first
+        ``max_weighted_gdof`` solve and shared by every later one."""
+        from .analysis import flow_network  # analysis imports this module
+
+        return flow_network(*self.source)
+
     def active_users(self) -> tuple[User, ...]:
         return tuple(u for u in self.dim_users if u not in self.forced_zero)
 

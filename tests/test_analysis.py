@@ -1,16 +1,22 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import pimac
-from tin_gdof import _lp, regions
+from tin_gdof import _lp, analysis, conditions, regions
 from tin_gdof.analysis import (
     RATE_TOL_BITS,
+    GeneralMembership,
+    MembershipWitness,
     _system,
     achievable_gdof,
     achievable_rates,
@@ -41,6 +47,7 @@ from tin_gdof.regions import GdofTuple, membership, polyhedral_region
 from tin_gdof.sampling import (
     finite_snr_from_network,
     random_convexity_network,
+    random_gdof_tuple,
     random_grid_allocation,
     random_network,
     random_optimality_network,
@@ -107,6 +114,123 @@ def test_general_membership_scaled_tuple_not_member(pimac_nonconvex):
     assert not pimac_grid_oracle_reachable(net, scaled)
     # sanity: the unscaled tuple is reachable on the same grid
     assert pimac_grid_oracle_reachable(net, base)
+
+
+def full_scan_membership(net, d):
+    """General membership by scanning every decode order of the support,
+    without the convexity shortcut."""
+    support = d.support()
+    off = frozenset(net.full_subnetwork - support)
+    for order in enumerate_orders(net, support):
+        g = build_potential_graph(net, order, support, d)
+        if feasible_by_negative_cycle(g):
+            alloc = recover_power_allocation(g, off)
+            return GeneralMembership(True, MembershipWitness(order, support, alloc))
+    return GeneralMembership(False)
+
+
+def convexity_queries(rng, net):
+    """An achievable tuple, the same scaled by 11/10 with its zeros raised
+    to 1/2 (mostly a non-member), and a random lattice tuple."""
+    order = random_order(rng, net)
+    alloc = random_grid_allocation(rng, net, Fraction(1, 20), -1)
+    achievable = GdofTuple(achievable_gdof(net, order, alloc))
+    raised = GdofTuple(
+        {u: v * Fraction(11, 10) if v else Fraction(1, 2) for u, v in achievable.d.items()}
+    )
+    return achievable, raised, random_gdof_tuple(rng, net)
+
+
+def test_general_membership_shortcut_matches_full_scan():
+    rng = random.Random(41)
+    shapes = [[1, 2], [2, 2], [3, 1], [1, 2, 3], [2, 2, 2], [3, 3, 3]]
+    members = nonmembers = full_3x3 = 0
+    for i in range(24):
+        shape = shapes[i % len(shapes)]
+        net = random_convexity_network(rng, cells=len(shape), users_per_cell=shape)
+        for d in convexity_queries(rng, net):
+            got, want = general_membership(net, d), full_scan_membership(net, d)
+            assert got == want, (net, d)
+            if got.member:
+                members += 1
+                ceil = achievable_gdof(net, got.witness.order, got.witness.allocation)
+                assert all(ceil[u] >= d[u] for u in net.users)
+            else:
+                nonmembers += 1
+                full_3x3 += shape == [3, 3, 3] and len(d.support()) == 9
+    assert members > 20 and nonmembers > 20 and full_3x3 >= 4
+
+
+def test_convexity_is_checked_once_per_network(
+    monkeypatch, pimac_optimal, pimac_convex_only, pimac_nonconvex
+):
+    calls = []
+    original = conditions.condition_flags
+
+    def counting(lv):
+        calls.append(lv)
+        return original(lv)
+
+    monkeypatch.setattr(conditions, "condition_flags", counting)
+    nets = [pimac_optimal, pimac_convex_only, pimac_nonconvex]
+    assert calls == []  # not at construction
+    for i in range(4):
+        for net in nets:
+            for scale in (2, 3):
+                d = GdofTuple({u: scale * net.direct(u) for u in net.users})
+                assert not general_membership(net, d).member
+            assert len(calls) == (len(nets) if i else nets.index(net) + 1)
+    assert [net.convexity_holds for net in nets] == [True, True, False]
+    assert len(calls) == len(nets)
+
+
+SHORTCUT_UNDER_O = """
+import random
+import sys
+from fractions import Fraction
+
+from tin_gdof import potential
+from tin_gdof.analysis import general_membership
+from tin_gdof.conditions import evaluate_conditions
+from tin_gdof.model import enumerate_orders
+from tin_gdof.regions import GdofTuple
+from tin_gdof.sampling import random_convexity_network, random_network
+
+if __debug__:
+    sys.exit("expected python -O")
+
+passes = []
+original = potential._bellman_ford
+potential._bellman_ford = lambda g: passes.append(g) or original(g)
+rng = random.Random(43)
+nets = [random_convexity_network(rng, cells=3, users_per_cell=[2, 2, 2])]
+nets += [random_network(rng, cells=2, users_per_cell=[3, 2]) for _ in range(6)]
+seen = set()
+for net in nets:
+    convex = evaluate_conditions(net).convexity_holds
+    passes.clear()
+    if general_membership(net, GdofTuple({u: Fraction(5) for u in net.users})).member:
+        sys.exit("a tuple above every level is a member")
+    want = 1 if convex else len(list(enumerate_orders(net)))
+    if len(passes) != want:
+        sys.exit(f"{len(passes)} passes, expected {want}")
+    seen.add(convex)
+if seen != {True, False}:
+    sys.exit(f"only networks with convexity {seen}")
+"""
+
+
+def test_general_membership_pass_counts_under_python_O():
+    # One pass on a convexity network, every order elsewhere, in a fresh
+    # ``python -O`` process, where no ``assert`` of the code runs.
+    src = str(Path(regions.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", SHORTCUT_UNDER_O],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_max_weighted_zero_weights(pimac_nonconvex):
@@ -272,6 +396,29 @@ def test_max_weighted_gdof_never_builds_the_inequality_list(monkeypatch, pimac_o
     monkeypatch.setattr(regions, "bound_indices", refuse)
     assert max_weighted_gdof(reg, weights).value == Fraction(19, 10)
     assert max_weighted_gdof(gdof_outer_bound(net), weights).value == Fraction(19, 10)
+
+
+def test_flow_network_is_built_once_per_region(monkeypatch, pimac_optimal):
+    net = pimac_optimal
+    built = []
+    original = analysis.build_potential_graph
+
+    def counting(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(analysis, "build_potential_graph", counting)
+    regs = [polyhedral_region(net, DecodingOrder.identity(net)), gdof_outer_bound(net)]
+    rng = random.Random(44)
+    for _ in range(5):
+        for reg in regs:
+            weights = {u: Fraction(rng.randint(0, 8), 4) for u in net.users}
+            fresh = polyhedral_region(*reg.source)
+            assert max_weighted_gdof(reg, weights) == max_weighted_gdof(fresh, weights)
+    assert len(built) == 2 + 5 * 2
+    assert [reg.flow_network for reg in regs] == [
+        analysis.flow_network(*reg.source) for reg in regs
+    ]
 
 
 def _networkx_flow_value(net, order, weights):

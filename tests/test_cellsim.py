@@ -278,3 +278,35 @@ def test_trial_key_words_are_seed_and_trial():
         want = np.random.Generator(np.random.Philox(key=key)).random(4)
         got = cellsim._rng(params(seed=seed), trial).random(4)
         assert np.array_equal(got, want), (seed, trial)
+
+
+def test_reused_philox_draws_as_a_freshly_keyed_one():
+    # One generator serves every trial; after any partial draw, re-keying
+    # gives the draws of a Philox newly keyed with (seed, trial).
+    for seed in (-1, 0, 2**63 + 1):
+        rngs = cellsim._trial_rngs(seed)
+        for trial in (0, 2**64 - 1, 0, 5, 2**64 - 1):
+            fresh = np.random.Generator(
+                np.random.Philox(key=np.array([seed % 2**64, trial], dtype=np.uint64))
+            )
+            gen = rngs(trial)
+            assert np.array_equal(gen.random(3), fresh.random(3)), (seed, trial)
+            assert gen.integers(2**32, dtype=np.uint32) == fresh.integers(2**32, dtype=np.uint32)
+            assert np.array_equal(gen.random(5), fresh.random(5)), (seed, trial)
+
+
+def test_estimate_probabilities_builds_one_philox(monkeypatch):
+    # Bit identity with fresh per-trial keys is checked through
+    # ``test_estimate_probabilities_equals_network_recount``.
+    built = []
+    original = np.random.Philox
+
+    def counting(*args, **kwargs):
+        built.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    for geometry, cells in (("linear", 2), ("circular", 4)):
+        built.clear()
+        estimate_probabilities(params(geometry=geometry, cells=cells, trials=30))
+        assert len(built) == 1

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 from tin_gdof import potential
-from tin_gdof.analysis import general_membership
+from tin_gdof.analysis import achievable_gdof, general_membership
+from tin_gdof.conditions import evaluate_conditions
 from tin_gdof.errors import GuardExceededError, InfeasibleAllocationError
 from tin_gdof.model import DecodingOrder, NetworkSpec, User, enumerate_orders
 from tin_gdof.potential import (
@@ -336,22 +337,32 @@ def test_one_relaxation_pass_per_decision(monkeypatch, pimac_nonconvex):
 
 
 def test_general_membership_runs_one_pass_per_order(monkeypatch):
-    # A member stops at its witness order; a non-member with full support
-    # scans every order, the product of |S_i|!.
+    # Where the convexity conditions fail, a member stops at its witness
+    # order and a non-member with full support scans every order, the
+    # product of |S_i|!.  Where they hold, every query takes one pass.
     rng = random.Random(17)
     passes = count_passes(monkeypatch)
-    members = 0
+    members = convex = full_scans = 0
     for _ in range(10):
         net = random_network(rng, max_cells=3, max_users=3)
+        convexity = evaluate_conditions(net).convexity_holds
+        convex += convexity
         above_every_level = GdofTuple({u: Fraction(5) for u in net.users})
-        for d in (random_gdof_tuple(rng, net), above_every_level):
+        full_power = PowerAllocation({u: 0 for u in net.users}, frozenset())
+        last_order = list(enumerate_orders(net))[-1]
+        achievable = GdofTuple(achievable_gdof(net, last_order, full_power))
+        for d in (random_gdof_tuple(rng, net), achievable, above_every_level):
             passes.clear()
             result = general_membership(net, d)
             orders = list(enumerate_orders(net, d.support()))
-            if result.member:
+            if convexity:
+                assert len(passes) == 1
+            elif result.member:
                 members += 1
                 assert len(passes) == orders.index(result.witness.order) + 1
             else:
                 assert len(passes) == len(orders)
-        assert len(passes) == math.prod(math.factorial(n) for n in net.users_per_cell)
-    assert members > 0
+        if not convexity:
+            assert len(passes) == math.prod(math.factorial(n) for n in net.users_per_cell)
+            full_scans += len(passes) > 1
+    assert members > 0 and 0 < convex < 10 and full_scans > 0
