@@ -33,10 +33,12 @@ from .model import (
     enumerate_orders,
 )
 from .potential import (
-    GROUND,
+    Circuit,
     PowerAllocation,
     build_potential_graph,
+    potential_skeleton,
     recover_power_allocation,
+    skeleton_distances,
 )
 from .regions import (
     GdofTuple,
@@ -198,29 +200,31 @@ class FlowNetwork(NamedTuple):
 def flow_network(net: NetworkSpec, order: DecodingOrder, s: Subnetwork) -> FlowNetwork:
     """The ``FlowNetwork`` of the fixed-order region of ``s`` under ``order``.
 
-    Built from the potential graph at d = 0; its ground distances are the
-    start potentials, and a negative circuit there means the region is
-    empty.  ``PolyRegion.flow_network`` keeps it, so repeated solves over
-    one region build it once.
+    The arcs are the edges of the region's ``potential_skeleton``, whose
+    lengths at d = 0 are already integers over ``den``, and the start
+    potentials are its ground distances from one integer pass of
+    ``skeleton_distances``; no ``Fraction`` is made.  A negative circuit
+    there means the region is empty.  ``PolyRegion.flow_network`` keeps the
+    result, so repeated solves over one region build it once.
     """
-    g = build_potential_graph(net, order, s)
-    try:
-        start = recover_power_allocation(g)
-    except InfeasibleAllocationError as exc:
-        raise EmptyRegionError(f"region is empty: {exc}") from None
-    den = net.integer_levels[0]
-    users = g.vertices[1:]
-    node_in = {GROUND: 0, **{u: 2 * i + 1 for i, u in enumerate(users)}}
-    node_out = {GROUND: 0, **{u: 2 * i + 2 for i, u in enumerate(users)}}
-    arcs = [
-        (node_out[e.tail], node_in[e.head], e.length.numerator * (den // e.length.denominator))
-        for e in g.edges
-    ]
-    arcs += [(node_in[u], node_out[u], 0) for u in users]
+    sk = potential_skeleton(net, order, s)
+    result = skeleton_distances(sk)
+    if isinstance(result, Circuit):
+        raise EmptyRegionError(
+            f"region is empty: no feasible power allocation: circuit {result.vertices} "
+            f"has length {result.length}"
+        )
+    _, dist = result
+    n = len(sk.vertices)
+    # Vertex i > 0 is user i - 1, split into nodes 2i - 1 (in) and 2i (out).
+    node_in = [0, *range(1, 2 * n - 1, 2)]
+    node_out = [0, *range(2, 2 * n - 1, 2)]
+    arcs = [(node_out[t], node_in[h], c) for t, h, c in sk.edges]
+    arcs += [(2 * i - 1, 2 * i, 0) for i in range(1, n)]
     potential = [0]
-    for u in users:
-        potential += [start[u].numerator * (den // start[u].denominator)] * 2
-    return FlowNetwork(den, users, tuple(arcs), tuple(potential))
+    for x in dist[1:]:
+        potential += [x, x]
+    return FlowNetwork(sk.den, sk.vertices[1:], tuple(arcs), tuple(potential))
 
 
 def max_weighted_gdof(region: PolyRegion, weights: Mapping) -> WeightedOptimum:
@@ -243,6 +247,9 @@ def max_weighted_gdof(region: PolyRegion, weights: Mapping) -> WeightedOptimum:
     region is empty.
     """
     weights = {User(*u): Fraction(w) for u, w in weights.items()}
+    unknown = weights.keys() - set(region.dim_users)
+    if unknown:
+        raise NetworkSpecError(f"weights index unknown users {sorted(unknown)}")
     if any(w < 0 for w in weights.values()):
         raise ValueError("weights must be nonnegative")
     den, users, arcs, potential = region.flow_network
@@ -471,19 +478,33 @@ def gap_report(fs: FiniteSnrSpec) -> GapReport:
     """Gap between the rate outer bound and rates achieved at region corners.
 
     Every corner of the fixed-identity-order region is realized through its
-    recovered power allocation and evaluated at finite SNR; each bound is
-    compared against the best corner for its user set.  All gaps must be
-    nonnegative (up to rate tolerance) on instances where the outer bound
-    applies.
+    ground-distance power allocation and evaluated at finite SNR; each bound
+    is compared against the best corner for its user set.  The region's
+    ``potential_skeleton`` is built once, and each corner costs one integer
+    pass of ``skeleton_distances``, which gives the allocation that
+    ``recover_power_allocation`` gives on the corner's potential graph.  All
+    gaps must be nonnegative (up to rate tolerance) on instances where the
+    outer bound applies.
     """
     bounds = outer_bound_rates(fs)  # also enforces the preconditions
     net, fs_sorted = fs.levels
     order = DecodingOrder.identity(net)
     corner_list = vertices(polyhedral_region(net, order))
+    skeleton = potential_skeleton(net, order)
+    users = skeleton.vertices[1:]
     corner_rates = []
     for d in corner_list:
-        g = build_potential_graph(net, order, None, d)
-        alloc = recover_power_allocation(g)
+        result = skeleton_distances(skeleton, d)
+        if isinstance(result, Circuit):
+            raise InfeasibleAllocationError(
+                f"region corner has no power allocation: circuit {result.vertices} "
+                f"has length {result.length}",
+                result,
+            )
+        den, dist = result
+        alloc = PowerAllocation(
+            {u: Fraction(x, den) for u, x in zip(users, dist[1:])}, frozenset()
+        )
         corner_rates.append(achievable_rates(fs_sorted, order, alloc))
     per_bound = []
     for bound in bounds:

@@ -17,16 +17,33 @@ The five edge families:
 where ``alpha_x`` is the direct level of x.  Which direction of an intra-cell
 pair is "forward" is fixed by the decode positions, never by comparing
 levels, so ties in levels cannot change the family.
+
+The graph has two forms.  ``build_potential_graph`` gives ``Edge`` objects
+with ``Fraction`` lengths, which ``feasible_by_negative_cycle`` and
+``recover_power_allocation`` relax in ``Fraction``: the readable form and
+the oracle, used by ``general_membership``, CLI ``membership --order`` and
+``oracle-verify``.  ``potential_skeleton`` gives the same edges, in the same
+order, as integers over ``NetworkSpec.integer_levels``' denominator, with d
+left out; ``skeleton_distances`` applies a tuple as one integer shift per
+tail user and relaxes on Python ints.  Region set-up uses the skeleton:
+``analysis.flow_network`` (the arcs and start potentials of
+``max_weighted_gdof``) and the corner loop of ``analysis.gap_report``, where
+``Fraction`` relaxation was most of the cost.  ``general_membership`` stays
+on the ``Fraction`` graph until the benchmark worker's memory is bounded
+(ROADMAP item 1): routed through the skeleton, it answered about four times
+as many queries, and the worker, which keeps every latency, grew past the
+benchmark's memory bound.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .errors import GuardExceededError, InfeasibleAllocationError, NetworkSpecError, TinGdofError
 from .model import DecodingOrder, NetworkSpec, Subnetwork, User
@@ -234,6 +251,109 @@ def recover_power_allocation(g: PotentialGraph, off: frozenset = frozenset()) ->
             result,
         )
     return PowerAllocation({v: result[v] for v in g.vertices if v != GROUND}, off)
+
+
+class PotentialSkeleton(NamedTuple):
+    """The potential graph of a ``(net, order, s)`` over integers, d left out.
+
+    ``vertices`` are ground, then the sorted active users, as in
+    ``build_potential_graph``.  ``edges`` are that function's edges, in its
+    order, each as ``(tail, head, length)``: vertex indices and the length
+    at d = 0, an integer over ``den``, the levels' common denominator.  A
+    tuple d lowers every edge out of a user u by d_u, and no edge out of
+    ground.
+    """
+
+    den: int
+    vertices: tuple[User, ...]
+    edges: tuple[tuple[int, int, int], ...]
+
+
+def potential_skeleton(
+    net: NetworkSpec, order: DecodingOrder, s: Subnetwork | None = None
+) -> PotentialSkeleton:
+    """Integer skeleton of ``build_potential_graph(net, order, s)``, built
+    from ``net.integer_levels``."""
+    s = net.full_subnetwork if s is None else net.validate_subnetwork(s)
+    order.validate(net, s)
+    den, lv = net.integer_levels
+    active = sorted(s)
+    index = {u: i for i, u in enumerate(active, 1)}
+
+    def level(u: User, rx: int) -> int:
+        return lv[u.cell - 1][u.slot - 1][rx - 1]
+
+    edges: list[tuple[int, int, int]] = []
+    for k in range(1, net.cells + 1):
+        seq = [User(k, slot) for slot in order.slots(k)]
+        for a, u in enumerate(seq):
+            for v in seq[a + 1:]:
+                edges.append((index[u], index[v], level(u, k)))
+                edges.append((index[v], index[u], level(v, k) - level(u, k)))
+    for u, v in itertools.permutations(active, 2):
+        if u.cell != v.cell:
+            edges.append((index[u], index[v], level(u, u.cell) - level(v, u.cell)))
+    for u in active:
+        edges.append((0, index[u], 0))
+        edges.append((index[u], 0, level(u, u.cell)))
+    return PotentialSkeleton(den, (GROUND, *active), tuple(edges))
+
+
+def skeleton_distances(
+    sk: PotentialSkeleton, d: GdofTuple | None = None
+) -> tuple[int, list[int]] | Circuit:
+    """Ground distances of the skeleton at ``d``, or a negative simple circuit.
+
+    Distances come back as ``(D, dist)``, where ``dist[i] / D`` is the
+    distance of ``sk.vertices[i]`` and D is the lcm of ``sk.den`` and the
+    denominators of d; each d_u enters as one integer shift of the edges
+    out of u.  The pass is ``_bellman_ford``'s, on Python ints: the same
+    edges in the same order and the same parent rule, so it finds the same
+    distances and the same circuit, whose length is summed again and
+    checked negative.  ``d`` must vanish outside the skeleton's users.
+    """
+    users = sk.vertices[1:]
+    if d is None:
+        den, edges = sk.den, sk.edges
+    else:
+        bad = d.support() - set(users)
+        if bad:
+            raise NetworkSpecError(f"GDoF tuple is nonzero on deactivated users {sorted(bad)}")
+        values = [d[u] for u in users]
+        den = math.lcm(sk.den, *(x.denominator for x in values))
+        scale = den // sk.den
+        shift = [0, *(x.numerator * (den // x.denominator) for x in values)]
+        edges = [(t, h, c * scale - shift[t]) for t, h, c in sk.edges]
+    n = len(sk.vertices)
+    dist: list[int | None] = [None] * n
+    dist[0] = 0
+    parent: list[tuple[int, int, int] | None] = [None] * n
+    for _ in range(n):
+        lowered = None
+        for e in edges:
+            dt = dist[e[0]]
+            if dt is None:
+                continue
+            cand = dt + e[2]
+            dh = dist[e[1]]
+            if dh is None or cand < dh:
+                dist[e[1]] = cand
+                parent[e[1]] = e
+                lowered = e[1]
+        if lowered is None:
+            return den, dist
+
+    # Round n lowered a distance: follow the parent chain until it repeats.
+    chain, v = [], lowered
+    while v not in chain:
+        chain.append(v)
+        v = parent[v][0]
+    cycle = chain[chain.index(v):][::-1]
+    length = Fraction(sum(parent[i][2] for i in cycle), den)
+    vertices = tuple(sk.vertices[i] for i in cycle)
+    if length >= 0:
+        raise TinGdofError(f"parent-graph cycle {vertices} has length {length} >= 0")
+    return Circuit(vertices, length)
 
 
 def iter_simple_circuits(g: PotentialGraph) -> Iterator[Circuit]:

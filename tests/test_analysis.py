@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from conftest import pimac
-from tin_gdof import _lp, analysis, conditions, regions
+from tin_gdof import _lp, analysis, conditions, potential, regions
 from tin_gdof.analysis import (
     RATE_TOL_BITS,
+    FlowNetwork,
     GeneralMembership,
     MembershipWitness,
     _system,
@@ -32,10 +33,18 @@ from tin_gdof.errors import (
     ConditionsNotMetError,
     EmptyRegionError,
     GuardExceededError,
+    InfeasibleAllocationError,
     NetworkSpecError,
     TinGdofError,
 )
-from tin_gdof.model import DecodingOrder, FiniteSnrSpec, NetworkSpec, User, enumerate_orders
+from tin_gdof.model import (
+    DecodingOrder,
+    FiniteSnrSpec,
+    NetworkSpec,
+    User,
+    enumerate_orders,
+    load_network,
+)
 from tin_gdof.potential import (
     GROUND,
     PowerAllocation,
@@ -239,6 +248,17 @@ def test_max_weighted_zero_weights(pimac_nonconvex):
     assert opt.value == 0
 
 
+def test_max_weighted_gdof_rejects_weights_on_unknown_users():
+    net = load_network(Path(__file__).resolve().parent.parent / "docs" / "example-network.json")
+    reg = polyhedral_region(net, DecodingOrder.identity(net))
+    with pytest.raises(NetworkSpecError, match=r"u\(9,9\)"):
+        max_weighted_gdof(reg, {User(9, 9): 5})
+    # A weight on a user the region forces to zero is allowed.
+    s = frozenset(net.users[1:])
+    sub = polyhedral_region(net, next(enumerate_orders(net, s)), s)
+    assert max_weighted_gdof(sub, {net.users[0]: 5}).value == 0
+
+
 def test_max_weighted_single_mac_sum():
     alpha = {(User(1, l), 1): Fraction(l, 2) for l in (1, 2, 3)}
     net = NetworkSpec.from_alpha(1, [3], alpha)
@@ -401,13 +421,13 @@ def test_max_weighted_gdof_never_builds_the_inequality_list(monkeypatch, pimac_o
 def test_flow_network_is_built_once_per_region(monkeypatch, pimac_optimal):
     net = pimac_optimal
     built = []
-    original = analysis.build_potential_graph
+    original = analysis.potential_skeleton
 
     def counting(*args):
         built.append(args)
         return original(*args)
 
-    monkeypatch.setattr(analysis, "build_potential_graph", counting)
+    monkeypatch.setattr(analysis, "potential_skeleton", counting)
     regs = [polyhedral_region(net, DecodingOrder.identity(net)), gdof_outer_bound(net)]
     rng = random.Random(44)
     for _ in range(5):
@@ -419,6 +439,63 @@ def test_flow_network_is_built_once_per_region(monkeypatch, pimac_optimal):
     assert [reg.flow_network for reg in regs] == [
         analysis.flow_network(*reg.source) for reg in regs
     ]
+
+
+def fraction_flow_network(net, order, s):
+    """``analysis.flow_network`` built from the ``Fraction`` potential graph
+    and its ``Fraction`` Bellman-Ford pass: the oracle for the skeleton."""
+    g = build_potential_graph(net, order, s)
+    try:
+        start = recover_power_allocation(g)
+    except InfeasibleAllocationError as exc:
+        raise EmptyRegionError(f"region is empty: {exc}") from None
+    den = net.integer_levels[0]
+    users = g.vertices[1:]
+    node_in = {GROUND: 0, **{u: 2 * i + 1 for i, u in enumerate(users)}}
+    node_out = {GROUND: 0, **{u: 2 * i + 2 for i, u in enumerate(users)}}
+    arcs = [
+        (node_out[e.tail], node_in[e.head], e.length.numerator * (den // e.length.denominator))
+        for e in g.edges
+    ]
+    arcs += [(node_in[u], node_out[u], 0) for u in users]
+    start_potential = [0]
+    for u in users:
+        start_potential += [start[u].numerator * (den // start[u].denominator)] * 2
+    return FlowNetwork(den, users, tuple(arcs), tuple(start_potential))
+
+
+def test_flow_network_matches_fraction_construction():
+    rng = random.Random(45)
+    nonempty = empty = 0
+    for i in range(200):
+        sample = random_optimality_network if i % 2 else random_network
+        net = sample(rng, cells=rng.randint(2, 6), denom=rng.choice([2, 3, 20]))
+        s = frozenset(u for u in net.users if rng.random() < 0.75)
+        order = random_order(rng, net, s)
+        try:
+            expected = fraction_flow_network(net, order, s)
+        except EmptyRegionError as exc:
+            empty += 1
+            with pytest.raises(EmptyRegionError) as info:
+                analysis.flow_network(net, order, s)
+            assert str(info.value) == str(exc)
+        else:
+            nonempty += 1
+            assert analysis.flow_network(net, order, s) == expected
+    assert nonempty > 100 and empty > 50
+
+
+def test_set_up_runs_no_fraction_relaxation(monkeypatch, pimac_optimal):
+    def refuse(*args):
+        raise AssertionError("a Fraction potential graph was built or relaxed")
+
+    monkeypatch.setattr(potential, "_bellman_ford", refuse)
+    monkeypatch.setattr(analysis, "build_potential_graph", refuse)
+    net = pimac_optimal
+    reg = polyhedral_region(net, DecodingOrder.identity(net))
+    assert max_weighted_gdof(reg, {u: 1 for u in net.users}).value == Fraction(19, 10)
+    rep = gap_report(finite_snr_from_network(net, 1e4))
+    assert rep.corners_used == len(vertices(reg)) > 1
 
 
 def _networkx_flow_value(net, order, weights):
@@ -776,6 +853,10 @@ def test_gap_report_uses_every_corner():
     rep = gap_report(fs)
     assert rep.corners_used == len(corners)
     assert rep.max_gap_bits == pytest.approx(expected, abs=RATE_TOL_BITS)
+    # Each corner gets the allocation of the Fraction pass, so the best
+    # achieved sums agree exactly.
+    for bg in rep.per_bound:
+        assert bg.achieved_sum == max(sum(r[u] for u in bg.bound.users) for r in corner_rates)
 
 
 def test_achievability_sweep_small():

@@ -10,17 +10,20 @@ import pytest
 from tin_gdof import potential
 from tin_gdof.analysis import achievable_gdof, general_membership
 from tin_gdof.conditions import evaluate_conditions
-from tin_gdof.errors import GuardExceededError, InfeasibleAllocationError
+from tin_gdof.errors import GuardExceededError, InfeasibleAllocationError, NetworkSpecError
 from tin_gdof.model import DecodingOrder, NetworkSpec, User, enumerate_orders
 from tin_gdof.potential import (
     GROUND,
+    Circuit,
     EdgeFamily,
     PowerAllocation,
     all_circuits_region_oracle,
     build_potential_graph,
     feasible_by_negative_cycle,
     iter_simple_circuits,
+    potential_skeleton,
     recover_power_allocation,
+    skeleton_distances,
 )
 from tin_gdof.regions import GdofTuple, membership, polyhedral_region
 from tin_gdof.sampling import random_gdof_tuple, random_network, random_order
@@ -196,6 +199,52 @@ def test_negative_cycle_extraction_with_heavy_ties():
     assert infeasible_seen > 20
 
 
+def test_skeleton_pass_matches_fraction_pass():
+    # Random subnetworks and tuples with assorted denominators, then the
+    # seed-16 heavy-tie graphs of the test above.
+    cases = []
+    rng = random.Random(18)
+    for _ in range(300):
+        net = random_network(rng, max_cells=4, max_users=3)
+        s = frozenset(u for u in net.users if rng.random() < 0.75)
+        order = random_order(rng, net, s)
+        d = random_gdof_tuple(rng, net, denom=rng.choice([3, 7, 20]))
+        cases.append((net, order, s, GdofTuple({u: d[u] for u in s})))
+    rng = random.Random(16)
+    for _ in range(400):
+        net = random_network(rng, denom=2, max_level=1)
+        order = random_order(rng, net)
+        d = random_gdof_tuple(rng, net, denom=2, max_level=1)
+        cases.append((net, order, None, d))
+    feasible = infeasible = 0
+    for net, order, s, d in cases:
+        g = build_potential_graph(net, order, s, d)
+        sk = potential_skeleton(net, order, s)
+        assert sk.vertices == g.vertices
+        assert [
+            (sk.vertices[t], sk.vertices[h], Fraction(c, sk.den) - d[sk.vertices[t]])
+            for t, h, c in sk.edges
+        ] == [(e.tail, e.head, e.length) for e in g.edges]
+        expected = potential._bellman_ford(g)
+        got = skeleton_distances(sk, d)
+        if isinstance(expected, Circuit):
+            infeasible += 1
+            assert got == expected
+        else:
+            feasible += 1
+            den, dist = got
+            assert dict(zip(sk.vertices, (Fraction(x, den) for x in dist))) == expected
+    assert feasible > 150 and infeasible > 150
+
+
+def test_skeleton_rejects_tuples_outside_its_users(pimac_nonconvex):
+    net = pimac_nonconvex
+    s = frozenset(net.users[1:])
+    sk = potential_skeleton(net, next(enumerate_orders(net, s)), s)
+    with pytest.raises(NetworkSpecError):
+        skeleton_distances(sk, GdofTuple({net.users[0]: Fraction(1, 2)}))
+
+
 def test_all_circuits_oracle_agrees():
     rng = random.Random(15)
     for _ in range(100):
@@ -256,7 +305,13 @@ import sys
 from fractions import Fraction
 
 from tin_gdof.errors import InfeasibleAllocationError
-from tin_gdof.potential import build_potential_graph, feasible_by_negative_cycle, recover_power_allocation
+from tin_gdof.potential import (
+    build_potential_graph,
+    feasible_by_negative_cycle,
+    potential_skeleton,
+    recover_power_allocation,
+    skeleton_distances,
+)
 from tin_gdof.sampling import random_gdof_tuple, random_network, random_order
 
 if __debug__:
@@ -286,6 +341,9 @@ for _ in range(400):
             sys.exit(f"recovery witness {exc.circuit} differs from {witness}")
     else:
         sys.exit("recovery on an infeasible graph did not raise")
+    integer = skeleton_distances(potential_skeleton(net, order), d)
+    if integer != witness:
+        sys.exit(f"integer pass gave {integer}, the Fraction pass {witness}")
 if infeasible_seen <= 20:
     sys.exit(f"only {infeasible_seen} infeasible graphs")
 """
@@ -293,7 +351,8 @@ if infeasible_seen <= 20:
 
 def test_heavy_tie_witnesses_are_negative_simple_circuits_under_python_O():
     # The seed-16 graphs of ``test_negative_cycle_extraction_with_heavy_ties``
-    # in a fresh ``python -O`` process, where no ``assert`` of the code runs.
+    # in a fresh ``python -O`` process, where no ``assert`` of the code runs;
+    # the integer pass must find the Fraction pass's circuit.
     src = str(Path(potential.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
