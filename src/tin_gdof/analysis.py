@@ -438,25 +438,24 @@ def achievable_rates(
     net, fs = fs.levels
     order.validate(net, order.active_users())
     p = fs.nominal_power
-
-    def power(user: User, rx: int) -> float:
-        return p ** float(alloc[user]) * fs.clipped_link_power(user, rx)
-
     active = [u for u in order.active_users() if not alloc.is_off(u)]
     if set(active) != set(order.active_users()):
         raise NetworkSpecError("decoding order lists a user that the allocation turns off")
     rates: dict[User, float] = {u: 0.0 for u in net.users}
     for k in range(1, net.cells + 1):
-        slots = order.slots(k)
-        for pos in range(1, len(slots) + 1):
-            u = order.user_at(k, pos)
+        decoded = [order.user_at(k, pos) for pos in range(1, len(order.slots(k)) + 1)]
+        if not decoded:
+            continue
+        # every active user's power at receiver k, computed once
+        power = {v: p ** float(alloc[v]) * fs.clipped_link_power(v, k) for v in active}
+        other_cells = [power[v] for v in active if v.cell != k]
+        for pos, u in enumerate(decoded):
             noise = 1.0
-            for ppos in range(1, pos):
-                noise += power(order.user_at(k, ppos), k)
-            for v in active:
-                if v.cell != k:
-                    noise += power(v, k)
-            rates[u] = math.log2(1 + power(u, k) / noise)
+            for w in decoded[:pos]:
+                noise += power[w]
+            for x in other_cells:
+                noise += x
+            rates[u] = math.log2(1 + power[u] / noise)
     return rates
 
 

@@ -19,9 +19,10 @@ three such integers.  One kernel yields the failing conditions of such a
 table.  ``evaluate_conditions`` runs it on ``NetworkSpec.integer_levels`` and
 turns each failure into a ``Violation`` witness; ``condition_flags`` takes
 only the two booleans of any integer table, stopping at the first failure,
-which is what the cellular Monte Carlo needs.  The cross-cell maxima are
-separable, so the interferer part is maximized once per cell pair rather
-than once per user.  The plain ``Fraction`` triple loops that this replaces
+for ``NetworkSpec.convexity_holds``.  The cellular Monte Carlo checks whole
+blocks of trials at once in ``cellsim``, against these two as its oracle.
+The cross-cell maxima are separable, so the interferer part is maximized
+once per cell pair rather than once per user.  The plain ``Fraction`` triple loops that this replaces
 are kept in the tests as the oracle.
 """
 

@@ -825,6 +825,59 @@ def test_achievable_rates_off_user_excluded(pimac_optimal):
     )
 
 
+def per_use_achievable_rates(fs, order, alloc):
+    """``achievable_rates`` as it was, computing a power at every use; the oracle."""
+    net, fs = fs.levels
+    order.validate(net, order.active_users())
+    p = fs.nominal_power
+
+    def power(user: User, rx: int) -> float:
+        return p ** float(alloc[user]) * fs.clipped_link_power(user, rx)
+
+    active = [u for u in order.active_users() if not alloc.is_off(u)]
+    if set(active) != set(order.active_users()):
+        raise NetworkSpecError("decoding order lists a user that the allocation turns off")
+    rates: dict[User, float] = {u: 0.0 for u in net.users}
+    for k in range(1, net.cells + 1):
+        slots = order.slots(k)
+        for pos in range(1, len(slots) + 1):
+            u = order.user_at(k, pos)
+            noise = 1.0
+            for ppos in range(1, pos):
+                noise += power(order.user_at(k, ppos), k)
+            for v in active:
+                if v.cell != k:
+                    noise += power(v, k)
+            rates[u] = math.log2(1 + power(u, k) / noise)
+    return rates
+
+
+def test_achievable_rates_compute_each_power_once(monkeypatch):
+    calls = Counter()
+    clipped = FiniteSnrSpec.clipped_link_power
+
+    def counting(self, user, rx_cell):
+        calls[user, rx_cell] += 1
+        return clipped(self, user, rx_cell)
+
+    rng = random.Random(62)
+    for _ in range(300):
+        net = random_network(rng, max_cells=4, max_users=3)
+        fs = finite_snr_from_network(net, rng.choice((3.0, 1e2, 1e4)))
+        active = frozenset(u for u in net.users if rng.random() < 0.8)
+        order = random_order(rng, net, active)
+        grid = random_grid_allocation(rng, net)
+        alloc = PowerAllocation({u: grid[u] for u in active}, frozenset(net.users) - active)
+        want = per_use_achievable_rates(fs, order, alloc)
+        with monkeypatch.context() as m:
+            m.setattr(FiniteSnrSpec, "clipped_link_power", counting)
+            calls.clear()
+            got = achievable_rates(fs, order, alloc)
+        assert got == want  # bit for bit: same powers, same summation order
+        assert max(calls.values(), default=1) == 1
+        assert set(calls) <= {(u, k) for u in active for k in range(1, net.cells + 1)}
+
+
 def test_gap_report_nonnegative_and_shrinking(pimac_optimal):
     ratios = []
     for p in (1e2, 1e4, 1e6):

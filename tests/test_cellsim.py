@@ -1,6 +1,12 @@
 import math
-import warnings
+import os
+import random
+import subprocess
+import sys
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +23,7 @@ from tin_gdof.cellsim import (
     sample_network,
     sweep,
 )
-from tin_gdof.conditions import evaluate_conditions
+from tin_gdof.conditions import condition_flags, evaluate_conditions
 from tin_gdof.errors import NetworkSpecError
 from tin_gdof.model import NetworkSpec, User, rationalize
 
@@ -261,52 +267,162 @@ def test_estimate_probabilities_never_builds_a_network(monkeypatch):
         assert math.isfinite(pt.ci95_halfwidth)
 
 
+def fresh_draws(seed: int, trial: int, m: int) -> np.ndarray:
+    """The first ``m`` uniforms of a Philox newly keyed with (seed, trial) mod 2**64."""
+    key = np.array([seed % 2**64, trial % 2**64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).random(m)
+
+
 def test_trial_keys_do_not_collide():
-    # A key list holding a word of 2**63 or more would pass through float64
-    # and give each pair below one stream, with a RuntimeWarning.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for a, b in ((-1, -2), (-2, -3), (2**63 + 1, 2**63 + 2)):
-            draws_a = cellsim._rng(params(seed=a), 0).random(4)
-            draws_b = cellsim._rng(params(seed=b), 0).random(4)
-            assert not np.array_equal(draws_a, draws_b), (a, b)
+    # Negative seeds and seeds of 2**63 or more each draw their own stream;
+    # only seeds equal mod 2**64 share one.
+    for a, b in ((-1, -2), (-2, -3), (2**63 + 1, 2**63 + 2), (2**64 + 1, 2**64 + 2)):
+        draws_a = cellsim._uniforms(a, 0, 3, 4)
+        draws_b = cellsim._uniforms(b, 0, 3, 4)
+        assert not np.any(draws_a == draws_b), (a, b)
+    for a, b in ((-1, 2**64 - 1), (5, 2**64 + 5), (2**63, -(2**63))):
+        assert np.array_equal(cellsim._uniforms(a, 7, 2, 9), cellsim._uniforms(b, 7, 2, 9))
 
 
 def test_trial_key_words_are_seed_and_trial():
-    for seed, trial in ((0, 0), (7, 3), (2**40 + 17, 5), (2**63 - 1, 2**32)):
-        key = np.array([seed, trial], dtype=np.uint64)
-        want = np.random.Generator(np.random.Philox(key=key)).random(4)
-        got = cellsim._rng(params(seed=seed), trial).random(4)
-        assert np.array_equal(got, want), (seed, trial)
+    # The packed Philox against numpy's, from one draw to past seven
+    # four-word blocks.
+    seeds = (-(2**40) - 3, -1, 0, 7, 2**63 - 1, 2**63, 2**63 + 1, 2**64, 2**64 + 5, 2**70 + 3)
+    for seed in seeds:
+        for trial in (0, 5, 2**64 - 1):
+            for m in range(1, 31):
+                got = cellsim._uniforms(seed, trial, 1, m)
+                assert got.shape == (1, m)
+                assert np.array_equal(got[0], fresh_draws(seed, trial, m)), (seed, trial, m)
 
 
-def test_reused_philox_draws_as_a_freshly_keyed_one():
-    # One generator serves every trial; after any partial draw, re-keying
-    # gives the draws of a Philox newly keyed with (seed, trial).
-    for seed in (-1, 0, 2**63 + 1):
-        rngs = cellsim._trial_rngs(seed)
-        for trial in (0, 2**64 - 1, 0, 5, 2**64 - 1):
-            fresh = np.random.Generator(
-                np.random.Philox(key=np.array([seed % 2**64, trial], dtype=np.uint64))
-            )
-            gen = rngs(trial)
-            assert np.array_equal(gen.random(3), fresh.random(3)), (seed, trial)
-            assert gen.integers(2**32, dtype=np.uint32) == fresh.integers(2**32, dtype=np.uint32)
-            assert np.array_equal(gen.random(5), fresh.random(5)), (seed, trial)
+def test_philox_block_rows_are_freshly_keyed_trials():
+    # Every row of a block, across the trial-block boundary and across the
+    # wrap of the trial word at 2**64, draws as a newly keyed Philox.
+    block = cellsim.TRIAL_BLOCK
+    for seed in (-1, 11, 2**63 + 1):
+        for first, count in ((block - 3, 6), (2**64 - 2, 4), (0, block + 1)):
+            for m in (3, 4, 24):
+                rows = cellsim._uniforms(seed, first, count, m)
+                assert rows.shape == (count, m)
+                for t in sorted({0, 1, count // 2, count - 2, count - 1}):
+                    assert np.array_equal(rows[t], fresh_draws(seed, first + t, m)), (seed, first, t)
 
 
-def test_estimate_probabilities_builds_one_philox(monkeypatch):
-    # Bit identity with fresh per-trial keys is checked through
-    # ``test_estimate_probabilities_equals_network_recount``.
-    built = []
-    original = np.random.Philox
+NO_NUMPY_RANDOM = """
+import contextlib, io, sys
+from tin_gdof import cellsim, cli
+with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.suppress(SystemExit):
+    sys.argv = ["tin-gdof", "simulate", "--geometry", "circular", "--r-sweep", "80,243",
+                "--L", "2", "--trials", "300", "--seed", "5"]
+    cli.main()
+assert out.getvalue().startswith("r_m,L,"), out.getvalue()
+cellsim.sample_network(cellsim.ScenarioParams("linear", 150.0, 2, 1, 3), 4)
+sys.exit(int("numpy.random" in sys.modules))
+"""
 
-    def counting(*args, **kwargs):
-        built.append(kwargs)
-        return original(*args, **kwargs)
 
-    monkeypatch.setattr(np.random, "Philox", counting)
-    for geometry, cells in (("linear", 2), ("circular", 4)):
-        built.clear()
-        estimate_probabilities(params(geometry=geometry, cells=cells, trials=30))
-        assert len(built) == 1
+def test_library_never_imports_numpy_random():
+    # numpy.random costs every simulating process about 6 MiB; the draws
+    # come from the packed Philox instead.
+    src = str(Path(cellsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_RANDOM],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr or "numpy.random was imported"
+
+
+# -- the batched condition pass ----------------------------------------------------
+
+
+def lattice_table(rng: random.Random, cells: int, users: int) -> NetworkSpec:
+    """A network of ``cells`` cells of ``users`` users on a lattice of few values.
+
+    As ``lattice_network`` in ``test_conditions.py``, levels come from a
+    handful of thirds, sevenths and values over a third random
+    denominator, so maxima and the two sides of a condition tie often.
+    Cross levels are also halved or quartered, and a random share of them
+    is zero, so that the conditions still hold on many networks with five
+    users per cell.
+    """
+    denoms = (3, 7, rng.choice((1, 2, 4, 5, 6, 20)))
+    pool = [Fraction(rng.randint(0, 2 * q), q) for q in denoms for _ in range(2)]
+    boost = rng.choice((0, 1, 2))  # lifts direct levels so conditions often hold
+    quiet = rng.random() ** 0.5  # share of cross levels at zero
+    alpha = {}
+    for k in range(1, cells + 1):
+        for l in range(1, users + 1):
+            for i in range(1, cells + 1):
+                if i == k:
+                    alpha[(User(k, l), i)] = rng.choice(pool) + boost
+                elif rng.random() < quiet:
+                    alpha[(User(k, l), i)] = 0
+                else:
+                    alpha[(User(k, l), i)] = rng.choice(pool) / rng.choice((1, 2, 4))
+    return NetworkSpec.from_alpha(cells, [users] * cells, alpha)
+
+
+def test_block_flags_match_condition_flags_on_lattice_tables():
+    rng = random.Random(52)
+    outcomes = Counter()
+    for cells in range(2, 7):
+        for users in range(1, 6):
+            nets = [lattice_table(rng, cells, users) for _ in range(40)]
+            tables = [net.integer_levels[1] for net in nets]
+            want = [condition_flags(lv) for lv in tables]
+            assert want == [
+                (r.convexity_holds, r.optimality_holds) for r in map(evaluate_conditions, nets)
+            ]
+            # each trial of a block may have its own scale
+            scales = [1 if t % 2 else 10**9 for t in range(len(tables))]
+            block = np.array(tables, dtype=np.int64) * np.array(scales)[:, None, None, None]
+            convexity, optimality = cellsim._condition_flags(block)
+            assert list(zip(convexity.tolist(), optimality.tolist())) == want, (cells, users)
+            outcomes.update(want)
+    assert set(outcomes) == {(True, True), (True, False), (False, False)}
+    assert outcomes[True, True] >= 200
+
+
+def test_block_flags_match_condition_flags_on_sampled_tables():
+    rng = random.Random(53)
+    outcomes = Counter()
+    for _ in range(60):
+        geometry = rng.choice(("linear", "circular"))
+        p = ScenarioParams(
+            geometry, rng.uniform(40.0, 300.0), rng.randint(1, 5), 40, rng.getrandbits(32),
+            cells=rng.randint(2, 6),
+        )
+        lv = cellsim._sample(p, 0, p.trials)[0]
+        want = [condition_flags(table) for table in lv.tolist()]
+        convexity, optimality = cellsim._condition_flags(lv)
+        assert list(zip(convexity.tolist(), optimality.tolist())) == want, p
+        outcomes.update(want)
+    assert set(outcomes) == {(True, True), (True, False), (False, False)}
+
+
+def test_estimate_probabilities_across_block_boundaries():
+    block = cellsim.TRIAL_BLOCK
+    # Seeds picked so that both trials at the first boundary meet both
+    # condition pairs: a trial dropped or counted twice there shows.
+    for p in (
+        params(site_radius_m=160.0, trials=block + 1, seed=6),
+        params(geometry="circular", cells=3, site_radius_m=200.0, trials=block + 1, seed=34),
+    ):
+        flags = [
+            (r.convexity_holds, r.optimality_holds)
+            for r in (evaluate_conditions(sample_network(p, t)) for t in range(p.trials))
+        ]
+        assert flags[block - 1] == flags[block] == (True, True)
+        assert len(set(flags)) > 1
+        for trials in (block - 1, block, block + 1):
+            pt = estimate_probabilities(replace(p, trials=trials))
+            conv = sum(c for c, _ in flags[:trials])
+            opt = sum(o for _, o in flags[:trials])
+            assert (pt.p_convexity, pt.p_optimality) == (conv / trials, opt / trials), (p, trials)
+        # a block's tables are those of its trials sampled one at a time
+        lv, order = cellsim._sample(p, block - 2, 4)
+        for t in range(4):
+            one_lv, one_order = cellsim._sample(p, block - 2 + t, 1)
+            assert np.array_equal(lv[t], one_lv[0]) and np.array_equal(order[t], one_order[0])

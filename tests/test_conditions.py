@@ -194,7 +194,8 @@ def test_optimality_without_convexity_raises_even_without_asserts(monkeypatch, p
 
 OPTIMALITY_WITHOUT_CONVEXITY = """
 import sys
-from tin_gdof import conditions
+import numpy as np
+from tin_gdof import cellsim, conditions
 from tin_gdof.cellsim import ScenarioParams, estimate_probabilities
 from tin_gdof.errors import TinGdofError
 from tin_gdof.model import NetworkSpec, User
@@ -209,6 +210,8 @@ def convexity_only_failure(lv, optimality):
 
 
 conditions._cross_cell_failures = convexity_only_failure
+# the Monte Carlo checks blocks of trials with its own pass; break it alike
+cellsim._convexity_flags = lambda lv, direct: np.zeros(len(lv), dtype=bool)
 net = NetworkSpec.from_alpha(
     2, [1, 1], {(User(1, 1), 1): 1, (User(1, 1), 2): 0, (User(2, 1), 2): 1, (User(2, 1), 1): 0}
 )
