@@ -297,40 +297,26 @@ def vertices(region: PolyRegion) -> list[GdofTuple]:
 def region_includes(outer: PolyRegion, inner: PolyRegion) -> bool:
     """Whether every point (equivalently, every vertex) of inner lies in outer.
 
-    Decided constraint by constraint: the supremum of an outer constraint's
-    user sum over the inner region is compared against its rhs.  A cheap
-    certificate (a single inner constraint covering the user set, or the sum
-    of per-user caps) settles most cases; the rest go to the exact LP.
+    Decided constraint by constraint: the exact maximum of an outer
+    constraint's user sum over the inner region, from ``max_weighted_gdof``
+    once per distinct set of inner-active users, is compared against its
+    rhs.  An empty inner region lies in every region.
     """
     if set(outer.dim_users) != set(inner.dim_users):
         raise NetworkSpecError("regions index different user sets")
-    if any(q.rhs < 0 for q in inner.inequalities):
-        return True  # the all-zero tuple fails, so the inner region is empty
-    inner_active = set(inner.active_users())
-
-    # every active user is in its cell's full-depth bound, so each has a cap
-    cap = {u: min(q.rhs for q in inner.inequalities if u in q.users) for u in inner_active}
-
+    inner_active = frozenset(inner.active_users())
     outer_constraints = list(outer.inequalities)
     for u in sorted(outer.forced_zero - inner.forced_zero):
         outer_constraints.append(LinearInequality(frozenset([u]), Fraction(0)))
-
+    sup: dict[frozenset, Fraction] = {}
     for q in outer_constraints:
-        live = frozenset(u for u in q.users if u in inner_active)
-        if not live:
-            if q.rhs < 0:
-                return False
-            continue
-        cover = min(
-            (p.rhs for p in inner.inequalities if live <= p.users),
-            default=None,
-        )
-        cap_sum = sum((cap[u] for u in live), Fraction(0))
-        bound = cap_sum if cover is None else min(cover, cap_sum)
-        if bound <= q.rhs:
-            continue
-        sup = max_weighted_gdof(inner, {u: Fraction(1) for u in live}).value
-        if sup > q.rhs:
+        live = q.users & inner_active
+        if live not in sup:
+            try:
+                sup[live] = max_weighted_gdof(inner, dict.fromkeys(live, 1)).value
+            except EmptyRegionError:
+                return True
+        if sup[live] > q.rhs:
             return False
     return True
 

@@ -87,6 +87,12 @@ class ScenarioParams:
             raise NetworkSpecError("users_per_cell and trials must be positive")
         if self.geometry == "circular" and self.cells < 2:
             raise NetworkSpecError("circular geometry needs at least 2 cells")
+        extent = 2 * self.site_radius_m * (self.cells if self.geometry == "circular" else 1)
+        if not math.isfinite(extent):
+            raise NetworkSpecError(
+                f"site radius {self.site_radius_m!r} m makes the {self.geometry} layout "
+                "longer than the float range"
+            )
 
 
 #: Trials sampled and checked together, so that a call's memory does not

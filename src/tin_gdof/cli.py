@@ -374,6 +374,8 @@ def simulate(geometry, radius, r_sweep, users, trials, seed, cells):
     if cells is not None and geometry == "linear":
         raise click.ClickException("--cells applies to the circular geometry only")
     radii = [radius] if radius is not None else _parse_list("--r-sweep", r_sweep, float)
+    if not radii:
+        raise click.ClickException(f"invalid --r-sweep value {r_sweep!r}: no radius given")
     base = cellsim.ScenarioParams(
         geometry=geometry,
         site_radius_m=radii[0],
@@ -399,6 +401,8 @@ def simulate(geometry, radius, r_sweep, users, trials, seed, cells):
 def oracle_verify(instances, seed):
     """Cross-check the negative-cycle test and the circuit-enumeration oracle
     against inequality membership on random instances."""
+    if instances < 1:
+        raise click.ClickException(f"invalid --instances value {instances}: must be positive")
     rng = random.Random(seed)
     negcycle_mismatch = 0
     circuits_mismatch = 0

@@ -12,6 +12,7 @@ across threads.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import json
 import math
@@ -443,8 +444,13 @@ def finite_snr_from_document(doc: Mapping, where: str = "<document>") -> FiniteS
             raise NetworkSpecError(
                 f"{where}: gain of link {user}->rx{rx} is not a number ({exc})"
             ) from exc
+        if cmath.isnan(gains[(user, rx)]):
+            raise NetworkSpecError(f"{where}: gain of link {user}->rx{rx} is NaN")
+    if not gains:
+        raise NetworkSpecError(f"{where}: finite_snr block has no gains")
     if not isinstance(power_rec, list):
         raise NetworkSpecError(f"{where}: tx_powers must be a list")
+    linked = {u for (u, _) in gains}
     powers = {}
     for idx, rec in enumerate(power_rec):
         try:
@@ -453,8 +459,11 @@ def finite_snr_from_document(doc: Mapping, where: str = "<document>") -> FiniteS
             raise NetworkSpecError(f"{where}: tx_powers[{idx}] malformed ({exc})") from exc
         if user in powers:
             raise NetworkSpecError(f"{where}: tx_powers[{idx}]: duplicate entry for {user}")
+        if not p_tx > 0:
+            raise NetworkSpecError(
+                f"{where}: tx_powers[{idx}]: power budget of {user} must be positive, got {p_tx!r}"
+            )
+        if user not in linked:
+            raise NetworkSpecError(f"{where}: tx_powers[{idx}]: no gain names user {user}")
         powers[user] = p_tx
-    for user, p_tx in powers.items():
-        if p_tx <= 0:
-            raise NetworkSpecError(f"{where}: nonpositive power budget for {user}")
     return FiniteSnrSpec(p, gains, powers)

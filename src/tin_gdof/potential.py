@@ -18,21 +18,25 @@ where ``alpha_x`` is the direct level of x.  Which direction of an intra-cell
 pair is "forward" is fixed by the decode positions, never by comparing
 levels, so ties in levels cannot change the family.
 
-The graph has two forms.  ``build_potential_graph`` gives ``Edge`` objects
-with ``Fraction`` lengths, which ``feasible_by_negative_cycle`` and
-``recover_power_allocation`` relax in ``Fraction``: the readable form and
-the oracle, used by ``general_membership``, CLI ``membership --order`` and
-``oracle-verify``.  ``potential_skeleton`` gives the same edges, in the same
-order, as integers over ``NetworkSpec.integer_levels``' denominator, with d
-left out; ``skeleton_distances`` applies a tuple as one integer shift per
-tail user and relaxes on Python ints.  Region set-up uses the skeleton:
-``analysis.flow_network`` (the arcs and start potentials of
-``max_weighted_gdof``) and the corner loop of ``analysis.gap_report``, where
-``Fraction`` relaxation was most of the cost.  ``general_membership`` stays
-on the ``Fraction`` graph until the benchmark worker's memory is bounded
-(ROADMAP item 1): routed through the skeleton, it answered about four times
-as many queries, and the worker, which keeps every latency, grew past the
-benchmark's memory bound.
+The graph is written once, by ``potential_skeleton``: per ``(net, order,
+s)``, the edges as vertex indices and integer lengths at d = 0 over
+``NetworkSpec.integer_levels``' denominator.  A tuple d enters as one
+integer shift of the edges out of each user, and one relaxation, ``_relax``,
+serves every length type.  ``skeleton_distances`` relaxes the shifted edges
+on Python ints.  Region set-up uses it: ``analysis.flow_network`` (the arcs
+and start potentials of ``max_weighted_gdof``) and the corner loop of
+``analysis.gap_report``, where ``Fraction`` relaxation was most of the
+cost.  ``build_potential_graph`` gives the same edges as ``Edge`` objects
+with ``Fraction`` lengths and families, which ``feasible_by_negative_cycle``
+and ``recover_power_allocation`` relax in ``Fraction``: the readable form,
+used by ``general_membership``, CLI ``membership --order`` and
+``oracle-verify``.  ``general_membership`` stays on ``Fraction`` lengths
+until the benchmark worker's memory is bounded (ROADMAP item 1): routed
+through the integer pass, it answered about four times as many queries,
+and the worker, which keeps every latency, grew past the benchmark's
+memory bound.  ``tests/test_potential.py`` keeps an independent
+construction from ``net.direct`` and ``net.alpha``, with a dict-based
+relaxation, as the oracle.
 """
 
 from __future__ import annotations
@@ -139,45 +143,36 @@ def build_potential_graph(
     """Potential graph of ``d`` over the active users of ``s``.
 
     ``d`` must vanish outside ``s``; deactivated users are removed from the
-    graph entirely.
+    graph entirely.  The edges are those of ``potential_skeleton`` at ``d``,
+    each with its ``Fraction`` length and the family that its ends and
+    their decode positions give.
     """
-    s = net.full_subnetwork if s is None else net.validate_subnetwork(s)
-    order.validate(net, s)
-    if d is None:
-        d = GdofTuple({u: 0 for u in net.users})
-    bad = d.support() - s
-    if bad:
-        raise NetworkSpecError(f"GDoF tuple is nonzero on deactivated users {sorted(bad)}")
+    sk = potential_skeleton(net, order, s)
+    den, edges = _shifted(sk, d)
+    v = sk.vertices
+    position = {u: order.slots(u.cell).index(u.slot) for u in v[1:]}
 
-    edges: list[Edge] = []
-    active = sorted(s)
+    def family(t: int, h: int) -> EdgeFamily:
+        if t == 0:
+            return EdgeFamily.FROM_GROUND
+        if h == 0:
+            return EdgeFamily.TO_GROUND
+        if v[t].cell != v[h].cell:
+            return EdgeFamily.CROSS
+        if position[v[t]] < position[v[h]]:
+            return EdgeFamily.INTRA_FORWARD
+        return EdgeFamily.INTRA_BACKWARD
 
-    for k in range(1, net.cells + 1):
-        seq = order.slots(k)
-        for a in range(len(seq)):
-            for b in range(a + 1, len(seq)):
-                u, v = User(k, seq[a]), User(k, seq[b])
-                edges.append(
-                    Edge(u, v, net.direct(u) - d[u], EdgeFamily.INTRA_FORWARD)
-                )
-                edges.append(
-                    Edge(v, u, net.direct(v) - net.direct(u) - d[v], EdgeFamily.INTRA_BACKWARD)
-                )
-    for u, v in itertools.permutations(active, 2):
-        if u.cell != v.cell:
-            edges.append(
-                Edge(u, v, net.direct(u) - net.alpha(v, u.cell) - d[u], EdgeFamily.CROSS)
-            )
-    for u in active:
-        edges.append(Edge(GROUND, u, Fraction(0), EdgeFamily.FROM_GROUND))
-        edges.append(Edge(u, GROUND, net.direct(u) - d[u], EdgeFamily.TO_GROUND))
-
-    return PotentialGraph((GROUND, *active), tuple(edges))
+    return PotentialGraph(
+        v, tuple(Edge(v[t], v[h], Fraction(c, den), family(t, h)) for t, h, c in edges)
+    )
 
 
-def _bellman_ford(g: PotentialGraph) -> dict[User, Fraction] | Circuit:
-    """Shortest-path lengths from ground, or a negative simple circuit.
+def _relax(vertices: tuple[User, ...], edges, den: int = 1) -> list | Circuit:
+    """Shortest-path lengths from ground, vertex 0, or a negative simple circuit.
 
+    ``edges`` are ``(tail, head, length)`` over indices into ``vertices``,
+    with exact lengths (``int`` or ``Fraction``) in units of ``1 / den``.
     Rounds of relaxation over every edge; each vertex keeps the edge that
     last lowered its distance d, its parent.  A parent edge (u, v) keeps
     d(v) >= d(u) + len(u, v), since d(u) only falls afterwards.  Hence
@@ -195,20 +190,22 @@ def _bellman_ford(g: PotentialGraph) -> dict[User, Fraction] | Circuit:
 
     The circuit's length is summed again and checked negative.
     """
-    dist: dict[User, Fraction] = dict.fromkeys(g.vertices)
-    dist[GROUND] = Fraction(0)
-    parent: dict[User, Edge] = {}
-    for _ in range(len(g.vertices)):
+    n = len(vertices)
+    dist: list = [None] * n
+    dist[0] = 0
+    parent: list = [None] * n
+    for _ in range(n):
         lowered = None
-        for e in g.edges:
-            du = dist[e.tail]
-            if du is None:
+        for e in edges:
+            dt = dist[e[0]]
+            if dt is None:
                 continue
-            cand = du + e.length
-            if dist[e.head] is None or cand < dist[e.head]:
-                dist[e.head] = cand
-                parent[e.head] = e
-                lowered = e.head
+            cand = dt + e[2]
+            dh = dist[e[1]]
+            if dh is None or cand < dh:
+                dist[e[1]] = cand
+                parent[e[1]] = e
+                lowered = e[1]
         if lowered is None:
             return dist
 
@@ -216,12 +213,21 @@ def _bellman_ford(g: PotentialGraph) -> dict[User, Fraction] | Circuit:
     chain, v = [], lowered
     while v not in chain:
         chain.append(v)
-        v = parent[v].tail
+        v = parent[v][0]
     cycle = chain[chain.index(v):][::-1]
-    length = sum((parent[u].length for u in cycle), Fraction(0))
+    length = Fraction(sum(parent[i][2] for i in cycle), den)
+    circuit = tuple(vertices[i] for i in cycle)
     if length >= 0:
-        raise TinGdofError(f"parent-graph cycle {tuple(cycle)} has length {length} >= 0")
-    return Circuit(tuple(cycle), length)
+        raise TinGdofError(f"parent-graph cycle {circuit} has length {length} >= 0")
+    return Circuit(circuit, length)
+
+
+def _bellman_ford(g: PotentialGraph) -> dict[User, Fraction] | Circuit:
+    """Shortest-path lengths from ground, or a negative simple circuit:
+    ``_relax`` over the edges of ``g``, in their order."""
+    index = {u: i for i, u in enumerate(g.vertices)}
+    result = _relax(g.vertices, [(index[e.tail], index[e.head], e.length) for e in g.edges])
+    return result if isinstance(result, Circuit) else dict(zip(g.vertices, result))
 
 
 def feasible_by_negative_cycle(g: PotentialGraph) -> FeasibilityResult:
@@ -256,12 +262,13 @@ def recover_power_allocation(g: PotentialGraph, off: frozenset = frozenset()) ->
 class PotentialSkeleton(NamedTuple):
     """The potential graph of a ``(net, order, s)`` over integers, d left out.
 
-    ``vertices`` are ground, then the sorted active users, as in
-    ``build_potential_graph``.  ``edges`` are that function's edges, in its
-    order, each as ``(tail, head, length)``: vertex indices and the length
-    at d = 0, an integer over ``den``, the levels' common denominator.  A
-    tuple d lowers every edge out of a user u by d_u, and no edge out of
-    ground.
+    ``vertices`` are ground, then the sorted active users.  ``edges`` are
+    ``(tail, head, length)``: vertex indices and the length at d = 0, an
+    integer over ``den``, the levels' common denominator.  They come cell
+    by cell, each decode-ordered pair of a cell as its forward then its
+    backward edge, then the cross edges, then each user's edges from and
+    to ground.  A tuple d lowers every edge out of a user u by d_u, and no
+    edge out of ground.
     """
 
     den: int
@@ -272,8 +279,8 @@ class PotentialSkeleton(NamedTuple):
 def potential_skeleton(
     net: NetworkSpec, order: DecodingOrder, s: Subnetwork | None = None
 ) -> PotentialSkeleton:
-    """Integer skeleton of ``build_potential_graph(net, order, s)``, built
-    from ``net.integer_levels``."""
+    """The ``PotentialSkeleton`` of ``(net, order, s)``, built from
+    ``net.integer_levels``: the one place that writes the edge families."""
     s = net.full_subnetwork if s is None else net.validate_subnetwork(s)
     order.validate(net, s)
     den, lv = net.integer_levels
@@ -299,6 +306,24 @@ def potential_skeleton(
     return PotentialSkeleton(den, (GROUND, *active), tuple(edges))
 
 
+def _shifted(sk: PotentialSkeleton, d: GdofTuple | None) -> tuple[int, list | tuple]:
+    """``(D, edges)``: the skeleton's edges at ``d``, with integer lengths
+    over D, the lcm of ``sk.den`` and the denominators of d.  Each d_u
+    enters as one integer shift of the edges out of u.  ``d`` must vanish
+    outside the skeleton's users; ``None`` is the zero tuple."""
+    if d is None:
+        return sk.den, sk.edges
+    users = sk.vertices[1:]
+    bad = d.support() - set(users)
+    if bad:
+        raise NetworkSpecError(f"GDoF tuple is nonzero on deactivated users {sorted(bad)}")
+    values = [d[u] for u in users]
+    den = math.lcm(sk.den, *(x.denominator for x in values))
+    scale = den // sk.den
+    shift = [0, *(x.numerator * (den // x.denominator) for x in values)]
+    return den, [(t, h, c * scale - shift[t]) for t, h, c in sk.edges]
+
+
 def skeleton_distances(
     sk: PotentialSkeleton, d: GdofTuple | None = None
 ) -> tuple[int, list[int]] | Circuit:
@@ -306,54 +331,14 @@ def skeleton_distances(
 
     Distances come back as ``(D, dist)``, where ``dist[i] / D`` is the
     distance of ``sk.vertices[i]`` and D is the lcm of ``sk.den`` and the
-    denominators of d; each d_u enters as one integer shift of the edges
-    out of u.  The pass is ``_bellman_ford``'s, on Python ints: the same
-    edges in the same order and the same parent rule, so it finds the same
-    distances and the same circuit, whose length is summed again and
-    checked negative.  ``d`` must vanish outside the skeleton's users.
+    denominators of d.  The pass is ``_relax`` on Python ints, over the
+    edges of ``build_potential_graph(..., d)`` in their order, so it finds
+    the distances and the circuit that ``_bellman_ford`` finds there.
+    ``d`` must vanish outside the skeleton's users.
     """
-    users = sk.vertices[1:]
-    if d is None:
-        den, edges = sk.den, sk.edges
-    else:
-        bad = d.support() - set(users)
-        if bad:
-            raise NetworkSpecError(f"GDoF tuple is nonzero on deactivated users {sorted(bad)}")
-        values = [d[u] for u in users]
-        den = math.lcm(sk.den, *(x.denominator for x in values))
-        scale = den // sk.den
-        shift = [0, *(x.numerator * (den // x.denominator) for x in values)]
-        edges = [(t, h, c * scale - shift[t]) for t, h, c in sk.edges]
-    n = len(sk.vertices)
-    dist: list[int | None] = [None] * n
-    dist[0] = 0
-    parent: list[tuple[int, int, int] | None] = [None] * n
-    for _ in range(n):
-        lowered = None
-        for e in edges:
-            dt = dist[e[0]]
-            if dt is None:
-                continue
-            cand = dt + e[2]
-            dh = dist[e[1]]
-            if dh is None or cand < dh:
-                dist[e[1]] = cand
-                parent[e[1]] = e
-                lowered = e[1]
-        if lowered is None:
-            return den, dist
-
-    # Round n lowered a distance: follow the parent chain until it repeats.
-    chain, v = [], lowered
-    while v not in chain:
-        chain.append(v)
-        v = parent[v][0]
-    cycle = chain[chain.index(v):][::-1]
-    length = Fraction(sum(parent[i][2] for i in cycle), den)
-    vertices = tuple(sk.vertices[i] for i in cycle)
-    if length >= 0:
-        raise TinGdofError(f"parent-graph cycle {vertices} has length {length} >= 0")
-    return Circuit(vertices, length)
+    den, edges = _shifted(sk, d)
+    result = _relax(sk.vertices, edges, den)
+    return result if isinstance(result, Circuit) else (den, result)
 
 
 def iter_simple_circuits(g: PotentialGraph) -> Iterator[Circuit]:

@@ -144,6 +144,19 @@ def test_sweep_shapes_and_reference_invariance():
     assert base.optimality_holds == scaled.optimality_holds
 
 
+@pytest.mark.parametrize(
+    "geometry, radius",
+    [("circular", math.inf), ("circular", 1e308), ("linear", math.inf), ("linear", 1e308)],
+)
+def test_params_reject_a_layout_beyond_the_float_range(geometry, radius):
+    # 2r on the line and 2rK on the ring overflow; the sampler would warn
+    # and report made-up probabilities.  A finite layout samples without a
+    # warning, which the test settings turn into an error.
+    with pytest.raises(NetworkSpecError, match="float range"):
+        params(geometry=geometry, site_radius_m=radius)
+    assert estimate_probabilities(params(geometry=geometry, site_radius_m=1e300)).trials == 50
+
+
 def test_params_validation():
     with pytest.raises(NetworkSpecError):
         params(exclusion_m=200.0, site_radius_m=100.0)

@@ -277,6 +277,15 @@ MALFORMED = {
     "duplicate-tx-power": lambda doc: doc["finite_snr"]["tx_powers"].append(
         {"cell": 1, "slot": 1, "value": 5.0}
     ),
+    "empty-gains": lambda doc: doc["finite_snr"].update(gains=[]),
+    "nan-gain": lambda doc: _set_first(doc["finite_snr"]["gains"], float("nan")),
+    "nan-tx-power": lambda doc: _set_first(doc["finite_snr"]["tx_powers"], float("nan")),
+    "tx-power-of-unknown-cell": lambda doc: doc["finite_snr"]["tx_powers"].append(
+        {"cell": 3, "slot": 1, "value": 1.0}
+    ),
+    "tx-power-of-slot-0": lambda doc: doc["finite_snr"]["tx_powers"].append(
+        {"cell": 1, "slot": 0, "value": 1.0}
+    ),
 }
 
 
@@ -400,6 +409,10 @@ BAD_ARGUMENTS = {
     "weights-not-numbers": ["sumgdof", "--weights", "x,1,1"],
     "weights-negative": ["sumgdof", "--weights", "-1,1,1"],
     "r-sweep-not-numbers": ["simulate", "--geometry", "linear", "--L", "1", "--r-sweep", "100,x"],
+    "r-sweep-empty": ["simulate", "--geometry", "linear", "--L", "1", "--r-sweep", ","],
+    "simulate-r-inf": ["simulate", "--geometry", "circular", "--L", "1", "--r", "inf"],
+    "simulate-r-overflow": ["simulate", "--geometry", "linear", "--L", "1", "--r", "1e308"],
+    "oracle-verify-negative-instances": ["oracle-verify", "--instances", "-3"],
     "outer-bound-snr-nan": ["outer-bound", "--snr", "nan"],
     "outer-bound-snr-inf": ["outer-bound", "--snr", "inf"],
     "gap-report-snr-overflow": ["gap-report", "--snr", "1e400"],
@@ -416,7 +429,7 @@ BAD_ARGUMENTS = {
 @pytest.mark.parametrize("args", list(BAD_ARGUMENTS.values()), ids=list(BAD_ARGUMENTS))
 def test_bad_argument_is_one_line_error(optimal_path, args):
     # optimal_path has no finite_snr block, so --snr is used for the rate model
-    if args[0] != "simulate":
+    if args[0] not in ("simulate", "oracle-verify"):
         args = [args[0], "--network", optimal_path, *args[1:]]
     proc = run_cli(*args)
     assert proc.returncode == 2, proc.stderr

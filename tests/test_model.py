@@ -135,6 +135,71 @@ def test_duplicate_finite_snr_record_rejected(block):
         finite_snr_from_document(doc)
 
 
+def _two_cell_block(**edit):
+    doc = {
+        "cells": 2,
+        "users_per_cell": [1, 1],
+        "alpha": alpha_records({(1, 1, 1): 1.0, (2, 1, 2): 1.0}),
+        "finite_snr": {
+            "nominal_power": 100.0,
+            "gains": alpha_records({(1, 1, 1): 10.0, (2, 1, 2): 10.0}),
+            "tx_powers": [
+                {"cell": 1, "slot": 1, "value": 1.0},
+                {"cell": 2, "slot": 1, "value": 1.0},
+            ],
+        },
+    }
+    doc["finite_snr"].update(edit)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"gains": []}, r"finite_snr block has no gains"),
+        (
+            {"gains": alpha_records({(1, 1, 1): math.nan, (2, 1, 2): 10.0})},
+            r"gain of link u\(1,1\)->rx1 is NaN",
+        ),
+        (
+            {"gains": [{"tx_cell": 1, "tx_slot": 1, "rx_cell": 1, "value": [1.0, math.nan]},
+                       {"tx_cell": 2, "tx_slot": 1, "rx_cell": 2, "value": 10.0}]},
+            r"gain of link u\(1,1\)->rx1 is NaN",
+        ),
+        (
+            {"tx_powers": [{"cell": 1, "slot": 1, "value": 1.0},
+                           {"cell": 2, "slot": 1, "value": math.nan}]},
+            r"tx_powers\[1\]: power budget of u\(2,1\) must be positive, got nan",
+        ),
+        (
+            {"tx_powers": [{"cell": 1, "slot": 1, "value": 0.0},
+                           {"cell": 2, "slot": 1, "value": 1.0}]},
+            r"tx_powers\[0\]: power budget of u\(1,1\) must be positive, got 0.0",
+        ),
+        (
+            {"tx_powers": [{"cell": 1, "slot": 1, "value": 1.0},
+                           {"cell": 2, "slot": 1, "value": 1.0},
+                           {"cell": 3, "slot": 1, "value": 1.0}]},
+            r"tx_powers\[2\]: no gain names user u\(3,1\)",
+        ),
+        (
+            {"tx_powers": [{"cell": 1, "slot": 0, "value": 1.0},
+                           {"cell": 1, "slot": 1, "value": 1.0},
+                           {"cell": 2, "slot": 1, "value": 1.0}]},
+            r"tx_powers\[0\]: no gain names user u\(1,0\)",
+        ),
+    ],
+    ids=["no-gains", "nan-gain", "nan-imaginary-part", "nan-power", "zero-power",
+         "power-of-cell-3", "power-of-slot-0"],
+)
+def test_finite_snr_block_rejects_records_it_cannot_use(edit, message):
+    # Each was read before: no gains crashed on max(), a NaN gain or budget
+    # became a link at the noise floor, and an unused budget was dropped.
+    assert finite_snr_from_document(_two_cell_block()) is not None
+    with pytest.raises(NetworkSpecError, match=message):
+        finite_snr_from_document(_two_cell_block(**edit))
+
+
 def test_link_power_beyond_float_range_names_the_link():
     for gain, power in ((1e200, 1.0), (1e150, 1e10)):
         fs = FiniteSnrSpec(100.0, {(User(1, 1), 1): complex(gain)}, {User(1, 1): power})

@@ -1,3 +1,5 @@
+import inspect
+import itertools
 import math
 import os
 import random
@@ -10,12 +12,19 @@ import pytest
 from tin_gdof import potential
 from tin_gdof.analysis import achievable_gdof, general_membership
 from tin_gdof.conditions import evaluate_conditions
-from tin_gdof.errors import GuardExceededError, InfeasibleAllocationError, NetworkSpecError
+from tin_gdof.errors import (
+    GuardExceededError,
+    InfeasibleAllocationError,
+    NetworkSpecError,
+    TinGdofError,
+)
 from tin_gdof.model import DecodingOrder, NetworkSpec, User, enumerate_orders
 from tin_gdof.potential import (
     GROUND,
     Circuit,
+    Edge,
     EdgeFamily,
+    PotentialGraph,
     PowerAllocation,
     all_circuits_region_oracle,
     build_potential_graph,
@@ -31,6 +40,67 @@ from tin_gdof.sampling import random_gdof_tuple, random_network, random_order
 
 def single_user_net(alpha):
     return NetworkSpec.from_alpha(1, [1], {(User(1, 1), 1): Fraction(alpha)})
+
+
+def fraction_potential_graph(net, order, s=None, d=None):
+    """The potential graph written family by family from ``net.direct`` and
+    ``net.alpha`` in ``Fraction``: the oracle for ``build_potential_graph``,
+    which reads the integer skeleton."""
+    s = net.full_subnetwork if s is None else net.validate_subnetwork(s)
+    order.validate(net, s)
+    if d is None:
+        d = GdofTuple({u: 0 for u in net.users})
+    bad = d.support() - s
+    if bad:
+        raise NetworkSpecError(f"GDoF tuple is nonzero on deactivated users {sorted(bad)}")
+    edges = []
+    active = sorted(s)
+    for k in range(1, net.cells + 1):
+        seq = order.slots(k)
+        for a in range(len(seq)):
+            for b in range(a + 1, len(seq)):
+                u, v = User(k, seq[a]), User(k, seq[b])
+                edges.append(Edge(u, v, net.direct(u) - d[u], EdgeFamily.INTRA_FORWARD))
+                edges.append(
+                    Edge(v, u, net.direct(v) - net.direct(u) - d[v], EdgeFamily.INTRA_BACKWARD)
+                )
+    for u, v in itertools.permutations(active, 2):
+        if u.cell != v.cell:
+            edges.append(Edge(u, v, net.direct(u) - net.alpha(v, u.cell) - d[u], EdgeFamily.CROSS))
+    for u in active:
+        edges.append(Edge(GROUND, u, Fraction(0), EdgeFamily.FROM_GROUND))
+        edges.append(Edge(u, GROUND, net.direct(u) - d[u], EdgeFamily.TO_GROUND))
+    return PotentialGraph((GROUND, *active), tuple(edges))
+
+
+def fraction_bellman_ford(g):
+    """Bellman-Ford over dicts keyed by user, with the library's parent rule
+    and circuit extraction: the oracle for ``potential._relax``."""
+    dist = dict.fromkeys(g.vertices)
+    dist[GROUND] = Fraction(0)
+    parent = {}
+    for _ in range(len(g.vertices)):
+        lowered = None
+        for e in g.edges:
+            du = dist[e.tail]
+            if du is None:
+                continue
+            cand = du + e.length
+            if dist[e.head] is None or cand < dist[e.head]:
+                dist[e.head] = cand
+                parent[e.head] = e
+                lowered = e.head
+        if lowered is None:
+            return dist
+    chain, v = [], lowered
+    while v not in chain:
+        chain.append(v)
+        v = parent[v].tail
+    cycle = chain[chain.index(v):][::-1]
+    length = sum((parent[u].length for u in cycle), Fraction(0))
+    if length >= 0:
+        raise TinGdofError(f"parent-graph cycle {tuple(cycle)} has length {length} >= 0")
+    return Circuit(tuple(cycle), length)
 
 
 def test_graph_shape_two_cells_two_users():
@@ -200,8 +270,10 @@ def test_negative_cycle_extraction_with_heavy_ties():
 
 
 def test_skeleton_pass_matches_fraction_pass():
-    # Random subnetworks and tuples with assorted denominators, then the
-    # seed-16 heavy-tie graphs of the test above.
+    # The library's graph and both of its passes against the oracle
+    # construction and relaxation: random subnetworks and tuples with
+    # assorted denominators, then the seed-16 heavy-tie graphs of the test
+    # above.
     cases = []
     rng = random.Random(18)
     for _ in range(300):
@@ -218,14 +290,20 @@ def test_skeleton_pass_matches_fraction_pass():
         cases.append((net, order, None, d))
     feasible = infeasible = 0
     for net, order, s, d in cases:
+        oracle = fraction_potential_graph(net, order, s, d)
         g = build_potential_graph(net, order, s, d)
+        assert g.vertices == oracle.vertices
+        assert [(e.tail, e.head, e.length, e.family) for e in g.edges] == [
+            (e.tail, e.head, e.length, e.family) for e in oracle.edges
+        ]
         sk = potential_skeleton(net, order, s)
-        assert sk.vertices == g.vertices
+        assert sk.vertices == oracle.vertices
         assert [
             (sk.vertices[t], sk.vertices[h], Fraction(c, sk.den) - d[sk.vertices[t]])
             for t, h, c in sk.edges
-        ] == [(e.tail, e.head, e.length) for e in g.edges]
-        expected = potential._bellman_ford(g)
+        ] == [(e.tail, e.head, e.length) for e in oracle.edges]
+        expected = fraction_bellman_ford(oracle)
+        assert potential._bellman_ford(g) == expected
         got = skeleton_distances(sk, d)
         if isinstance(expected, Circuit):
             infeasible += 1
@@ -300,19 +378,30 @@ def test_power_allocation_validation():
 
 
 HEAVY_TIE_WITNESSES = """
+import itertools
 import random
 import sys
 from fractions import Fraction
 
-from tin_gdof.errors import InfeasibleAllocationError
+from tin_gdof import potential
+from tin_gdof.errors import InfeasibleAllocationError, NetworkSpecError, TinGdofError
+from tin_gdof.model import User
 from tin_gdof.potential import (
+    GROUND,
+    Circuit,
+    Edge,
+    EdgeFamily,
+    PotentialGraph,
     build_potential_graph,
     feasible_by_negative_cycle,
     potential_skeleton,
     recover_power_allocation,
     skeleton_distances,
 )
+from tin_gdof.regions import GdofTuple
 from tin_gdof.sampling import random_gdof_tuple, random_network, random_order
+
+""" + inspect.getsource(fraction_potential_graph) + inspect.getsource(fraction_bellman_ford) + """
 
 if __debug__:
     sys.exit("expected python -O")
@@ -324,10 +413,18 @@ for _ in range(400):
     order = random_order(rng, net)
     d = random_gdof_tuple(rng, net, denom=2, max_level=1)
     g = build_potential_graph(net, order, None, d)
+    oracle = fraction_potential_graph(net, order, None, d)
+    if g != oracle:
+        sys.exit(f"graph of {d} differs from the oracle construction")
+    expected = fraction_bellman_ford(oracle)
+    if potential._bellman_ford(g) != expected:
+        sys.exit(f"pass on {d} differs from the oracle pass")
     witness = feasible_by_negative_cycle(g).witness
     if witness is None:
         continue
     infeasible_seen += 1
+    if witness != expected:
+        sys.exit(f"witness {witness} differs from the oracle's {expected}")
     verts = witness.vertices
     if len(set(verts)) != len(verts):
         sys.exit(f"witness {verts} repeats a vertex")
@@ -352,7 +449,7 @@ if infeasible_seen <= 20:
 def test_heavy_tie_witnesses_are_negative_simple_circuits_under_python_O():
     # The seed-16 graphs of ``test_negative_cycle_extraction_with_heavy_ties``
     # in a fresh ``python -O`` process, where no ``assert`` of the code runs;
-    # the integer pass must find the Fraction pass's circuit.
+    # the library's graph and both passes must match the oracle's.
     src = str(Path(potential.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
