@@ -2,9 +2,8 @@
 the strength-level outer bound, and finite-SNR rate/gap evaluation.
 
 GDoF-level computations are exact (rationals end to end); finite-SNR rate
-computations are floating point with a 1e-9 bits comparison tolerance, since
-rate logarithms have no exact representation.  All rates are in bits per
-channel use (base-2 logs).
+computations are floating point, since rate logarithms have no exact
+representation.  All rates are in bits per channel use (base-2 logs).
 """
 
 from __future__ import annotations
@@ -50,9 +49,6 @@ from .regions import (
 
 #: Vertex enumeration refuses regions with more active users than this.
 VERTEX_GUARD_DIM = 8
-
-#: Comparison tolerance for finite-SNR rates, in bits.
-RATE_TOL_BITS = 1e-9
 
 
 # -- achievable GDoF evaluator ----------------------------------------------
@@ -422,11 +418,11 @@ def achievable_rates(
     ``pen``.  A user whose ceiling is zero can still get up to one bit.
     """
     net, fs = fs.levels
-    order.validate(net, order.active_users())
-    p = fs.nominal_power
-    active = [u for u in order.active_users() if not alloc.is_off(u)]
-    if set(active) != set(order.active_users()):
+    active = order.active_users()
+    order.validate(net, active)
+    if any(alloc.is_off(u) for u in active):
         raise NetworkSpecError("decoding order lists a user that the allocation turns off")
+    p = fs.nominal_power
     rates: dict[User, float] = {u: 0.0 for u in net.users}
     for k in range(1, net.cells + 1):
         decoded = [order.user_at(k, pos) for pos in range(1, len(order.slots(k)) + 1)]
@@ -468,7 +464,7 @@ def gap_report(fs: FiniteSnrSpec) -> GapReport:
     ``potential_skeleton`` is built once, and each corner costs one integer
     pass of ``skeleton_distances``, which gives the allocation that
     ``recover_power_allocation`` gives on the corner's potential graph.  All
-    gaps must be nonnegative (up to rate tolerance) on instances where the
+    gaps must be nonnegative (up to float rounding) on instances where the
     outer bound applies.
     """
     bounds = outer_bound_rates(fs)  # also enforces the preconditions

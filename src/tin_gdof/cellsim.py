@@ -41,7 +41,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import NetworkSpecError, TinGdofError
-from .model import NetworkSpec, User
+from .model import RATIONALIZE_DIGITS, NetworkSpec, User
 
 #: Radio setup of every scenario: transmit power and noise floor in dBm, and
 #: the path-loss model PL(d) = A + B log10(d_km) in dB.
@@ -54,8 +54,9 @@ PATHLOSS_B_DB = 37.6
 #: Any positive value yields the same condition outcomes.
 LEVEL_REFERENCE_DB = 60.0
 
-#: Levels are rounded to integers over 10**LEVEL_DIGITS before exact checks.
-LEVEL_DIGITS = 9
+#: Levels are rounded to integers over 10**LEVEL_DIGITS before exact checks,
+#: as ``model.rationalize`` rounds floats, so ``sample_network`` matches it.
+LEVEL_DIGITS = RATIONALIZE_DIGITS
 _LEVEL_SCALE = 10**LEVEL_DIGITS
 
 

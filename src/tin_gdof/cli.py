@@ -9,6 +9,7 @@ schemas are documented in docs/cli.md.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import random
 import sys
@@ -80,20 +81,18 @@ def _parse_user(tok: str) -> User:
     return User(int(parts[0]), int(parts[1]))
 
 
-def _parse_order(spec: str, net: NetworkSpec, s) -> DecodingOrder:
-    if spec == "id":
-        return DecodingOrder.identity(net, s)
-    order = DecodingOrder(
-        tuple(tuple(_parse_list("--order", part, int)) for part in spec.split("|"))
-    )
-    order.validate(net, s)
-    return order
-
-
-def _parse_subnetwork(spec: str | None, net: NetworkSpec):
-    if spec is None:
-        return net.full_subnetwork
-    return net.validate_subnetwork(_parse_list("--subnetwork", spec, _parse_user))
+def _parse_scope(
+    net: NetworkSpec, order_spec: str, sub_spec: str | None
+) -> tuple[frozenset, DecodingOrder]:
+    """The subnetwork and decoding order that ``--subnetwork`` and ``--order``
+    name; the region or graph built on them validates the order."""
+    s = net.full_subnetwork
+    if sub_spec is not None:
+        s = net.validate_subnetwork(_parse_list("--subnetwork", sub_spec, _parse_user))
+    if order_spec == "id":
+        return s, DecodingOrder.identity(net, s)
+    per_cell = (_parse_list("--order", part, int) for part in order_spec.split("|"))
+    return s, DecodingOrder(tuple(map(tuple, per_cell)))
 
 
 def _parse_per_user(option: str, spec: str, net: NetworkSpec) -> dict[User, Fraction]:
@@ -105,6 +104,15 @@ def _parse_per_user(option: str, spec: str, net: NetworkSpec) -> dict[User, Frac
             "one per user"
         )
     return dict(zip(net.users, values))
+
+
+def _bound_record(b: analysis.RateBound) -> dict:
+    users = [_user_str(u) for u in sorted(b.users)]
+    return {"kind": b.kind, "users": users, "rhs_bits": b.rhs_bits}
+
+
+def _exponents(alloc: potential.PowerAllocation) -> dict:
+    return {_user_str(u): _frac(r) for u, r in sorted(alloc.exponents.items())}
 
 
 def _inequality_record(q: regions.LinearInequality) -> dict:
@@ -140,6 +148,23 @@ _format_opt = click.option(
 )
 
 
+def _region_command(f):
+    """Give a command the ``--network``, ``--order`` and ``--subnetwork``
+    options, and call ``f`` with the network and the fixed-order region
+    they name in place of the three option values."""
+
+    @_network_opt
+    @click.option("--order", "order_spec", default="id", show_default=True)
+    @click.option("--subnetwork", "sub_spec", default=None)
+    @functools.wraps(f)
+    def command(network_path, order_spec, sub_spec, **options):
+        net, _ = _load(network_path)
+        s, order = _parse_scope(net, order_spec, sub_spec)
+        return f(net, regions.polyhedral_region(net, order, s), **options)
+
+    return command
+
+
 @cli.command()
 @_network_opt
 @click.option("--pimac-regime", is_flag=True, help="Also classify the 2-cell (2,1) regime.")
@@ -173,16 +198,10 @@ def check(network_path, pimac_regime):
 
 
 @cli.command()
-@_network_opt
-@click.option("--order", "order_spec", default="id", show_default=True)
-@click.option("--subnetwork", "sub_spec", default=None)
+@_region_command
 @_format_opt
-def region(network_path, order_spec, sub_spec, fmt):
+def region(net, reg, fmt):
     """Emit the inequality list of a fixed-order achievable region."""
-    net, _ = _load(network_path)
-    s = _parse_subnetwork(sub_spec, net)
-    order = _parse_order(order_spec, net, s)
-    reg = regions.polyhedral_region(net, order, s)
     if fmt == "csv":
         w = csv.writer(sys.stdout)
         w.writerow(["users", "rhs", "rhs_float"])
@@ -223,15 +242,12 @@ def membership(network_path, d_spec, order_spec, sub_spec):
                 "witness": {
                     "order": [list(t) for t in w.order.per_cell],
                     "subnetwork": [_user_str(u) for u in sorted(w.subnetwork)],
-                    "power_exponents": {
-                        _user_str(u): _frac(r) for u, r in sorted(w.allocation.exponents.items())
-                    },
+                    "power_exponents": _exponents(w.allocation),
                     "off": [_user_str(u) for u in sorted(w.allocation.off)],
                 },
             },
         )
-    s = _parse_subnetwork(sub_spec, net)
-    order = _parse_order(order_spec, net, s)
+    s, order = _parse_scope(net, order_spec, sub_spec)
     g = potential.build_potential_graph(net, order, s, d)
     try:
         alloc = potential.recover_power_allocation(g)
@@ -251,24 +267,16 @@ def membership(network_path, d_spec, order_spec, sub_spec):
         "ok",
         {
             "member": True,
-            "power_exponents": {
-                _user_str(u): _frac(r) for u, r in sorted(alloc.exponents.items())
-            },
+            "power_exponents": _exponents(alloc),
         },
     )
 
 
 @cli.command()
-@_network_opt
+@_region_command
 @click.option("--weights", "weights_spec", required=True)
-@click.option("--order", "order_spec", default="id", show_default=True)
-@click.option("--subnetwork", "sub_spec", default=None)
-def sumgdof(network_path, weights_spec, order_spec, sub_spec):
+def sumgdof(net, reg, weights_spec):
     """Maximize a weighted GDoF sum over a fixed-order region."""
-    net, _ = _load(network_path)
-    s = _parse_subnetwork(sub_spec, net)
-    order = _parse_order(order_spec, net, s)
-    reg = regions.polyhedral_region(net, order, s)
     weights = _parse_per_user("--weights", weights_spec, net)
     opt = analysis.max_weighted_gdof(reg, weights)
     _emit(
@@ -281,16 +289,10 @@ def sumgdof(network_path, weights_spec, order_spec, sub_spec):
 
 
 @cli.command(name="vertices")
-@_network_opt
-@click.option("--order", "order_spec", default="id", show_default=True)
-@click.option("--subnetwork", "sub_spec", default=None)
+@_region_command
 @_format_opt
-def vertices_cmd(network_path, order_spec, sub_spec, fmt):
+def vertices_cmd(net, reg, fmt):
     """Enumerate the vertices of a fixed-order region (plot data)."""
-    net, _ = _load(network_path)
-    s = _parse_subnetwork(sub_spec, net)
-    order = _parse_order(order_spec, net, s)
-    reg = regions.polyhedral_region(net, order, s)
     verts = analysis.vertices(reg)
     users = list(net.users)
     if fmt == "csv":
@@ -318,19 +320,7 @@ def outer_bound(network_path, snr):
         reg = analysis.gdof_outer_bound(net)
         _emit("ok", {"inequalities": [_inequality_record(q) for q in reg.inequalities]})
     bounds = analysis.outer_bound_rates(_rate_model(net, fs, snr))
-    _emit(
-        "ok",
-        {
-            "bounds": [
-                {
-                    "kind": b.kind,
-                    "users": [_user_str(u) for u in sorted(b.users)],
-                    "rhs_bits": b.rhs_bits,
-                }
-                for b in bounds
-            ]
-        },
-    )
+    _emit("ok", {"bounds": [_bound_record(b) for b in bounds]})
 
 
 @cli.command(name="gap-report")
@@ -346,13 +336,7 @@ def gap_report_cmd(network_path, snr):
             "max_gap_bits": rep.max_gap_bits,
             "corners_used": rep.corners_used,
             "per_bound": [
-                {
-                    "kind": bg.bound.kind,
-                    "users": [_user_str(u) for u in sorted(bg.bound.users)],
-                    "rhs_bits": bg.bound.rhs_bits,
-                    "achieved_sum": bg.achieved_sum,
-                    "gap_bits": bg.gap_bits,
-                }
+                dict(_bound_record(bg.bound), achieved_sum=bg.achieved_sum, gap_bits=bg.gap_bits)
                 for bg in rep.per_bound
             ],
         },

@@ -15,15 +15,17 @@ optimality as such.
 
 The checks run on exact integers: every level is scaled to an integer over
 a common denominator, and each side of a condition is a sum of at most
-three such integers.  One kernel yields the failing conditions of such a
-table.  ``evaluate_conditions`` runs it on ``NetworkSpec.integer_levels`` and
-turns each failure into a ``Violation`` witness; ``condition_flags`` takes
-only the two booleans of any integer table, stopping at the first failure,
-for ``NetworkSpec.convexity_holds``.  The cellular Monte Carlo checks whole
+three such integers.  Two kernels, one per condition shape (per-cell and
+cross-cell), yield the failing conditions of such a table for either pair.
+``evaluate_conditions`` runs the four (condition, kernel, pair) cases in one
+loop over ``NetworkSpec.integer_levels`` and turns each failure into a
+``Violation`` witness; ``condition_flags`` takes only the two booleans of
+any integer table, stopping at the first failure, for
+``NetworkSpec.convexity_holds``.  The cellular Monte Carlo checks whole
 blocks of trials at once in ``cellsim``, against these two as its oracle.
 The cross-cell maxima are separable, so the interferer part is maximized
-once per cell pair rather than once per user.  The plain ``Fraction`` triple loops that this replaces
-are kept in the tests as the oracle.
+once per cell pair rather than once per user.  The plain ``Fraction``
+triple loops that this replaces are kept in the tests as the oracle.
 """
 
 from __future__ import annotations
@@ -121,29 +123,6 @@ def _cross_cell_failures(lv, optimality: bool):
                 yield (i + 1, j + 1, k + 1, l + 1, l_k + 1), u[i], rhs
 
 
-def _violations(failures, kind: ConditionKind, den: int) -> list[Violation]:
-    return [
-        Violation(kind, indices, Fraction(lhs, den), Fraction(rhs, den))
-        for indices, lhs, rhs in failures
-    ]
-
-
-def _mac_order_violations(net: NetworkSpec, optimality: bool) -> list[Violation]:
-    kind = (
-        ConditionKind.MAC_ORDER_OPTIMALITY if optimality else ConditionKind.MAC_ORDER_CONVEXITY
-    )
-    den, lv = net.integer_levels
-    return _violations(_mac_order_failures(lv, optimality), kind, den)
-
-
-def _cross_cell_violations(net: NetworkSpec, optimality: bool) -> list[Violation]:
-    kind = (
-        ConditionKind.CROSS_CELL_OPTIMALITY if optimality else ConditionKind.CROSS_CELL_CONVEXITY
-    )
-    den, lv = net.integer_levels
-    return _violations(_cross_cell_failures(lv, optimality), kind, den)
-
-
 def _implied(convexity_holds: bool, optimality_holds: bool) -> None:
     """The optimality pair implies the convexity pair; anything else is a bug."""
     if optimality_holds and not convexity_holds:
@@ -151,9 +130,24 @@ def _implied(convexity_holds: bool, optimality_holds: bool) -> None:
 
 
 def evaluate_conditions(net: NetworkSpec) -> ConditionReport:
-    """Evaluate both condition pairs; all comparisons exact and non-strict."""
-    conv = _mac_order_violations(net, False) + _cross_cell_violations(net, False)
-    opt = _mac_order_violations(net, True) + _cross_cell_violations(net, True)
+    """Evaluate both condition pairs; all comparisons exact and non-strict.
+
+    Violations come per-cell first, then cross-cell, for the convexity pair
+    and then for the optimality pair, each kernel in its own yield order.
+    """
+    den, lv = net.integer_levels
+    found = {False: [], True: []}
+    for kind, failures, optimality in (
+        (ConditionKind.MAC_ORDER_CONVEXITY, _mac_order_failures, False),
+        (ConditionKind.CROSS_CELL_CONVEXITY, _cross_cell_failures, False),
+        (ConditionKind.MAC_ORDER_OPTIMALITY, _mac_order_failures, True),
+        (ConditionKind.CROSS_CELL_OPTIMALITY, _cross_cell_failures, True),
+    ):
+        found[optimality] += (
+            Violation(kind, indices, Fraction(lhs, den), Fraction(rhs, den))
+            for indices, lhs, rhs in failures(lv, optimality)
+        )
+    conv, opt = found[False], found[True]
     _implied(not conv, not opt)
     return ConditionReport(not conv, not opt, tuple(conv + opt))
 

@@ -45,8 +45,8 @@ class User(NamedTuple):
 Subnetwork = frozenset
 
 
-def rationalize(x, digits: int = RATIONALIZE_DIGITS) -> Fraction:
-    """Convert a number to an exact rational, rounding floats at 10^-digits."""
+def rationalize(x) -> Fraction:
+    """Convert a number to an exact rational, rounding floats at 10^-RATIONALIZE_DIGITS."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -56,7 +56,7 @@ def rationalize(x, digits: int = RATIONALIZE_DIGITS) -> Fraction:
     if isinstance(x, float):
         if not math.isfinite(x):
             raise ValueError(f"cannot rationalize non-finite value {x!r}")
-        scale = 10**digits
+        scale = 10**RATIONALIZE_DIGITS
         return Fraction(round(x * scale), scale)
     raise TypeError(f"cannot rationalize {type(x).__name__}")
 
@@ -187,14 +187,7 @@ class NetworkSpec:
     @property
     def users(self) -> tuple[User, ...]:
         """All users, in canonical (cell, slot) order."""
-        return tuple(
-            User(k, l)
-            for k in range(1, self.cells + 1)
-            for l in range(1, self.users_per_cell[k - 1] + 1)
-        )
-
-    def users_in_cell(self, cell: int) -> tuple[User, ...]:
-        return tuple(User(cell, l) for l in range(1, self.users_per_cell[cell - 1] + 1))
+        return tuple(User(k, l) for k, slots in enumerate(self.active_slots(), 1) for l in slots)
 
     @property
     def full_subnetwork(self) -> Subnetwork:
@@ -210,10 +203,29 @@ class NetworkSpec:
 
     def validate_subnetwork(self, s: Iterable[User]) -> Subnetwork:
         s = frozenset(User(*u) for u in s)
-        unknown = s - set(self.users)
+        self.active_slots(s)
+        return s
+
+    def active_slots(self, s: Iterable[User] | None = None) -> tuple[tuple[int, ...], ...]:
+        """Per cell, the ascending slots of the users of ``s`` (of every user
+        when ``s`` is None), found in one pass over ``s``.
+
+        The one place that splits a subnetwork by cell and checks that its
+        users exist; an unknown user is a ``NetworkSpecError``.
+        """
+        if s is None:
+            return tuple(tuple(range(1, n + 1)) for n in self.users_per_cell)
+        cells = range(1, self.cells + 1)
+        per_cell = [set() for _ in cells]
+        unknown = set()
+        for k, l in s:
+            if k in cells and l in range(1, self.users_per_cell[int(k) - 1] + 1):
+                per_cell[int(k) - 1].add(int(l))
+            else:
+                unknown.add(User(k, l))
         if unknown:
             raise NetworkSpecError(f"subnetwork contains unknown users {sorted(unknown)}")
-        return s
+        return tuple(tuple(sorted(slots)) for slots in per_cell)
 
 
 @dataclass(frozen=True)
@@ -223,7 +235,8 @@ class DecodingOrder:
     ``per_cell[i-1]`` lists the slots of cell ``i`` by decode position:
     position 1 is decoded last, the final position is decoded (and cancelled)
     first.  For a subnetwork, each tuple ranges over the active slots of that
-    cell only; cells with no active user carry an empty tuple.
+    cell only (``NetworkSpec.active_slots``); cells with no active user carry
+    an empty tuple.
     """
 
     per_cell: tuple[tuple[int, ...], ...]
@@ -231,13 +244,7 @@ class DecodingOrder:
     @classmethod
     def identity(cls, net: NetworkSpec, s: Subnetwork | None = None) -> "DecodingOrder":
         """The order with ascending slots in every cell (weakest decoded last)."""
-        active = net.full_subnetwork if s is None else net.validate_subnetwork(s)
-        return cls(
-            tuple(
-                tuple(l for l in range(1, net.users_per_cell[k - 1] + 1) if User(k, l) in active)
-                for k in range(1, net.cells + 1)
-            )
-        )
+        return cls(net.active_slots(s))
 
     def slots(self, cell: int) -> tuple[int, ...]:
         return self.per_cell[cell - 1]
@@ -252,14 +259,13 @@ class DecodingOrder:
         )
 
     def validate(self, net: NetworkSpec, s: Subnetwork | None = None) -> None:
-        active = net.full_subnetwork if s is None else net.validate_subnetwork(s)
+        active = net.active_slots(s)
         if len(self.per_cell) != net.cells:
             raise NetworkSpecError("decoding order has wrong number of cells")
-        for k, slots in enumerate(self.per_cell, start=1):
-            want = sorted(u.slot for u in active if u.cell == k)
-            if sorted(slots) != want:
+        for k, (slots, want) in enumerate(zip(self.per_cell, active), start=1):
+            if tuple(sorted(slots)) != want:
                 raise NetworkSpecError(
-                    f"decoding order for cell {k} is not a permutation of active slots {want}"
+                    f"decoding order for cell {k} is not a permutation of active slots {list(want)}"
                 )
 
 
@@ -267,16 +273,12 @@ def enumerate_orders(net: NetworkSpec, s: Subnetwork | None = None) -> Iterator[
     """Yield the decoding orders of the subnetwork ``s``, each exactly once.
 
     Orders differing only on inactive users are not distinguished, so exactly
-    prod_i |S_i|! orders are produced.  Deterministic order: per-cell
-    permutations in lexicographic order, combined cell-by-cell.
+    prod_i |S_i|! orders are produced.  Deterministic order: the permutations
+    of each cell's ``active_slots`` in lexicographic order, combined
+    cell-by-cell.
     """
-    active = net.full_subnetwork if s is None else net.validate_subnetwork(s)
-    per_cell_perms = []
-    for k in range(1, net.cells + 1):
-        slots = sorted(u.slot for u in active if u.cell == k)
-        per_cell_perms.append(list(itertools.permutations(slots)))
-    for combo in itertools.product(*per_cell_perms):
-        yield DecodingOrder(tuple(combo))
+    for combo in itertools.product(*map(itertools.permutations, net.active_slots(s))):
+        yield DecodingOrder(combo)
 
 
 @dataclass(frozen=True)
@@ -344,6 +346,8 @@ def strength_levels(fs: FiniteSnrSpec) -> NetworkSpec:
     slot-sorted.  Raises unless 1 < P < inf (degenerate log base).
     """
     _check_nominal_power(fs.nominal_power)
+    if not fs.gains:
+        raise NetworkSpecError("finite-SNR description has no gains")
     missing = {u for (u, _) in fs.gains} - set(fs.tx_powers)
     if missing:
         raise NetworkSpecError(f"no power budget for users {sorted(missing)}")

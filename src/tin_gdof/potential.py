@@ -90,9 +90,6 @@ class PotentialGraph:
     def _length_map(self) -> Mapping:
         return {(e.tail, e.head): e.length for e in self.edges}
 
-    def family_count(self, family: EdgeFamily) -> int:
-        return sum(1 for e in self.edges if e.family is family)
-
 
 @dataclass(frozen=True)
 class Circuit:

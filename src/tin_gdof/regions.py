@@ -3,9 +3,11 @@
 The achievable GDoF region of a fixed decoding order is a polytope: per-cell
 prefix bounds plus one bound per cyclic sequence of cells and per choice of
 decode-depth in each participating cell.  This module enumerates that bound
-index set in one place (``bound_indices``), and maps it to the explicit
-inequality list and to the associated set function.  It also tests
-membership of GDoF tuples with exact rational arithmetic.
+index set in one place (``bound_indices``) and maps it to the explicit
+inequality list.  ``set_function_f`` gives the rhs attached to one
+decode-prefix user set: the smallest ``bound_rhs`` over the bounds with
+that user set.  The module also tests membership of GDoF tuples with
+exact rational arithmetic.
 
 Everything here is a pure function over immutable values.
 """
@@ -168,13 +170,6 @@ class MembershipResult:
         return self.member
 
 
-def _active_per_cell(net: NetworkSpec, s: Subnetwork) -> dict[int, list[int]]:
-    per_cell: dict[int, list[int]] = {}
-    for u in sorted(s):
-        per_cell.setdefault(u.cell, []).append(u.slot)
-    return per_cell
-
-
 class BoundIndex(NamedTuple):
     """One bound of a fixed-order region.
 
@@ -255,26 +250,30 @@ def polyhedral_region(
 def set_function_f(net: NetworkSpec, order: DecodingOrder, subset: Iterable[User]) -> Fraction:
     """Right-hand side of the region bound attached to a decode-prefix user set.
 
+    ``order`` must be a decoding order of ``net`` (of any subnetwork), and
     ``subset`` must be, in every participating cell, exactly the first
-    ``l_i`` decode positions of ``order``.  Returns 0 for the empty set, and
-    otherwise the smallest ``bound_rhs`` among the bounds whose user set is
-    ``subset``: the depth user's direct level for one cell, the minimum over
-    full-length cyclic arrangements of the participating cells otherwise.
+    ``l_i`` decode positions of ``order``; anything else is a
+    ``NetworkSpecError``.  Returns 0 for the empty set, and otherwise the
+    smallest ``bound_rhs`` among the bounds whose user set is ``subset``:
+    the depth user's direct level for one cell, the minimum over full-length
+    cyclic arrangements of the participating cells otherwise.
     """
+    order.validate(net, order.active_users())
     subset = frozenset(User(*u) for u in subset)
-    if not subset:
+    depth = {}
+    for k, slots in enumerate(net.active_slots(subset), start=1):
+        if slots:
+            want = tuple(sorted(order.slots(k)[: len(slots)]))
+            if slots != want:
+                raise NetworkSpecError(
+                    f"subset is not a decode prefix in cell {k}: got slots {list(slots)}, "
+                    f"prefix would be {list(want)}"
+                )
+            depth[k] = len(slots)
+    if not depth:
         return Fraction(0)
-    per_cell = _active_per_cell(net, subset)
-    for cell, slots in per_cell.items():
-        want = sorted(order.slots(cell)[: len(slots)])
-        if sorted(slots) != want:
-            raise NetworkSpecError(
-                f"subset is not a decode prefix in cell {cell}: got slots {sorted(slots)}, "
-                f"prefix would be {want}"
-            )
     # The bounds with user set ``subset`` take every participating cell at its
     # full prefix depth, in each cyclic arrangement of those cells.
-    depth = {k: len(slots) for k, slots in per_cell.items()}
     return min(
         bound_rhs(
             net,
@@ -285,7 +284,7 @@ def set_function_f(net: NetworkSpec, order: DecodingOrder, subset: Iterable[User
                 subset,
             ),
         )
-        for seq in enumerate_cyclic_sequences(per_cell, min_len=len(per_cell))
+        for seq in enumerate_cyclic_sequences(depth, min_len=len(depth))
     )
 
 

@@ -2,7 +2,10 @@
 
 All draws come from ``random.Random`` with caller-provided seeds, on a
 rational lattice (multiples of 1/denominator), so every downstream
-computation stays exact and every run is reproducible.
+computation stays exact and every run is reproducible.  The network
+generators share one shape draw, and the convexity and optimality
+generators share one constructive draw that differs only in how a cross
+level may grow with the slot.  ``tests/test_sampling.py`` pins the draws.
 """
 
 from __future__ import annotations
@@ -20,6 +23,15 @@ from .potential import PowerAllocation
 from .regions import GdofTuple
 
 
+def _shape(rng, max_cells, max_users, cells, users_per_cell) -> tuple[int, list[int]]:
+    """The cell count and per-cell user counts, drawn where not given."""
+    if cells is None:
+        cells = rng.randint(1, max_cells)
+    if users_per_cell is None:
+        users_per_cell = [rng.randint(1, max_users) for _ in range(cells)]
+    return cells, list(users_per_cell)
+
+
 def random_network(
     rng: random.Random,
     max_cells: int = 3,
@@ -30,11 +42,7 @@ def random_network(
     users_per_cell: Iterable[int] | None = None,
 ) -> NetworkSpec:
     """A network with levels drawn uniformly from the lattice [0, max_level]."""
-    if cells is None:
-        cells = rng.randint(1, max_cells)
-    if users_per_cell is None:
-        users_per_cell = [rng.randint(1, max_users) for _ in range(cells)]
-    users_per_cell = list(users_per_cell)
+    cells, users_per_cell = _shape(rng, max_cells, max_users, cells, users_per_cell)
     alpha = {}
     for k in range(1, cells + 1):
         for l in range(1, users_per_cell[k - 1] + 1):
@@ -72,11 +80,46 @@ def random_grid_allocation(
     return PowerAllocation(exps, frozenset())
 
 
-def _sorted_directs(rng: random.Random, n: int, denom: int, lo: Fraction, hi: Fraction):
-    vals = sorted(
-        Fraction(rng.randint(int(lo * denom), int(hi * denom)), denom) for _ in range(n)
-    )
-    return vals
+def _constructive_network(rng, shape, denom: int, optimality: bool) -> NetworkSpec:
+    """A network meeting the convexity (or optimality) conditions.
+
+    Directs are drawn in [1, 2] and sorted per cell.  Every cross level stays
+    at or below ``cap``, half the weakest direct, which settles the cross-cell
+    condition.  Toward each other cell, slot l's cross level is drawn above
+    a base and at most its direct-level gap to slot l - 1 above it, which
+    settles the per-cell condition.  For convexity the base is slot l - 1's
+    cross level, so the headroom is cumulative.  For optimality the base is
+    0, so each cross level is capped by its gap to every weaker slot, and
+    the strict per-cell condition holds through its first branch.  A final
+    exact check guards the construction; a failed draw is drawn again.
+    """
+    cells, users_per_cell = shape
+    while True:
+        directs = [
+            sorted(Fraction(rng.randint(denom, 2 * denom), denom) for _ in range(n))
+            for n in users_per_cell
+        ]
+        alpha = {
+            (User(k, l), k): v
+            for k, vals in enumerate(directs, start=1)
+            for l, v in enumerate(vals, start=1)
+        }
+        cap = min(min(vals) for vals in directs) / 2
+        for k, vals in enumerate(directs, start=1):
+            for j in range(1, cells + 1):
+                if j == k:
+                    continue
+                value = Fraction(0)
+                for l, v in enumerate(vals):
+                    base = Fraction(0) if optimality else value
+                    gap = v - vals[l - 1] if l else cap
+                    top = int(min(cap - base, gap) * denom)
+                    value = base + Fraction(rng.randint(0, top), denom)
+                    alpha[(User(k, l + 1), j)] = value
+        net = NetworkSpec.from_alpha(cells, users_per_cell, alpha)
+        report = evaluate_conditions(net)
+        if report.optimality_holds if optimality else report.convexity_holds:
+            return net
 
 
 def random_convexity_network(
@@ -87,47 +130,9 @@ def random_convexity_network(
     cells: int | None = None,
     users_per_cell: Iterable[int] | None = None,
 ) -> NetworkSpec:
-    """A network satisfying the convexity conditions, built constructively.
-
-    Directs are drawn in [1, 2]; every cross level stays at or below half the
-    weakest direct (which settles the cross-cell condition), and cross levels
-    grow with the user index by at most the direct-level increments (which
-    settles the per-cell condition).  A final exact check guards the
-    construction.
-    """
-    if cells is None:
-        cells = rng.randint(1, max_cells)
-    if users_per_cell is None:
-        users_per_cell = [rng.randint(1, max_users) for _ in range(cells)]
-    users_per_cell = list(users_per_cell)
-    while True:
-        alpha = {}
-        directs = {}
-        for k in range(1, cells + 1):
-            vals = _sorted_directs(rng, users_per_cell[k - 1], denom, Fraction(1), Fraction(2))
-            directs[k] = vals
-            for l, v in enumerate(vals, start=1):
-                alpha[(User(k, l), k)] = v
-        cap = min(v for vals in directs.values() for v in vals) / 2
-        for k in range(1, cells + 1):
-            for j in range(1, cells + 1):
-                if j == k:
-                    continue
-                prev = Fraction(0)
-                for l in range(1, users_per_cell[k - 1] + 1):
-                    if l == 1:
-                        value = Fraction(rng.randint(0, int(cap * denom)), denom)
-                    else:
-                        gap = directs[k][l - 1] - directs[k][l - 2]
-                        headroom = min(cap - prev, gap)
-                        value = prev + Fraction(
-                            rng.randint(0, max(0, int(headroom * denom))), denom
-                        )
-                    alpha[(User(k, l), j)] = value
-                    prev = value
-        net = NetworkSpec.from_alpha(cells, users_per_cell, alpha)
-        if evaluate_conditions(net).convexity_holds:
-            return net
+    """A network satisfying the convexity conditions, built constructively."""
+    shape = _shape(rng, max_cells, max_users, cells, users_per_cell)
+    return _constructive_network(rng, shape, denom, optimality=False)
 
 
 def random_optimality_network(
@@ -138,42 +143,9 @@ def random_optimality_network(
     cells: int | None = None,
     users_per_cell: Iterable[int] | None = None,
 ) -> NetworkSpec:
-    """A network satisfying the optimality conditions, built constructively.
-
-    As for the convexity sampler, but a stronger user's cross level toward
-    any cell is additionally capped by its direct-level gap to each weaker
-    user, which settles the strict per-cell condition through its first
-    branch.
-    """
-    if cells is None:
-        cells = rng.randint(1, max_cells)
-    if users_per_cell is None:
-        users_per_cell = [rng.randint(1, max_users) for _ in range(cells)]
-    users_per_cell = list(users_per_cell)
-    while True:
-        alpha = {}
-        directs = {}
-        for k in range(1, cells + 1):
-            vals = _sorted_directs(rng, users_per_cell[k - 1], denom, Fraction(1), Fraction(2))
-            directs[k] = vals
-            for l, v in enumerate(vals, start=1):
-                alpha[(User(k, l), k)] = v
-        cap = min(v for vals in directs.values() for v in vals) / 2
-        for k in range(1, cells + 1):
-            for j in range(1, cells + 1):
-                if j == k:
-                    continue
-                for l in range(1, users_per_cell[k - 1] + 1):
-                    limit = cap
-                    for l_prime in range(1, l):
-                        limit = min(limit, directs[k][l - 1] - directs[k][l_prime - 1])
-                    limit = max(limit, Fraction(0))
-                    alpha[(User(k, l), j)] = Fraction(
-                        rng.randint(0, int(limit * denom)), denom
-                    )
-        net = NetworkSpec.from_alpha(cells, users_per_cell, alpha)
-        if evaluate_conditions(net).optimality_holds:
-            return net
+    """A network satisfying the optimality conditions, built constructively."""
+    shape = _shape(rng, max_cells, max_users, cells, users_per_cell)
+    return _constructive_network(rng, shape, denom, optimality=True)
 
 
 def finite_snr_from_network(net: NetworkSpec, nominal_power: float) -> FiniteSnrSpec:

@@ -13,7 +13,6 @@ import pytest
 
 from tin_gdof import cellsim, conditions
 from tin_gdof.cellsim import (
-    LEVEL_DIGITS,
     LEVEL_REFERENCE_DB,
     NOISE_FLOOR_DBM,
     TX_POWER_DBM,
@@ -187,7 +186,7 @@ def _rng(p: ScenarioParams, trial_index: int) -> np.random.Generator:
 
 def _level(p: ScenarioParams, distance_m: float):
     margin_db = TX_POWER_DBM - path_loss_db(distance_m / 1000.0) - NOISE_FLOOR_DBM
-    return rationalize(max(0.0, margin_db) / LEVEL_REFERENCE_DB, LEVEL_DIGITS)
+    return rationalize(max(0.0, margin_db) / LEVEL_REFERENCE_DB)
 
 
 def reference_sample_network(p: ScenarioParams, trial_index: int) -> NetworkSpec:

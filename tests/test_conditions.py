@@ -180,14 +180,11 @@ def test_optimality_implies_convexity_randomized():
 def test_optimality_without_convexity_raises_even_without_asserts(monkeypatch, pimac_optimal):
     # A cross-cell check that fails only the convexity pair breaks the
     # invariant; it must raise a package error, which ``python -O`` keeps.
-    fake = conditions.Violation(
-        ConditionKind.CROSS_CELL_CONVEXITY, (1, 2, 2, 1, 1), Fraction(0), Fraction(1)
-    )
-    monkeypatch.setattr(
-        conditions,
-        "_cross_cell_violations",
-        lambda net, optimality: [] if optimality else [fake],
-    )
+    def convexity_only_failure(lv, optimality):
+        if not optimality:
+            yield (1, 2, 2, 1, 1), 0, 1
+
+    monkeypatch.setattr(conditions, "_cross_cell_failures", convexity_only_failure)
     with pytest.raises(TinGdofError):
         evaluate_conditions(pimac_optimal)
 

@@ -93,7 +93,7 @@ def test_unsorted_directs_relabelled(tmp_path):
 def test_direct_order_invariant_holds_after_construction(pimac_nonconvex):
     net = pimac_nonconvex
     for k in range(1, net.cells + 1):
-        directs = [net.direct(u) for u in net.users_in_cell(k)]
+        directs = [net.direct(User(k, l)) for l in range(1, net.users_per_cell[k - 1] + 1)]
         assert directs == sorted(directs)
 
 
@@ -281,6 +281,29 @@ def test_subnetwork_validation(pimac_nonconvex):
         pimac_nonconvex.validate_subnetwork({User(3, 1)})
 
 
+def test_active_slots_split_a_subnetwork_by_cell(pimac_nonconvex):
+    net = pimac_nonconvex
+    assert net.active_slots() == ((1, 2), (1,))
+    assert net.active_slots([User(1, 2), (2, 1), User(1, 2)]) == ((2,), (1,))
+    assert net.active_slots(frozenset()) == ((), ())
+    for unknown in (User(3, 1), User(1, 3), User(0, 1), User(2, 0)):
+        with pytest.raises(NetworkSpecError, match="unknown users"):
+            net.active_slots({User(1, 1), unknown})
+
+
+def test_decoding_order_validation_names_the_active_slots(pimac_nonconvex):
+    net = pimac_nonconvex
+    s = frozenset({User(1, 2), User(2, 1)})
+    assert DecodingOrder.identity(net, s) == DecodingOrder(((2,), (1,)))
+    DecodingOrder(((2, 1), (1,))).validate(net)
+    with pytest.raises(NetworkSpecError, match=r"cell 1 .* active slots \[2\]"):
+        DecodingOrder(((1,), (1,))).validate(net, s)
+    with pytest.raises(NetworkSpecError, match="wrong number of cells"):
+        DecodingOrder(((1, 2),)).validate(net)
+    with pytest.raises(NetworkSpecError, match="unknown users"):
+        DecodingOrder.identity(net, {User(2, 2)})
+
+
 def test_load_finite_snr_block(tmp_path):
     from tin_gdof.model import load_finite_snr
 
@@ -348,3 +371,11 @@ def test_levels_relabel_the_description_once():
 def test_strength_levels_rejects_non_finite_or_degenerate_power(p):
     with pytest.raises(NetworkSpecError, match="nominal power"):
         strength_levels(single_link_fs(p, 10.0))
+
+
+def test_finite_snr_without_gains_is_a_spec_error():
+    # built in code, not read from a file, so no document check runs first
+    with pytest.raises(NetworkSpecError, match="no gains"):
+        FiniteSnrSpec(100.0, {}, {}).levels
+    with pytest.raises(NetworkSpecError, match="no gains"):
+        strength_levels(FiniteSnrSpec(100.0, {}, {User(1, 1): 1.0}))

@@ -263,6 +263,25 @@ def test_set_function_with_general_order_on_subnetwork(pimac_nonconvex):
     assert set_function_f(net, sub_order, {User(1, 1)}) == Fraction(1)
 
 
+@pytest.mark.parametrize(
+    "order, subset, message",
+    [
+        (None, {User(9, 1)}, "unknown users"),
+        (None, {User(1, 1), User(1, 3)}, "unknown users"),
+        (((1, 2),), {User(1, 1)}, "wrong number of cells"),
+        (((1, 2), (1,), ()), set(), "wrong number of cells"),
+        (((1, 2), (1,), (1,)), {User(1, 1)}, "unknown users"),
+        (((1, 1), (1,)), {User(1, 1)}, "permutation"),
+        (((1, 3), (1,)), {User(1, 1)}, "unknown users"),
+    ],
+)
+def test_set_function_validates_subset_and_order(pimac_nonconvex, order, subset, message):
+    net = pimac_nonconvex
+    order = DecodingOrder.identity(net) if order is None else DecodingOrder(order)
+    with pytest.raises(NetworkSpecError, match=message):
+        set_function_f(net, order, subset)
+
+
 def test_set_function_monotone_in_depth_for_identity():
     rng = random.Random(7)
     for _ in range(10):
