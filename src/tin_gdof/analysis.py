@@ -9,6 +9,7 @@ representation.  All rates are in bits per channel use (base-2 logs).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple
@@ -29,6 +30,7 @@ from .model import (
     NetworkSpec,
     Subnetwork,
     User,
+    _user,
     enumerate_orders,
 )
 from .potential import (
@@ -54,6 +56,19 @@ VERTEX_GUARD_DIM = 8
 # -- achievable GDoF evaluator ----------------------------------------------
 
 
+def _decoded_users(net: NetworkSpec, order: DecodingOrder, alloc: PowerAllocation) -> Subnetwork:
+    """The users that ``order`` decodes, after its scope check; ``alloc``
+    must give each of them a power exponent."""
+    active = order.validate(net, order.active_users())
+    unpowered = active - alloc.exponents.keys()
+    if unpowered:
+        raise NetworkSpecError(
+            f"decoding order lists users that the allocation turns off or leaves out: "
+            f"{sorted(unpowered)}"
+        )
+    return active
+
+
 def achievable_gdof(
     net: NetworkSpec,
     order: DecodingOrder,
@@ -65,11 +80,11 @@ def achievable_gdof(
     exponent minus the larger of (a) the strongest not-yet-decoded in-cell
     exponent and (b) the strongest inter-cell exponent, the penalty floored
     at zero, and the result floored at zero.  Users marked off contribute
-    nothing and get zero.
+    nothing and get zero.  The order and the allocation are checked first:
+    the order must be one of a subnetwork of ``net``, and the allocation
+    must power every user it decodes.
     """
-    active = order.active_users()
-    if any(alloc.is_off(u) for u in active):
-        raise NetworkSpecError("decoding order lists a user that the allocation turns off")
+    active = _decoded_users(net, order, alloc)
     out: dict[User, Fraction] = {u: Fraction(0) for u in net.users}
     rx_exponent = {u: alloc[u] + net.direct(u) for u in active}
     for k in range(1, net.cells + 1):
@@ -129,11 +144,8 @@ def general_membership(net: NetworkSpec, d: GdofTuple) -> GeneralMembership:
     instead of prod_i |S_i|!.  Other networks scan every order.
     """
     support = d.support()
-    unknown = support - set(net.users)
-    if unknown:
-        raise NetworkSpecError(f"GDoF tuple indexes unknown users {sorted(unknown)}")
-    off = frozenset(net.full_subnetwork - support)
-    for order in enumerate_orders(net, support):
+    off = net.full_subnetwork - support
+    for order in enumerate_orders(net, support):  # raises on an unknown user
         g = build_potential_graph(net, order, support, d)
         try:
             alloc = recover_power_allocation(g, off)
@@ -193,17 +205,19 @@ class FlowNetwork(NamedTuple):
     potential: tuple[int, ...]
 
 
-def flow_network(net: NetworkSpec, order: DecodingOrder, s: Subnetwork) -> FlowNetwork:
-    """The ``FlowNetwork`` of the fixed-order region of ``s`` under ``order``.
+def flow_network(region: PolyRegion) -> FlowNetwork:
+    """The ``FlowNetwork`` of a fixed-order region.
 
-    The arcs are the edges of the region's ``potential_skeleton``, whose
+    The region's ``source`` is a scope that ``polyhedral_region`` has
+    checked, so it goes to ``potential_skeleton`` unchecked.  The arcs are
+    the edges of that skeleton, whose
     lengths at d = 0 are already integers over ``den``, and the start
     potentials are its ground distances from one integer pass of
     ``skeleton_distances``; no ``Fraction`` is made.  A negative circuit
     there means the region is empty.  ``PolyRegion.flow_network`` keeps the
     result, so repeated solves over one region build it once.
     """
-    sk = potential_skeleton(net, order, s)
+    sk = potential_skeleton(*region.source)
     result = skeleton_distances(sk)
     if isinstance(result, Circuit):
         raise EmptyRegionError(
@@ -242,7 +256,7 @@ def max_weighted_gdof(region: PolyRegion, weights: Mapping) -> WeightedOptimum:
     reduced cost of u's split arc.  Raises ``EmptyRegionError`` when the
     region is empty.
     """
-    weights = {User(*u): Fraction(w) for u, w in weights.items()}
+    weights = {_user(u): Fraction(w) for u, w in weights.items()}
     unknown = weights.keys() - set(region.dim_users)
     if unknown:
         raise NetworkSpecError(f"weights index unknown users {sorted(unknown)}")
@@ -348,9 +362,24 @@ class RateBound:
     kind: str = ""  # "cell" or "cyclic", for reporting
 
 
-def _require_link_assumption(net: NetworkSpec, fs: FiniteSnrSpec) -> None:
+def _require_link_assumption(fs: FiniteSnrSpec) -> None:
+    """Refuse a link whose power ``|h|^2 * P_tx`` is below the noise floor, 1.
+
+    The floor allows for rounding and no more.  With eps =
+    ``sys.float_info.epsilon`` = 2^-52, the power as written in the input
+    reaches ``link_power`` through these relative errors: eps / 2 in each
+    gain part and in P_tx, read from decimal, which move the product by
+    eps + eps / 2; eps in ``abs(h)``, a hypot within 1 ulp, which the square
+    doubles; and eps / 2 in each of the two products.  That is 4.5 eps +
+    O(eps^2).  Floats below 1 are eps / 2 apart, so a link written at the
+    floor computes to at least 1 - 4.5 eps, and only a smaller value shows
+    a link below it.  The slack is needed: the gain (0.5480426514161516,
+    0.8364503883846037), the cosine and sine of one angle, computes to
+    1 - eps.
+    """
+    floor = 1.0 - 4.5 * sys.float_info.epsilon
     for (user, rx) in fs.gains:
-        if fs.link_power(user, rx) < 1.0 - 1e-12:
+        if fs.link_power(user, rx) < floor:
             raise NetworkSpecError(
                 f"link {user}->rx{rx} has power below the noise floor; "
                 "the rate outer bound requires every link at or above it"
@@ -378,7 +407,7 @@ def outer_bound_rates(fs: FiniteSnrSpec) -> list[RateBound]:
     received level, and levels are nonnegative.
     """
     net, fs = fs.levels
-    _require_link_assumption(net, fs)
+    _require_link_assumption(fs)
     if not evaluate_conditions(net).optimality_holds:
         raise ConditionsNotMetError(
             "rate outer bound is only established when the optimality conditions hold"
@@ -416,12 +445,11 @@ def achievable_rates(
     the signals it treats as noise.  The reason is that the noise, with
     its unit floor, lies in [P^pen, (1 + n) P^pen] for the floored penalty
     ``pen``.  A user whose ceiling is zero can still get up to one bit.
+    The order and the allocation are checked as ``achievable_gdof`` checks
+    them.
     """
     net, fs = fs.levels
-    active = order.active_users()
-    order.validate(net, active)
-    if any(alloc.is_off(u) for u in active):
-        raise NetworkSpecError("decoding order lists a user that the allocation turns off")
+    active = _decoded_users(net, order, alloc)
     p = fs.nominal_power
     rates: dict[User, float] = {u: 0.0 for u in net.users}
     for k in range(1, net.cells + 1):

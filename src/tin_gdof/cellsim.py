@@ -11,8 +11,8 @@ Two geometries:
   the adjacent cells (wraparound), distances are measured along the ring.
 
 Users are placed uniformly on their cell segment, excluding a protection
-interval of radius ``r0`` around the site.  Link budgets follow a log-
-distance path-loss law; levels are the dB margin above the noise floor,
+interval of radius ``EXCLUSION_M`` around the site.  Link budgets follow a
+log-distance path-loss law; levels are the dB margin above the noise floor,
 clipped at zero and divided by a fixed reference (condition outcomes do not
 depend on the reference, by degree-1 homogeneity of the conditions).
 
@@ -43,12 +43,14 @@ import numpy as np
 from .errors import NetworkSpecError, TinGdofError
 from .model import RATIONALIZE_DIGITS, NetworkSpec, User
 
-#: Radio setup of every scenario: transmit power and noise floor in dBm, and
-#: the path-loss model PL(d) = A + B log10(d_km) in dB.
+#: Radio setup of every scenario: transmit power and noise floor in dBm, the
+#: path-loss model PL(d) = A + B log10(d_km) in dB, and the radius in meters
+#: of the protection interval around each site that no user is placed in.
 TX_POWER_DBM = 23.0
 NOISE_FLOOR_DBM = -102.0
 PATHLOSS_A_DB = 148.1
 PATHLOSS_B_DB = 37.6
+EXCLUSION_M = 35.0
 
 #: Fixed positive reference converting dB-above-noise into level exponents.
 #: Any positive value yields the same condition outcomes.
@@ -77,13 +79,15 @@ class ScenarioParams:
     trials: int
     seed: int
     cells: int = 4  # circular geometry only; linear is always 2 cells
-    exclusion_m: float = 35.0
 
     def __post_init__(self):
         if self.geometry not in ("linear", "circular"):
             raise NetworkSpecError(f"unknown geometry {self.geometry!r}")
-        if not (0 <= self.exclusion_m < self.site_radius_m):
-            raise NetworkSpecError("need 0 <= exclusion radius < site radius")
+        if not EXCLUSION_M < self.site_radius_m:
+            raise NetworkSpecError(
+                f"site radius must exceed the {EXCLUSION_M:g} m exclusion radius, "
+                f"got {self.site_radius_m!r} m"
+            )
         if self.users_per_cell < 1 or self.trials < 1:
             raise NetworkSpecError("users_per_cell and trials must be positive")
         if self.geometry == "circular" and self.cells < 2:
@@ -172,7 +176,7 @@ def _distances(p: ScenarioParams, first: int, count: int):
     and every step is elementwise IEEE arithmetic in the order of one scalar
     ``uniform`` call per number.
     """
-    r, r0, n = p.site_radius_m, p.exclusion_m, p.users_per_cell
+    r, r0, n = p.site_radius_m, EXCLUSION_M, p.users_per_cell
 
     if p.geometry == "linear":
         # Site 1 at 0 facing right, site 2 at 2r facing left; both sectors

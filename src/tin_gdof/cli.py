@@ -83,12 +83,13 @@ def _parse_user(tok: str) -> User:
 
 def _parse_scope(
     net: NetworkSpec, order_spec: str, sub_spec: str | None
-) -> tuple[frozenset, DecodingOrder]:
-    """The subnetwork and decoding order that ``--subnetwork`` and ``--order``
-    name; the region or graph built on them validates the order."""
-    s = net.full_subnetwork
+) -> tuple[frozenset | None, DecodingOrder]:
+    """The subnetwork (None for every user) and decoding order that
+    ``--subnetwork`` and ``--order`` name; the region or graph built on
+    them checks both."""
+    s = None
     if sub_spec is not None:
-        s = net.validate_subnetwork(_parse_list("--subnetwork", sub_spec, _parse_user))
+        s = frozenset(_parse_list("--subnetwork", sub_spec, _parse_user))
     if order_spec == "id":
         return s, DecodingOrder.identity(net, s)
     per_cell = (_parse_list("--order", part, int) for part in order_spec.split("|"))

@@ -16,6 +16,7 @@ import cmath
 import itertools
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -43,6 +44,17 @@ class User(NamedTuple):
 
 #: A subnetwork is just the set of active users.
 Subnetwork = frozenset
+
+
+def _user(key) -> User:
+    """The ``User`` that a user key names: a pair of ints, or of values that
+    ``operator.index`` accepts.  The one rule for user keys; any other key
+    is a ``NetworkSpecError``."""
+    try:
+        k, l = key
+        return User(operator.index(k), operator.index(l))
+    except (TypeError, ValueError):
+        raise NetworkSpecError(f"user key {key!r} is not a (cell, slot) pair of ints") from None
 
 
 def rationalize(x) -> Fraction:
@@ -104,13 +116,11 @@ class NetworkSpec:
         filled = 0  # distinct keys of a mapping name distinct links
         for key, value in alpha.items():
             user, rx = key
-            if not isinstance(user, User):
-                user = User(*user)
-            k, l = user
+            k, l = user = _user(user)
             if not (
                 k in cell_ids
                 and rx in cell_ids
-                and l in range(1, users_per_cell[int(k) - 1] + 1)
+                and l in range(1, users_per_cell[k - 1] + 1)
             ):
                 raise NetworkSpecError(f"alpha entry for unknown link {user}->rx{rx}")
             try:
@@ -125,7 +135,7 @@ class NetworkSpec:
                     stacklevel=2,
                 )
                 v = Fraction(0)
-            levels[int(k) - 1][int(l) - 1][int(rx) - 1] = v
+            levels[k - 1][l - 1][int(rx) - 1] = v
             filled += 1
         missing = cells * sum(users_per_cell) - filled
         if missing:
@@ -184,12 +194,14 @@ class NetworkSpec:
 
         return condition_flags(self.integer_levels[1])[0]
 
-    @property
+    @cached_property
     def users(self) -> tuple[User, ...]:
         """All users, in canonical (cell, slot) order."""
-        return tuple(User(k, l) for k, slots in enumerate(self.active_slots(), 1) for l in slots)
+        return tuple(
+            User(k, l) for k, n in enumerate(self.users_per_cell, 1) for l in range(1, n + 1)
+        )
 
-    @property
+    @cached_property
     def full_subnetwork(self) -> Subnetwork:
         return frozenset(self.users)
 
@@ -201,28 +213,24 @@ class NetworkSpec:
         scaled = {key: c * v for key, v in self.alpha_map.items()}
         return NetworkSpec(self.cells, self.users_per_cell, scaled, self.slot_provenance)
 
-    def validate_subnetwork(self, s: Iterable[User]) -> Subnetwork:
-        s = frozenset(User(*u) for u in s)
-        self.active_slots(s)
-        return s
-
     def active_slots(self, s: Iterable[User] | None = None) -> tuple[tuple[int, ...], ...]:
         """Per cell, the ascending slots of the users of ``s`` (of every user
         when ``s`` is None), found in one pass over ``s``.
 
         The one place that splits a subnetwork by cell and checks that its
-        users exist; an unknown user is a ``NetworkSpecError``.
+        users exist.  Keys go through the user-key rule; a key that is not a
+        pair of ints, or an unknown user, is a ``NetworkSpecError``.
         """
         if s is None:
             return tuple(tuple(range(1, n + 1)) for n in self.users_per_cell)
-        cells = range(1, self.cells + 1)
-        per_cell = [set() for _ in cells]
+        per_cell = [set() for _ in self.users_per_cell]
         unknown = set()
-        for k, l in s:
-            if k in cells and l in range(1, self.users_per_cell[int(k) - 1] + 1):
-                per_cell[int(k) - 1].add(int(l))
+        for key in s:
+            k, l = user = _user(key)
+            if 1 <= k <= self.cells and 1 <= l <= self.users_per_cell[k - 1]:
+                per_cell[k - 1].add(l)
             else:
-                unknown.add(User(k, l))
+                unknown.add(user)
         if unknown:
             raise NetworkSpecError(f"subnetwork contains unknown users {sorted(unknown)}")
         return tuple(tuple(sorted(slots)) for slots in per_cell)
@@ -258,15 +266,21 @@ class DecodingOrder:
             User(k, l) for k, slots in enumerate(self.per_cell, start=1) for l in slots
         )
 
-    def validate(self, net: NetworkSpec, s: Subnetwork | None = None) -> None:
+    def validate(self, net: NetworkSpec, s: Iterable[User] | None = None) -> Subnetwork:
+        """The scope check: that this is a decoding order of the subnetwork
+        ``s`` of ``net`` (of every user when ``s`` is None).  Returns ``s``
+        as a frozenset of ``User``s, which what is built on it trusts.  A
+        bad user key, an unknown user, a wrong cell count or a cell that
+        does not list its active slots is a ``NetworkSpecError``."""
         active = net.active_slots(s)
         if len(self.per_cell) != net.cells:
             raise NetworkSpecError("decoding order has wrong number of cells")
         for k, (slots, want) in enumerate(zip(self.per_cell, active), start=1):
-            if tuple(sorted(slots)) != want:
+            if tuple(sorted(_user((k, l)).slot for l in slots)) != want:
                 raise NetworkSpecError(
                     f"decoding order for cell {k} is not a permutation of active slots {list(want)}"
                 )
+        return net.full_subnetwork if s is None else self.active_users()
 
 
 def enumerate_orders(net: NetworkSpec, s: Subnetwork | None = None) -> Iterator[DecodingOrder]:

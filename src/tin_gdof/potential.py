@@ -20,7 +20,10 @@ levels, so ties in levels cannot change the family.
 
 The graph is written once, by ``potential_skeleton``: per ``(net, order,
 s)``, the edges as vertex indices and integer lengths at d = 0 over
-``NetworkSpec.integer_levels``' denominator.  A tuple d enters as one
+``NetworkSpec.integer_levels``' denominator.  It takes a scope that
+``DecodingOrder.validate`` has already checked: ``build_potential_graph``
+checks once per graph, and ``polyhedral_region`` once per region before
+``analysis.flow_network`` builds on it.  A tuple d enters as one
 integer shift of the edges out of each user, and one relaxation, ``_relax``,
 serves every length type.  ``skeleton_distances`` relaxes the shifted edges
 on Python ints.  Region set-up uses it: ``analysis.flow_network`` (the arcs
@@ -50,7 +53,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple
 
 from .errors import GuardExceededError, InfeasibleAllocationError, NetworkSpecError, TinGdofError
-from .model import DecodingOrder, NetworkSpec, Subnetwork, User
+from .model import DecodingOrder, NetworkSpec, Subnetwork, User, _user
 from .regions import GdofTuple, enumerate_cyclic_sequences
 
 #: Ground vertex sentinel; cells are 1-based so (0, 0) is never a real user.
@@ -116,11 +119,11 @@ class PowerAllocation:
     off: frozenset
 
     def __post_init__(self):
-        exps = {User(*u): Fraction(v) for u, v in self.exponents.items()}
+        exps = {_user(u): Fraction(v) for u, v in self.exponents.items()}
         if any(v > 0 for v in exps.values()):
             raise ValueError("power exponents must be <= 0")
         object.__setattr__(self, "exponents", exps)
-        object.__setattr__(self, "off", frozenset(User(*u) for u in self.off))
+        object.__setattr__(self, "off", frozenset(map(_user, self.off)))
         if exps.keys() & self.off:
             raise ValueError("a user cannot be both powered and off")
 
@@ -140,11 +143,12 @@ def build_potential_graph(
     """Potential graph of ``d`` over the active users of ``s``.
 
     ``d`` must vanish outside ``s``; deactivated users are removed from the
-    graph entirely.  The edges are those of ``potential_skeleton`` at ``d``,
-    each with its ``Fraction`` length and the family that its ends and
-    their decode positions give.
+    graph entirely.  The scope is checked here, once, by
+    ``DecodingOrder.validate``.  The edges are those of
+    ``potential_skeleton`` at ``d``, each with its ``Fraction`` length and
+    the family that its ends and their decode positions give.
     """
-    sk = potential_skeleton(net, order, s)
+    sk = potential_skeleton(net, order, order.validate(net, s))
     den, edges = _shifted(sk, d)
     v = sk.vertices
     position = {u: order.slots(u.cell).index(u.slot) for u in v[1:]}
@@ -277,11 +281,16 @@ def potential_skeleton(
     net: NetworkSpec, order: DecodingOrder, s: Subnetwork | None = None
 ) -> PotentialSkeleton:
     """The ``PotentialSkeleton`` of ``(net, order, s)``, built from
-    ``net.integer_levels``: the one place that writes the edge families."""
-    s = net.full_subnetwork if s is None else net.validate_subnetwork(s)
-    order.validate(net, s)
+    ``net.integer_levels``: the one place that writes the edge families.
+
+    Takes a checked scope and checks nothing: ``s`` (None for every user)
+    and ``order`` as ``DecodingOrder.validate`` returns and checks them.
+    Its callers are ``build_potential_graph`` after its check, the flow
+    network of a region, which ``polyhedral_region`` checked, and
+    ``gap_report``'s identity order.
+    """
     den, lv = net.integer_levels
-    active = sorted(s)
+    active = net.users if s is None else sorted(s)
     index = {u: i for i, u in enumerate(active, 1)}
 
     def level(u: User, rx: int) -> int:

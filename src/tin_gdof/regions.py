@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import NetworkSpecError
-from .model import DecodingOrder, NetworkSpec, Rational, Subnetwork, User, rationalize
+from .model import DecodingOrder, NetworkSpec, Rational, Subnetwork, User, _user, rationalize
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ class GdofTuple:
     d: Mapping
 
     def __post_init__(self):
-        frozen = {User(*u): Fraction(v) for u, v in self.d.items()}
+        frozen = {_user(u): Fraction(v) for u, v in self.d.items()}
         if any(v < 0 for v in frozen.values()):
             raise ValueError("GDoF values must be nonnegative")
         object.__setattr__(self, "d", frozen)
@@ -122,7 +122,8 @@ class PolyRegion:
     """A polytope of GDoF tuples: 0/1 sum inequalities, nonnegativity, forced zeros.
 
     Made by ``polyhedral_region`` from its ``source``, the ``(net, order, s)``
-    it describes; ``inequalities`` is built on first access, so callers that
+    it describes, whose scope ``polyhedral_region`` has checked;
+    ``inequalities`` is built on first access, so callers that
     only optimize over it never pay for the exponential list.  Regions
     compare by identity; use ``same_system`` for structural equality.
     """
@@ -134,19 +135,19 @@ class PolyRegion:
     @cached_property
     def inequalities(self) -> tuple[LinearInequality, ...]:
         """One inequality per index of ``bound_indices``, in its emission order."""
-        net, order, s = self.source
+        net, order, _ = self.source
         return tuple(
             LinearInequality(index.users, bound_rhs(net, index))
-            for index in bound_indices(net, order, s)
+            for index in _bound_indices(net, order)
         )
 
     @cached_property
     def flow_network(self):
-        """``analysis.flow_network`` of the source, built on the first
+        """``analysis.flow_network`` of this region, built on the first
         ``max_weighted_gdof`` solve and shared by every later one."""
         from .analysis import flow_network  # analysis imports this module
 
-        return flow_network(*self.source)
+        return flow_network(self)
 
     def active_users(self) -> tuple[User, ...]:
         return tuple(u for u in self.dim_users if u not in self.forced_zero)
@@ -198,9 +199,15 @@ def bound_indices(
     of two or more active cells and choice of one depth per cell.  Emission
     order is deterministic: per-cell bounds by (cell, depth), then cyclic
     bounds in ``enumerate_cyclic_sequences`` order (length, cell subset,
-    arrangement) and by depth vector.
+    arrangement) and by depth vector.  The scope is checked on the call.
     """
     order.validate(net, s)
+    return _bound_indices(net, order)
+
+
+def _bound_indices(net: NetworkSpec, order: DecodingOrder) -> Iterator[BoundIndex]:
+    """``bound_indices`` of an order whose scope is already checked: the
+    active users are the slots that ``order`` lists."""
     tops = {k: [User(k, slot) for slot in order.slots(k)] for k in range(1, net.cells + 1)}
     prefixes = {k: [frozenset(t[:l]) for l in range(1, len(t) + 1)] for k, t in tops.items()}
     active_cells = [k for k, t in tops.items() if t]
@@ -239,12 +246,12 @@ def polyhedral_region(
 
     One inequality  sum of d over the index's users <= ``bound_rhs``  per
     index of ``bound_indices``, in its emission order, built on first access
-    to ``inequalities``.  Users outside ``s`` are forced to zero.  ``s`` and
-    ``order`` are validated here.
+    to ``inequalities``.  Users outside ``s`` are forced to zero.  The
+    scope, ``s`` and ``order``, is checked here, once, by
+    ``DecodingOrder.validate``; everything built on the region trusts it.
     """
-    s = net.full_subnetwork if s is None else net.validate_subnetwork(s)
-    order.validate(net, s)
-    return PolyRegion(net.users, frozenset(net.full_subnetwork - s), (net, order, s))
+    s = order.validate(net, s)
+    return PolyRegion(net.users, net.full_subnetwork - s, (net, order, s))
 
 
 def set_function_f(net: NetworkSpec, order: DecodingOrder, subset: Iterable[User]) -> Fraction:
@@ -259,7 +266,7 @@ def set_function_f(net: NetworkSpec, order: DecodingOrder, subset: Iterable[User
     cyclic arrangements of the participating cells otherwise.
     """
     order.validate(net, order.active_users())
-    subset = frozenset(User(*u) for u in subset)
+    subset = frozenset(map(_user, subset))
     depth = {}
     for k, slots in enumerate(net.active_slots(subset), start=1):
         if slots:

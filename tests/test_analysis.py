@@ -439,9 +439,7 @@ def test_flow_network_is_built_once_per_region(monkeypatch, pimac_optimal):
             fresh = polyhedral_region(*reg.source)
             assert max_weighted_gdof(reg, weights) == max_weighted_gdof(fresh, weights)
     assert len(built) == 2 + 5 * 2
-    assert [reg.flow_network for reg in regs] == [
-        analysis.flow_network(*reg.source) for reg in regs
-    ]
+    assert [reg.flow_network for reg in regs] == [analysis.flow_network(reg) for reg in regs]
 
 
 def fraction_flow_network(net, order, s):
@@ -475,16 +473,17 @@ def test_flow_network_matches_fraction_construction():
         net = sample(rng, cells=rng.randint(2, 6), denom=rng.choice([2, 3, 20]))
         s = frozenset(u for u in net.users if rng.random() < 0.75)
         order = random_order(rng, net, s)
+        region = polyhedral_region(net, order, s)
         try:
             expected = fraction_flow_network(net, order, s)
         except EmptyRegionError as exc:
             empty += 1
             with pytest.raises(EmptyRegionError) as info:
-                analysis.flow_network(net, order, s)
+                analysis.flow_network(region)
             assert str(info.value) == str(exc)
         else:
             nonempty += 1
-            assert analysis.flow_network(net, order, s) == expected
+            assert analysis.flow_network(region) == expected
     assert nonempty > 100 and empty > 50
 
 
@@ -801,6 +800,18 @@ def test_outer_bound_rates_requires_links_above_noise():
     fs = FiniteSnrSpec(
         100.0, {(User(1, 1), 1): complex(0.01)}, {User(1, 1): 1.0}
     )
+    with pytest.raises(NetworkSpecError, match="noise floor"):
+        outer_bound_rates(fs)
+
+
+def test_noise_floor_allows_only_the_rounding_of_the_link_power():
+    # A unit gain, as the cosine and sine of one angle, whose squared
+    # magnitude rounds below 1, passes; a link power of 1 - 1e-13 does not.
+    unit = complex(0.5480426514161516, 0.8364503883846037)
+    assert abs(unit) ** 2 < 1.0
+    fs = FiniteSnrSpec(100.0, {(User(1, 1), 1): unit}, {User(1, 1): 1.0})
+    assert len(outer_bound_rates(fs)) == 1
+    fs = FiniteSnrSpec(100.0, {(User(1, 1), 1): complex(1.0)}, {User(1, 1): 1 - 1e-13})
     with pytest.raises(NetworkSpecError, match="noise floor"):
         outer_bound_rates(fs)
 

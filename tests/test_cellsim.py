@@ -13,6 +13,7 @@ import pytest
 
 from tin_gdof import cellsim, conditions
 from tin_gdof.cellsim import (
+    EXCLUSION_M,
     LEVEL_REFERENCE_DB,
     NOISE_FLOOR_DBM,
     TX_POWER_DBM,
@@ -70,7 +71,7 @@ def test_direct_levels_dominate_cross_levels():
 
 
 def test_direct_levels_within_geometry_bounds():
-    p = params(site_radius_m=200.0, exclusion_m=35.0)
+    p = params(site_radius_m=200.0)
     lo = (23.0 - path_loss_db(0.200) + 102.0) / LEVEL_REFERENCE_DB
     hi = (23.0 - path_loss_db(0.035) + 102.0) / LEVEL_REFERENCE_DB
     for trial in range(20):
@@ -158,7 +159,7 @@ def test_params_reject_a_layout_beyond_the_float_range(geometry, radius):
 
 def test_params_validation():
     with pytest.raises(NetworkSpecError):
-        params(exclusion_m=200.0, site_radius_m=100.0)
+        params(site_radius_m=EXCLUSION_M)
     with pytest.raises(NetworkSpecError):
         params(geometry="hex")
     with pytest.raises(NetworkSpecError):
@@ -192,7 +193,7 @@ def _level(p: ScenarioParams, distance_m: float):
 def reference_sample_network(p: ScenarioParams, trial_index: int) -> NetworkSpec:
     """Draw one random user placement and return its strength-level network."""
     rng = _rng(p, trial_index)
-    r, r0, n = p.site_radius_m, p.exclusion_m, p.users_per_cell
+    r, r0, n = p.site_radius_m, EXCLUSION_M, p.users_per_cell
     alpha: dict[tuple[User, int], object] = {}
 
     if p.geometry == "linear":

@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tin_gdof.analysis import (
+    achievable_gdof,
+    achievable_rates,
+    gdof_dominates,
+    general_membership,
+    max_weighted_gdof,
+)
 from tin_gdof.errors import NetworkSpecError
+from tin_gdof.potential import PowerAllocation, build_potential_graph
+from tin_gdof.regions import GdofTuple, bound_indices, polyhedral_region, set_function_f
 from tin_gdof.sampling import finite_snr_from_network
 from tin_gdof.model import (
     DecodingOrder,
@@ -277,8 +286,12 @@ def test_rationalize_rounds_floats():
 
 
 def test_subnetwork_validation(pimac_nonconvex):
+    net = pimac_nonconvex
+    s = frozenset({User(1, 2), User(2, 1)})
+    assert DecodingOrder(((2,), (1,))).validate(net, [(1, 2), (2, 1)]) == s
+    assert DecodingOrder.identity(net).validate(net) == net.full_subnetwork
     with pytest.raises(NetworkSpecError):
-        pimac_nonconvex.validate_subnetwork({User(3, 1)})
+        DecodingOrder.identity(net).validate(net, {User(3, 1)})
 
 
 def test_active_slots_split_a_subnetwork_by_cell(pimac_nonconvex):
@@ -379,3 +392,108 @@ def test_finite_snr_without_gains_is_a_spec_error():
         FiniteSnrSpec(100.0, {}, {}).levels
     with pytest.raises(NetworkSpecError, match="no gains"):
         strength_levels(FiniteSnrSpec(100.0, {}, {User(1, 1): 1.0}))
+
+
+# -- the input contract ------------------------------------------------------
+# Every public entry that takes users or orders turns bad ones into a
+# NetworkSpecError: a user key that is not a pair of ints, a user the network
+# does not have, an order with the wrong cell count, and, for the evaluators,
+# an allocation that does not power every decoded user.
+
+BAD_KEY = (1.0, 1)
+UNKNOWN = User(1, 3)  # cell 1 has two users
+IDENTITY = DecodingOrder(((1, 2), (1,)))
+WRONG_CELLS = DecodingOrder(((1, 2),))
+BAD_ORDERS = {
+    "key": DecodingOrder(((1.0, 2), (1,))),
+    "unknown": DecodingOrder(((1, 3), (1,))),
+    "cells": WRONG_CELLS,
+}
+
+
+def full_power(net):
+    return PowerAllocation({u: 0 for u in net.users}, frozenset())
+
+
+def scope_cases(entry, call):
+    """The bad scopes of an entry called as ``call(net, order, s)``."""
+    return [
+        pytest.param(lambda net: call(net, IDENTITY, {BAD_KEY}), id=f"{entry}-key"),
+        pytest.param(lambda net: call(net, BAD_ORDERS["key"], None), id=f"{entry}-order-key"),
+        pytest.param(lambda net: call(net, IDENTITY, {UNKNOWN}), id=f"{entry}-unknown"),
+        pytest.param(lambda net: call(net, WRONG_CELLS, None), id=f"{entry}-cells"),
+    ]
+
+
+def evaluator_cases(entry, call):
+    """The bad orders and the short allocation of an entry called as
+    ``call(net, order, alloc)``."""
+    cases = [
+        pytest.param(lambda net, o=order: call(net, o, full_power(net)), id=f"{entry}-{name}")
+        for name, order in BAD_ORDERS.items()
+    ]
+    short = PowerAllocation({User(1, 1): 0, User(2, 1): 0}, frozenset())
+    cases.append(pytest.param(lambda net: call(net, IDENTITY, short), id=f"{entry}-no-power"))
+    return cases
+
+
+CONTRACT = [
+    pytest.param(lambda net: GdofTuple({BAD_KEY: 1}), id="GdofTuple-key"),
+    pytest.param(lambda net: PowerAllocation({BAD_KEY: 0}, frozenset()), id="PowerAllocation-key"),
+    pytest.param(lambda net: PowerAllocation({}, frozenset([BAD_KEY])), id="PowerAllocation-off-key"),
+    *scope_cases("polyhedral_region", polyhedral_region),
+    *scope_cases("build_potential_graph", build_potential_graph),
+    *scope_cases("bound_indices", lambda net, order, s: list(bound_indices(net, order, s))),
+    *scope_cases("set_function_f", lambda net, order, s: set_function_f(net, order, s or {User(1, 1)})),
+    pytest.param(lambda net: list(enumerate_orders(net, {BAD_KEY})), id="enumerate_orders-key"),
+    pytest.param(lambda net: list(enumerate_orders(net, {UNKNOWN})), id="enumerate_orders-unknown"),
+    *evaluator_cases("achievable_gdof", achievable_gdof),
+    *evaluator_cases(
+        "gdof_dominates",
+        lambda net, order, alloc: gdof_dominates(net, order, alloc, GdofTuple.zero(net)),
+    ),
+    *evaluator_cases(
+        "achievable_rates",
+        lambda net, order, alloc: achievable_rates(finite_snr_from_network(net, 100.0), order, alloc),
+    ),
+    pytest.param(lambda net: general_membership(net, GdofTuple({BAD_KEY: 1})), id="general_membership-key"),
+    pytest.param(lambda net: general_membership(net, GdofTuple({UNKNOWN: 1})), id="general_membership-unknown"),
+    pytest.param(
+        lambda net: max_weighted_gdof(polyhedral_region(net, IDENTITY), {BAD_KEY: 1}),
+        id="max_weighted_gdof-key",
+    ),
+    pytest.param(
+        lambda net: max_weighted_gdof(polyhedral_region(net, IDENTITY), {UNKNOWN: 1}),
+        id="max_weighted_gdof-unknown",
+    ),
+]
+
+
+@pytest.mark.parametrize("call", CONTRACT)
+def test_bad_users_and_orders_are_spec_errors(call, pimac_optimal):
+    with pytest.raises(NetworkSpecError):
+        call(pimac_optimal)
+
+
+def test_one_scope_check_per_request(monkeypatch, pimac_optimal):
+    # An identity-order weighted sum-GDoF solve checks its scope once for the
+    # identity order and once for the region; a query on a convexity network
+    # once for its order enumeration and once for the one graph it builds.
+    calls = []
+    original = NetworkSpec.active_slots
+
+    def counting(self, s=None):
+        calls.append(s)
+        return original(self, s)
+
+    net = pimac_optimal
+    assert net.convexity_holds
+    monkeypatch.setattr(NetworkSpec, "active_slots", counting)
+    region = polyhedral_region(net, DecodingOrder.identity(net))
+    opt = max_weighted_gdof(region, dict.fromkeys(net.users, 1))
+    assert opt.value == Fraction(19, 10)
+    assert len(calls) <= 2
+    for d, member in ((opt.argmax, True), (GdofTuple.from_values(net, [1, 1, 1]), False)):
+        calls.clear()
+        assert general_membership(net, d).member == member
+        assert len(calls) <= 2

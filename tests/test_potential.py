@@ -46,8 +46,7 @@ def fraction_potential_graph(net, order, s=None, d=None):
     """The potential graph written family by family from ``net.direct`` and
     ``net.alpha`` in ``Fraction``: the oracle for ``build_potential_graph``,
     which reads the integer skeleton."""
-    s = net.full_subnetwork if s is None else net.validate_subnetwork(s)
-    order.validate(net, s)
+    s = order.validate(net, s)
     if d is None:
         d = GdofTuple({u: 0 for u in net.users})
     bad = d.support() - s
