@@ -13,7 +13,6 @@ from .model import (
 )
 from .regions import (
     BoundIndex,
-    CyclicSequence,
     GdofTuple,
     LinearInequality,
     PolyRegion,

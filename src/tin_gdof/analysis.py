@@ -100,7 +100,11 @@ def achievable_gdof(
 def gdof_dominates(
     net: NetworkSpec, order: DecodingOrder, alloc: PowerAllocation, d: GdofTuple
 ) -> bool:
-    """Whether the allocation's achievable GDoF covers ``d`` componentwise."""
+    """Whether the allocation's achievable GDoF covers ``d`` componentwise;
+    ``d`` on a user the network does not have is a ``NetworkSpecError``."""
+    unknown = d.d.keys() - net.full_subnetwork
+    if unknown:
+        raise NetworkSpecError(f"GDoF tuple indexes unknown users {sorted(unknown)}")
     ceil = achievable_gdof(net, order, alloc)
     return all(ceil[u] >= d[u] for u in net.users)
 
@@ -261,7 +265,7 @@ def max_weighted_gdof(region: PolyRegion, weights: Mapping) -> WeightedOptimum:
     if unknown:
         raise NetworkSpecError(f"weights index unknown users {sorted(unknown)}")
     if any(w < 0 for w in weights.values()):
-        raise ValueError("weights must be nonnegative")
+        raise NetworkSpecError("weights must be nonnegative")
     den, users, arcs, potential = region.flow_network
     w = [weights.get(u, Fraction(0)) for u in users]
     den_w = math.lcm(*(x.denominator for x in w))
@@ -479,8 +483,12 @@ class BoundGap:
 @dataclass(frozen=True)
 class GapReport:
     per_bound: tuple[BoundGap, ...]
-    max_gap_bits: float
     corners_used: int
+
+    @property
+    def max_gap_bits(self) -> float:
+        """The largest gap of ``per_bound``."""
+        return max(bg.gap_bits for bg in self.per_bound)
 
 
 def gap_report(fs: FiniteSnrSpec) -> GapReport:
@@ -521,5 +529,4 @@ def gap_report(fs: FiniteSnrSpec) -> GapReport:
             (sum(r[u] for u in bound.users) for r in corner_rates), default=0.0
         )
         per_bound.append(BoundGap(bound, achieved, bound.rhs_bits - achieved))
-    max_gap = max(bg.gap_bits for bg in per_bound)
-    return GapReport(tuple(per_bound), max_gap, len(corner_list))
+    return GapReport(tuple(per_bound), len(corner_list))

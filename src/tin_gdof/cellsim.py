@@ -22,9 +22,9 @@ so results are independent of evaluation order and safely parallelizable.
 Trials are sampled and checked in blocks of ``TRIAL_BLOCK``, on integers:
 one Philox4x64-10 pass over Python ints draws every uniform of a block,
 one sampler turns them into an int64 table of levels over
-``10**LEVEL_DIGITS`` (the rounding ``model.rationalize`` applies to floats)
-with every cell's slots sorted by direct level, and one integer pass
-returns both condition flags of every trial.  The draws are bit for bit
+``10**RATIONALIZE_DIGITS`` (the rounding ``model.rationalize`` applies to
+floats) with every cell's slots sorted by direct level, and one integer
+pass returns both condition flags of every trial.  The draws are bit for bit
 those of numpy's ``Philox``, which the library never imports.
 ``estimate_probabilities`` builds no ``NetworkSpec`` and no ``Fraction``;
 ``sample_network`` runs the same sampler on one trial and returns the
@@ -56,10 +56,9 @@ EXCLUSION_M = 35.0
 #: Any positive value yields the same condition outcomes.
 LEVEL_REFERENCE_DB = 60.0
 
-#: Levels are rounded to integers over 10**LEVEL_DIGITS before exact checks,
-#: as ``model.rationalize`` rounds floats, so ``sample_network`` matches it.
-LEVEL_DIGITS = RATIONALIZE_DIGITS
-_LEVEL_SCALE = 10**LEVEL_DIGITS
+#: Levels are rounded to integers over this scale before exact checks, as
+#: ``model.rationalize`` rounds floats, so ``sample_network`` matches it.
+_LEVEL_SCALE = 10**RATIONALIZE_DIGITS
 
 
 def path_loss_db(d_km: float) -> float:
@@ -78,11 +77,16 @@ class ScenarioParams:
     users_per_cell: int
     trials: int
     seed: int
-    cells: int = 4  # circular geometry only; linear is always 2 cells
+    cells: int | None = None  # ring size, 4 if None; the line has 2 cells only
 
     def __post_init__(self):
         if self.geometry not in ("linear", "circular"):
             raise NetworkSpecError(f"unknown geometry {self.geometry!r}")
+        linear = self.geometry == "linear"
+        if self.cells is None:
+            object.__setattr__(self, "cells", 2 if linear else 4)
+        elif linear and self.cells != 2:
+            raise NetworkSpecError(f"the linear geometry has 2 cells, got cells={self.cells!r}")
         if not EXCLUSION_M < self.site_radius_m:
             raise NetworkSpecError(
                 f"site radius must exceed the {EXCLUSION_M:g} m exclusion radius, "
@@ -90,9 +94,9 @@ class ScenarioParams:
             )
         if self.users_per_cell < 1 or self.trials < 1:
             raise NetworkSpecError("users_per_cell and trials must be positive")
-        if self.geometry == "circular" and self.cells < 2:
+        if not linear and self.cells < 2:
             raise NetworkSpecError("circular geometry needs at least 2 cells")
-        extent = 2 * self.site_radius_m * (self.cells if self.geometry == "circular" else 1)
+        extent = 2 * self.site_radius_m * (1 if linear else self.cells)
         if not math.isfinite(extent):
             raise NetworkSpecError(
                 f"site radius {self.site_radius_m!r} m makes the {self.geometry} layout "
@@ -213,7 +217,7 @@ def _sample(p: ScenarioParams, first: int, count: int):
 
     Returns ``(lv, order)`` as int64 arrays: ``lv[t, k, l, i]`` is the level
     of slot ``l + 1`` of cell ``k + 1`` at the receiver of cell ``i + 1`` in
-    trial ``first + t``, an integer over ``10**LEVEL_DIGITS`` (the rounding
+    trial ``first + t``, an integer over ``_LEVEL_SCALE`` (the rounding
     ``model.rationalize`` applies to floats), with each cell's slots
     stable-sorted by direct level; ``order[t, k, s]`` is the drawn slot
     stored as slot ``s + 1``, counted from 0.
@@ -306,7 +310,7 @@ def sample_network(p: ScenarioParams, trial_index: int) -> NetworkSpec:
         for i, level in enumerate(row, start=1)
     }
     provenance = tuple(tuple(s + 1 for s in slots) for slots in order[0].tolist())
-    return NetworkSpec(cells, (p.users_per_cell,) * cells, alpha, provenance)
+    return NetworkSpec((p.users_per_cell,) * cells, alpha, provenance)
 
 
 @dataclass(frozen=True)

@@ -346,19 +346,14 @@ def gap_report_cmd(network_path, snr):
 
 @cli.command()
 @click.option("--geometry", type=click.Choice(["linear", "circular"]), required=True)
-@click.option("--r", "radius", type=float, default=None, help="Site radius in meters.")
-@click.option("--r-sweep", "r_sweep", default=None, help="Comma-separated radii in meters.")
+@click.option("--r-sweep", "r_sweep", required=True, help="Comma-separated radii in meters.")
 @click.option("--L", "users", type=int, required=True)
 @click.option("--trials", type=int, default=1000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--cells", type=int, default=None, help="Ring size, circular geometry only (default 4).")
-def simulate(geometry, radius, r_sweep, users, trials, seed, cells):
+def simulate(geometry, r_sweep, users, trials, seed, cells):
     """Estimate the probability that the TIN conditions hold (CSV output)."""
-    if (radius is None) == (r_sweep is None):
-        raise click.ClickException("exactly one of --r and --r-sweep is required")
-    if cells is not None and geometry == "linear":
-        raise click.ClickException("--cells applies to the circular geometry only")
-    radii = [radius] if radius is not None else _parse_list("--r-sweep", r_sweep, float)
+    radii = _parse_list("--r-sweep", r_sweep, float)
     if not radii:
         raise click.ClickException(f"invalid --r-sweep value {r_sweep!r}: no radius given")
     base = cellsim.ScenarioParams(
@@ -367,7 +362,7 @@ def simulate(geometry, radius, r_sweep, users, trials, seed, cells):
         users_per_cell=users,
         trials=trials,
         seed=seed,
-        cells=4 if cells is None else cells,
+        cells=cells,
     )
     curve = cellsim.sweep(base, radii)
     w = csv.writer(sys.stdout)

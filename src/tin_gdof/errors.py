@@ -5,8 +5,8 @@ class TinGdofError(Exception):
     """Base class for all package errors."""
 
 
-class NetworkSpecError(TinGdofError):
-    """Invalid network description (parse failure, dimension mismatch, ...)."""
+class NetworkSpecError(TinGdofError, ValueError):
+    """Invalid network description or input value (parse failure, negative GDoF, ...)."""
 
 
 class TopologyError(TinGdofError):

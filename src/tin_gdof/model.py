@@ -18,7 +18,7 @@ import json
 import math
 import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
@@ -86,11 +86,10 @@ class NetworkSpec:
       ``slot_provenance``.
     """
 
-    cells: int
     users_per_cell: tuple[int, ...]
     alpha_map: Mapping[tuple[User, int], Fraction]
     #: per cell, ``slot_provenance[i-1][s-1]`` is the input slot stored as slot ``s``
-    slot_provenance: tuple[tuple[int, ...], ...] = field(default=None)
+    slot_provenance: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_alpha(
@@ -162,7 +161,7 @@ class NetworkSpec:
                 for i, v in enumerate(rows[old], start=1):
                     sorted_alpha[(user, i)] = v
 
-        return cls(cells, users_per_cell, sorted_alpha, tuple(provenance))
+        return cls(users_per_cell, sorted_alpha, tuple(provenance))
 
     # -- accessors ---------------------------------------------------------
 
@@ -195,6 +194,10 @@ class NetworkSpec:
         return condition_flags(self.integer_levels[1])[0]
 
     @cached_property
+    def cells(self) -> int:
+        return len(self.users_per_cell)
+
+    @cached_property
     def users(self) -> tuple[User, ...]:
         """All users, in canonical (cell, slot) order."""
         return tuple(
@@ -209,9 +212,9 @@ class NetworkSpec:
         """Network with every strength level multiplied by ``c`` (c > 0)."""
         c = Fraction(c)
         if c <= 0:
-            raise ValueError("scale factor must be positive")
+            raise NetworkSpecError("scale factor must be positive")
         scaled = {key: c * v for key, v in self.alpha_map.items()}
-        return NetworkSpec(self.cells, self.users_per_cell, scaled, self.slot_provenance)
+        return NetworkSpec(self.users_per_cell, scaled, self.slot_provenance)
 
     def active_slots(self, s: Iterable[User] | None = None) -> tuple[tuple[int, ...], ...]:
         """Per cell, the ascending slots of the users of ``s`` (of every user

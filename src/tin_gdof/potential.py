@@ -121,11 +121,11 @@ class PowerAllocation:
     def __post_init__(self):
         exps = {_user(u): Fraction(v) for u, v in self.exponents.items()}
         if any(v > 0 for v in exps.values()):
-            raise ValueError("power exponents must be <= 0")
+            raise NetworkSpecError("power exponents must be <= 0")
         object.__setattr__(self, "exponents", exps)
         object.__setattr__(self, "off", frozenset(map(_user, self.off)))
         if exps.keys() & self.off:
-            raise ValueError("a user cannot be both powered and off")
+            raise NetworkSpecError("a user cannot be both powered and off")
 
     def is_off(self, user: User) -> bool:
         return user in self.off
@@ -350,8 +350,7 @@ def skeleton_distances(
 def iter_simple_circuits(g: PotentialGraph) -> Iterator[Circuit]:
     """Every simple directed circuit of the (complete) potential graph."""
     lengths = g._length_map
-    for seq in enumerate_cyclic_sequences(g.vertices, min_len=2):
-        c = seq.cells
+    for c in enumerate_cyclic_sequences(g.vertices, min_len=2):
         yield Circuit(c, sum((lengths[(c[i - 1], c[i])] for i in range(len(c))), Fraction(0)))
 
 

@@ -24,32 +24,13 @@ from .errors import NetworkSpecError
 from .model import DecodingOrder, NetworkSpec, Rational, Subnetwork, User, _user, rationalize
 
 
-@dataclass(frozen=True)
-class CyclicSequence:
-    """An ordered tuple of distinct cells, identified up to rotation.
-
-    Canonical form: rotated so the smallest cell comes first.  Two sequences
-    compare equal iff they are rotations of each other.
-    """
-
-    cells: tuple[int, ...]
-
-    def __post_init__(self):
-        cells = tuple(self.cells)
-        if len(set(cells)) != len(cells) or not cells:
-            raise ValueError(f"cyclic sequence needs distinct, nonempty cells: {cells}")
-        k = cells.index(min(cells))
-        object.__setattr__(self, "cells", cells[k:] + cells[:k])
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-
-def enumerate_cyclic_sequences(cells: Iterable[int], min_len: int = 1) -> Iterator[CyclicSequence]:
+def enumerate_cyclic_sequences(cells: Iterable[int], min_len: int = 1) -> Iterator[tuple]:
     """All cyclic sequences over nonempty subsets of ``cells`` with length >= min_len.
 
-    Each sequence appears exactly once, in canonical form, ordered by
-    (length, subset, arrangement).  The count for n cells and min_len=1 is
+    A cyclic sequence is an ordered tuple of distinct cells, identified up
+    to rotation.  Each appears exactly once, as a plain tuple in canonical
+    form (rotated so the smallest cell comes first), ordered by (length,
+    subset, arrangement).  The count for n cells and min_len=1 is
     sum_m C(n,m)*(m-1)!.
     """
     cells = sorted(set(cells))
@@ -61,7 +42,7 @@ def enumerate_cyclic_sequences(cells: Iterable[int], min_len: int = 1) -> Iterat
         for subset in itertools.combinations(cells, m):
             anchor, rest = subset[0], subset[1:]
             for perm in itertools.permutations(rest):
-                yield CyclicSequence((anchor,) + perm)
+                yield (anchor,) + perm
 
 
 @dataclass(frozen=True)
@@ -91,7 +72,7 @@ class GdofTuple:
     def __post_init__(self):
         frozen = {_user(u): Fraction(v) for u, v in self.d.items()}
         if any(v < 0 for v in frozen.values()):
-            raise ValueError("GDoF values must be nonnegative")
+            raise NetworkSpecError("GDoF values must be nonnegative")
         object.__setattr__(self, "d", frozen)
 
     @classmethod
@@ -103,7 +84,7 @@ class GdofTuple:
         """Build from one value per user in canonical (cell, slot) order."""
         users = net.users
         if len(values) != len(users):
-            raise ValueError(f"expected {len(users)} values, got {len(values)}")
+            raise NetworkSpecError(f"expected {len(users)} values, got {len(values)}")
         return cls({u: rationalize(v) for u, v in zip(users, values)})
 
     def __getitem__(self, user: User) -> Fraction:
@@ -122,15 +103,23 @@ class PolyRegion:
     """A polytope of GDoF tuples: 0/1 sum inequalities, nonnegativity, forced zeros.
 
     Made by ``polyhedral_region`` from its ``source``, the ``(net, order, s)``
-    it describes, whose scope ``polyhedral_region`` has checked;
-    ``inequalities`` is built on first access, so callers that
-    only optimize over it never pay for the exponential list.  Regions
-    compare by identity; use ``same_system`` for structural equality.
+    it describes, whose scope ``polyhedral_region`` has checked; everything
+    else is derived from it.  ``inequalities`` is built on first access, so
+    callers that only optimize over it never pay for the exponential list.
+    Regions compare by identity; use ``same_system`` for structural equality.
     """
 
-    dim_users: tuple[User, ...]
-    forced_zero: frozenset
     source: tuple[NetworkSpec, DecodingOrder, Subnetwork]
+
+    @property
+    def dim_users(self) -> tuple[User, ...]:
+        """Every user of the network, in canonical order."""
+        return self.source[0].users
+
+    @cached_property
+    def forced_zero(self) -> frozenset:
+        """The users outside the subnetwork."""
+        return self.source[0].full_subnetwork - self.source[2]
 
     @cached_property
     def inequalities(self) -> tuple[LinearInequality, ...]:
@@ -217,10 +206,10 @@ def _bound_indices(net: NetworkSpec, order: DecodingOrder) -> Iterator[BoundInde
 
     if len(active_cells) >= 2:
         for seq in enumerate_cyclic_sequences(active_cells, min_len=2):
-            for depths in itertools.product(*(range(1, len(tops[k]) + 1) for k in seq.cells)):
-                picks = list(zip(seq.cells, depths))
+            for depths in itertools.product(*(range(1, len(tops[k]) + 1) for k in seq)):
+                picks = list(zip(seq, depths))
                 yield BoundIndex(
-                    seq.cells,
+                    seq,
                     depths,
                     tuple(tops[k][l - 1] for k, l in picks),
                     frozenset().union(*(prefixes[k][l - 1] for k, l in picks)),
@@ -251,7 +240,7 @@ def polyhedral_region(
     ``DecodingOrder.validate``; everything built on the region trusts it.
     """
     s = order.validate(net, s)
-    return PolyRegion(net.users, net.full_subnetwork - s, (net, order, s))
+    return PolyRegion((net, order, s))
 
 
 def set_function_f(net: NetworkSpec, order: DecodingOrder, subset: Iterable[User]) -> Fraction:
@@ -285,9 +274,9 @@ def set_function_f(net: NetworkSpec, order: DecodingOrder, subset: Iterable[User
         bound_rhs(
             net,
             BoundIndex(
-                seq.cells,
-                tuple(depth[k] for k in seq.cells),
-                tuple(order.user_at(k, depth[k]) for k in seq.cells),
+                seq,
+                tuple(depth[k] for k in seq),
+                tuple(order.user_at(k, depth[k]) for k in seq),
                 subset,
             ),
         )

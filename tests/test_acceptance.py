@@ -66,7 +66,7 @@ def test_01_cyclic_sequence_golden():
         # warm call, then timed call against the 1 ms budget
         list(enumerate_cyclic_sequences({1, 2, 3}))
         start = time.perf_counter()
-        got = [seq.cells for seq in enumerate_cyclic_sequences({1, 2, 3})]
+        got = list(enumerate_cyclic_sequences({1, 2, 3}))
         elapsed = time.perf_counter() - start
         assert got == [
             (1,),

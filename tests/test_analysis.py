@@ -708,6 +708,17 @@ def test_region_inclusion_by_regime(pimac_optimal, pimac_convex_only, pimac_nonc
     assert not region_includes(inner, outer)
 
 
+def test_region_includes_checks_the_outer_forced_zeros(pimac_optimal):
+    # The region of {1.1, 2.1} forces 1.2 to zero, which the full region does not.
+    net = pimac_optimal
+    s = {User(1, 1), User(2, 1)}
+    sub = polyhedral_region(net, DecodingOrder.identity(net, s), s)
+    full = polyhedral_region(net, DecodingOrder.identity(net))
+    assert region_includes(full, sub)
+    assert not region_includes(sub, full)
+    assert not region_includes_by_vertices(sub, full)
+
+
 def test_region_includes_agrees_with_vertex_method():
     rng = random.Random(33)
     for _ in range(40):

@@ -173,6 +173,13 @@ def test_params_validation():
         )
 
 
+def test_cells_follow_the_geometry():
+    assert params().cells == params(cells=2).cells == 2
+    assert params(geometry="circular").cells == 4
+    with pytest.raises(NetworkSpecError, match="linear geometry has 2 cells"):
+        params(cells=3)
+
+
 # -- reference sampler -----------------------------------------------------------
 # The scalar sampler that the integer one replaced: one ``uniform`` call per
 # number, ``Fraction`` levels and ``NetworkSpec.from_alpha``; kept verbatim as
@@ -403,10 +410,11 @@ def test_block_flags_match_condition_flags_on_sampled_tables():
     outcomes = Counter()
     for _ in range(60):
         geometry = rng.choice(("linear", "circular"))
-        p = ScenarioParams(
-            geometry, rng.uniform(40.0, 300.0), rng.randint(1, 5), 40, rng.getrandbits(32),
-            cells=rng.randint(2, 6),
+        # every draw is made for both geometries, in a fixed order
+        r, users, seed, cells = (
+            rng.uniform(40.0, 300.0), rng.randint(1, 5), rng.getrandbits(32), rng.randint(2, 6)
         )
+        p = ScenarioParams(geometry, r, users, 40, seed, cells=2 if geometry == "linear" else cells)
         lv = cellsim._sample(p, 0, p.trials)[0]
         want = [condition_flags(table) for table in lv.tolist()]
         convexity, optimality = cellsim._condition_flags(lv)

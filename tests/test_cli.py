@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -345,7 +346,7 @@ def test_simulate_csv():
         "simulate",
         "--geometry",
         "linear",
-        "--r",
+        "--r-sweep",
         "243",
         "--L",
         "2",
@@ -364,17 +365,19 @@ def test_simulate_csv():
     assert both.returncode == 2
 
 
-@pytest.mark.parametrize("radius_args", [["--r", "243", "--r-sweep", "100,243"], []])
+@pytest.mark.parametrize("radius_args", [["--r", "243"], []])
 def test_simulate_needs_exactly_one_radius_option(radius_args):
+    # --r-sweep is the one radius option, required; the removed --r is refused.
     proc = run_cli("simulate", "--geometry", "linear", *radius_args, "--L", "1")
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr.splitlines() == ["Error: exactly one of --r and --r-sweep is required"]
+    error = "No such option '--r'." if radius_args else "Missing option '--r-sweep'."
+    assert proc.stderr.splitlines()[-1].startswith(f"Error: {error}")
 
 
 def test_simulate_deterministic():
     args = [
-        "simulate", "--geometry", "circular", "--cells", "4", "--r", "150",
+        "simulate", "--geometry", "circular", "--cells", "4", "--r-sweep", "150",
         "--L", "1", "--trials", "30", "--seed", "11",
     ]
     assert run_cli(*args).stdout == run_cli(*args).stdout
@@ -389,6 +392,31 @@ def test_docs_headings_list_every_option():
     for name, synopsis in headings:
         options = {opt for p in cli.cli.commands[name].params for opt in p.opts}
         assert set(re.findall(r"--[\w-]+", synopsis)) == options, name
+
+
+def readme_block(section: str, lang: str) -> str:
+    """The first ``lang`` code block under the README heading ``## section``."""
+    text = (EXAMPLE.parent.parent / "README.md").read_text()
+    after = text.split(f"\n## {section}\n", 1)[1]
+    return re.search(rf"```{lang}\n(.*?)```", after, flags=re.DOTALL).group(1)
+
+
+def test_readme_library_quickstart_prints_its_comments(capsys):
+    exec(compile(readme_block("Library quickstart", "python"), "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == ["False", "((2, 1), (1,))", "False"]
+
+
+def test_readme_cli_quickstart_parses(monkeypatch):
+    # Every line parses with the current options, so a deleted or renamed
+    # option fails here; nothing runs.
+    monkeypatch.chdir(EXAMPLE.parent.parent)
+    names = []
+    for line in readme_block("CLI quickstart", "sh").splitlines():
+        prog, name, *args = shlex.split(line)
+        assert prog == "tin-gdof"
+        cli.cli.commands[name].make_context(name, args)
+        names.append(name)
+    assert sorted(names) == sorted(cli.cli.commands)
 
 
 def test_oracle_verify():
@@ -410,8 +438,8 @@ BAD_ARGUMENTS = {
     "weights-negative": ["sumgdof", "--weights", "-1,1,1"],
     "r-sweep-not-numbers": ["simulate", "--geometry", "linear", "--L", "1", "--r-sweep", "100,x"],
     "r-sweep-empty": ["simulate", "--geometry", "linear", "--L", "1", "--r-sweep", ","],
-    "simulate-r-inf": ["simulate", "--geometry", "circular", "--L", "1", "--r", "inf"],
-    "simulate-r-overflow": ["simulate", "--geometry", "linear", "--L", "1", "--r", "1e308"],
+    "simulate-r-inf": ["simulate", "--geometry", "circular", "--L", "1", "--r-sweep", "inf"],
+    "simulate-r-overflow": ["simulate", "--geometry", "linear", "--L", "1", "--r-sweep", "1e308"],
     "oracle-verify-negative-instances": ["oracle-verify", "--instances", "-3"],
     "outer-bound-snr-nan": ["outer-bound", "--snr", "nan"],
     "outer-bound-snr-inf": ["outer-bound", "--snr", "inf"],
@@ -421,7 +449,7 @@ BAD_ARGUMENTS = {
         "membership", "--d", "0.2,0.5,1.0", "--subnetwork", "1.1"
     ],
     "simulate-linear-cells": [
-        "simulate", "--geometry", "linear", "--r", "100", "--L", "1", "--cells", "3"
+        "simulate", "--geometry", "linear", "--r-sweep", "100", "--L", "1", "--cells", "3"
     ],
 }
 

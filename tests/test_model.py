@@ -12,10 +12,17 @@ from tin_gdof.analysis import (
     gdof_dominates,
     general_membership,
     max_weighted_gdof,
+    region_includes,
 )
-from tin_gdof.errors import NetworkSpecError
+from tin_gdof.errors import NetworkSpecError, TinGdofError
 from tin_gdof.potential import PowerAllocation, build_potential_graph
-from tin_gdof.regions import GdofTuple, bound_indices, polyhedral_region, set_function_f
+from tin_gdof.regions import (
+    GdofTuple,
+    bound_indices,
+    membership,
+    polyhedral_region,
+    set_function_f,
+)
 from tin_gdof.sampling import finite_snr_from_network
 from tin_gdof.model import (
     DecodingOrder,
@@ -415,6 +422,11 @@ def full_power(net):
     return PowerAllocation({u: 0 for u in net.users}, frozenset())
 
 
+def single_user_region():
+    net = NetworkSpec.from_alpha(1, [1], {(User(1, 1), 1): 1})
+    return polyhedral_region(net, DecodingOrder.identity(net))
+
+
 def scope_cases(entry, call):
     """The bad scopes of an entry called as ``call(net, order, s)``."""
     return [
@@ -466,12 +478,49 @@ CONTRACT = [
         lambda net: max_weighted_gdof(polyhedral_region(net, IDENTITY), {UNKNOWN: 1}),
         id="max_weighted_gdof-unknown",
     ),
+    pytest.param(
+        lambda net: gdof_dominates(net, IDENTITY, full_power(net), GdofTuple({UNKNOWN: 1})),
+        id="gdof_dominates-unknown-d",
+    ),
+    pytest.param(
+        lambda net: membership(polyhedral_region(net, IDENTITY), GdofTuple({UNKNOWN: 1})),
+        id="membership-unknown",
+    ),
+    pytest.param(
+        lambda net: region_includes(polyhedral_region(net, IDENTITY), single_user_region()),
+        id="region_includes-users",
+    ),
 ]
 
 
 @pytest.mark.parametrize("call", CONTRACT)
 def test_bad_users_and_orders_are_spec_errors(call, pimac_optimal):
     with pytest.raises(NetworkSpecError):
+        call(pimac_optimal)
+
+
+BAD_VALUES = [
+    pytest.param(lambda net: GdofTuple({User(1, 1): -1}), id="GdofTuple-negative"),
+    pytest.param(lambda net: GdofTuple.from_values(net, [1, 1]), id="GdofTuple.from_values-count"),
+    pytest.param(lambda net: PowerAllocation({User(1, 1): 1}, frozenset()), id="PowerAllocation-positive"),
+    pytest.param(
+        lambda net: PowerAllocation({User(1, 1): 0}, frozenset([User(1, 1)])),
+        id="PowerAllocation-powered-and-off",
+    ),
+    pytest.param(
+        lambda net: max_weighted_gdof(polyhedral_region(net, IDENTITY), {User(1, 1): -1}),
+        id="max_weighted_gdof-negative",
+    ),
+    pytest.param(lambda net: net.scaled(0), id="NetworkSpec.scaled-zero"),
+]
+
+
+@pytest.mark.parametrize("call", BAD_VALUES)
+def test_bad_values_are_package_errors(call, pimac_optimal):
+    # A NetworkSpecError, which is also the ValueError these checks raised before.
+    with pytest.raises(TinGdofError):
+        call(pimac_optimal)
+    with pytest.raises(ValueError):
         call(pimac_optimal)
 
 
