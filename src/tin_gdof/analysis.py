@@ -32,6 +32,7 @@ from .model import (
     User,
     _user,
     enumerate_orders,
+    rationalize,
 )
 from .potential import (
     Circuit,
@@ -260,7 +261,7 @@ def max_weighted_gdof(region: PolyRegion, weights: Mapping) -> WeightedOptimum:
     reduced cost of u's split arc.  Raises ``EmptyRegionError`` when the
     region is empty.
     """
-    weights = {_user(u): Fraction(w) for u, w in weights.items()}
+    weights = {_user(u): rationalize(w) for u, w in weights.items()}
     unknown = weights.keys() - set(region.dim_users)
     if unknown:
         raise NetworkSpecError(f"weights index unknown users {sorted(unknown)}")
@@ -453,7 +454,15 @@ def achievable_rates(
     them.
     """
     net, fs = fs.levels
-    active = _decoded_users(net, order, alloc)
+    return _rates(net, fs, order, alloc, _decoded_users(net, order, alloc))
+
+
+def _rates(
+    net: NetworkSpec, fs: FiniteSnrSpec, order: DecodingOrder, alloc: PowerAllocation, active
+) -> dict[User, float]:
+    """``achievable_rates`` of ``fs``, labelled in the slot order of its level
+    network ``net``, once ``_decoded_users`` has checked ``order`` and
+    ``alloc`` and found the decoded users ``active``."""
     p = fs.nominal_power
     rates: dict[User, float] = {u: 0.0 for u in net.users}
     for k in range(1, net.cells + 1):
@@ -499,14 +508,16 @@ def gap_report(fs: FiniteSnrSpec) -> GapReport:
     is compared against the best corner for its user set.  The region's
     ``potential_skeleton`` is built once, and each corner costs one integer
     pass of ``skeleton_distances``, which gives the allocation that
-    ``recover_power_allocation`` gives on the corner's potential graph.  All
-    gaps must be nonnegative (up to float rounding) on instances where the
-    outer bound applies.
+    ``recover_power_allocation`` gives on the corner's potential graph.  The
+    order's scope is checked once per report, by ``polyhedral_region``, and
+    every corner's allocation powers every user.  All gaps must be
+    nonnegative (up to float rounding) on instances where the outer bound
+    applies.
     """
     bounds = outer_bound_rates(fs)  # also enforces the preconditions
     net, fs_sorted = fs.levels
     order = DecodingOrder.identity(net)
-    corner_list = vertices(polyhedral_region(net, order))
+    corner_list = vertices(polyhedral_region(net, order))  # checks the order, once
     skeleton = potential_skeleton(net, order)
     users = skeleton.vertices[1:]
     corner_rates = []
@@ -522,7 +533,7 @@ def gap_report(fs: FiniteSnrSpec) -> GapReport:
         alloc = PowerAllocation(
             {u: Fraction(x, den) for u, x in zip(users, dist[1:])}, frozenset()
         )
-        corner_rates.append(achievable_rates(fs_sorted, order, alloc))
+        corner_rates.append(_rates(net, fs_sorted, order, alloc, net.full_subnetwork))
     per_bound = []
     for bound in bounds:
         achieved = max(

@@ -41,7 +41,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import NetworkSpecError, TinGdofError
-from .model import RATIONALIZE_DIGITS, NetworkSpec, User
+from .model import RATIONALIZE_DIGITS, NetworkSpec, User, _index, _real
 
 #: Radio setup of every scenario: transmit power and noise floor in dBm, the
 #: path-loss model PL(d) = A + B log10(d_km) in dB, and the radius in meters
@@ -64,13 +64,17 @@ _LEVEL_SCALE = 10**RATIONALIZE_DIGITS
 def path_loss_db(d_km: float) -> float:
     """Path loss PL(d) in dB for a distance in kilometers."""
     if d_km <= 0:
-        raise ValueError("distance must be positive")
+        raise NetworkSpecError("distance must be positive")
     return PATHLOSS_A_DB + PATHLOSS_B_DB * math.log10(d_km)
 
 
 @dataclass(frozen=True)
 class ScenarioParams:
-    """One Monte Carlo scenario, in the radio setup of the module constants."""
+    """One Monte Carlo scenario, in the radio setup of the module constants.
+
+    The counts and the seed go through the count rule (``model._index``),
+    the site radius through the real-parameter rule (``model._real``); the
+    converted values are stored."""
 
     geometry: str  # "linear" or "circular"
     site_radius_m: float
@@ -83,9 +87,16 @@ class ScenarioParams:
         if self.geometry not in ("linear", "circular"):
             raise NetworkSpecError(f"unknown geometry {self.geometry!r}")
         linear = self.geometry == "linear"
-        if self.cells is None:
-            object.__setattr__(self, "cells", 2 if linear else 4)
-        elif linear and self.cells != 2:
+        counts = {
+            "users_per_cell": self.users_per_cell,
+            "trials": self.trials,
+            "seed": self.seed,
+            "cells": (2 if linear else 4) if self.cells is None else self.cells,
+        }
+        for name, value in counts.items():
+            object.__setattr__(self, name, _index(value, name))
+        object.__setattr__(self, "site_radius_m", _real(self.site_radius_m, "site_radius_m"))
+        if linear and self.cells != 2:
             raise NetworkSpecError(f"the linear geometry has 2 cells, got cells={self.cells!r}")
         if not EXCLUSION_M < self.site_radius_m:
             raise NetworkSpecError(
@@ -367,7 +378,7 @@ def estimate_probabilities(p: ScenarioParams) -> ProbabilityPoint:
 def sweep(base: ScenarioParams, radii_m: Iterable[float]) -> ProbabilityCurve:
     """Estimate probabilities across site radii with otherwise fixed parameters."""
     points = [
-        estimate_probabilities(replace(base, site_radius_m=float(r)))
+        estimate_probabilities(replace(base, site_radius_m=r))
         for r in radii_m
     ]
     return ProbabilityCurve(tuple(points))

@@ -16,9 +16,11 @@ import cmath
 import itertools
 import json
 import math
+import numbers
 import operator
 import warnings
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
@@ -57,20 +59,58 @@ def _user(key) -> User:
         raise NetworkSpecError(f"user key {key!r} is not a (cell, slot) pair of ints") from None
 
 
+def _index(value, what: str) -> int:
+    """``value`` as an int under ``operator.index``, the user-key rule: the
+    one rule for counts and indices.  A float, even ``2.0``, a string or
+    ``None`` is a ``NetworkSpecError`` that names ``what``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise NetworkSpecError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _real(value, what: str) -> float:
+    """``value`` as a finite float: the one rule for real parameters such as
+    a site radius or a nominal power.  Whatever ``float`` accepts and turns
+    into a finite number passes; anything else is a ``NetworkSpecError``
+    that names ``what``."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise NetworkSpecError(
+            f"{what} must be a finite number within the float range, got {value!r}"
+        )
+    return x
+
+
 def rationalize(x) -> Fraction:
-    """Convert a number to an exact rational, rounding floats at 10^-RATIONALIZE_DIGITS."""
+    """``x`` as an exact rational: the one rule for exact values (levels,
+    GDoF values, power exponents, weights, scale factors, inequality
+    right-hand sides).
+
+    Ints, ``Fraction``s and other rationals (numpy ints), decimal strings
+    such as ``"0.1"`` or ``"1/3"`` and ``Decimal``s convert exactly.  A
+    finite float is rounded to the nearest multiple of 10^-RATIONALIZE_DIGITS,
+    so ``0.1`` means 1/10, not its binary expansion.  Anything else, NaN and
+    infinities included, is a ``NetworkSpecError``.
+    """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
     if isinstance(x, float):
-        if not math.isfinite(x):
-            raise ValueError(f"cannot rationalize non-finite value {x!r}")
-        scale = 10**RATIONALIZE_DIGITS
-        return Fraction(round(x * scale), scale)
-    raise TypeError(f"cannot rationalize {type(x).__name__}")
+        if math.isfinite(x):
+            scale = 10**RATIONALIZE_DIGITS
+            try:
+                return Fraction(round(x * scale), scale)
+            except OverflowError:  # x * scale is inf, so x is an integer already
+                return Fraction(x)
+    elif isinstance(x, (numbers.Rational, Decimal, str)):
+        try:
+            return Fraction(x)
+        except (ValueError, OverflowError, ZeroDivisionError):
+            pass
+    raise NetworkSpecError(f"{x!r} is not an exact number or a finite float")
 
 
 @dataclass(frozen=True)
@@ -98,10 +138,19 @@ class NetworkSpec:
         users_per_cell: Sequence[int],
         alpha: Mapping[tuple[User, int], Rational],
     ) -> "NetworkSpec":
-        """Validate, clip, sort and freeze a raw strength-level assignment."""
+        """Validate, clip, sort and freeze a raw strength-level assignment.
+
+        Counts and receiver cells go through the count rule (``_index``),
+        levels through ``rationalize``."""
+        cells = _index(cells, "cells")
         if cells < 1:
             raise NetworkSpecError("network needs at least one cell")
-        users_per_cell = tuple(int(n) for n in users_per_cell)
+        try:
+            users_per_cell = tuple(_index(n, "users_per_cell entry") for n in users_per_cell)
+        except TypeError:
+            raise NetworkSpecError(
+                f"users_per_cell must be a sequence of counts, got {users_per_cell!r}"
+            ) from None
         if len(users_per_cell) != cells:
             raise NetworkSpecError(
                 f"users_per_cell has {len(users_per_cell)} entries for {cells} cells"
@@ -116,6 +165,7 @@ class NetworkSpec:
         for key, value in alpha.items():
             user, rx = key
             k, l = user = _user(user)
+            rx = _index(rx, "receiver cell")
             if not (
                 k in cell_ids
                 and rx in cell_ids
@@ -124,17 +174,15 @@ class NetworkSpec:
                 raise NetworkSpecError(f"alpha entry for unknown link {user}->rx{rx}")
             try:
                 v = rationalize(value)
-            except (TypeError, ValueError) as exc:
-                raise NetworkSpecError(
-                    f"alpha entry for link {user}->rx{rx} is not a number ({exc})"
-                ) from exc
+            except NetworkSpecError as exc:
+                raise NetworkSpecError(f"alpha entry for link {user}->rx{rx}: {exc}") from None
             if v.numerator < 0:
                 warnings.warn(
                     f"negative strength level {v} on link {user}->rx{rx} clipped to 0",
                     stacklevel=2,
                 )
                 v = Fraction(0)
-            levels[k - 1][l - 1][int(rx) - 1] = v
+            levels[k - 1][l - 1][rx - 1] = v
             filled += 1
         missing = cells * sum(users_per_cell) - filled
         if missing:
@@ -210,7 +258,7 @@ class NetworkSpec:
 
     def scaled(self, c: Rational) -> "NetworkSpec":
         """Network with every strength level multiplied by ``c`` (c > 0)."""
-        c = Fraction(c)
+        c = rationalize(c)
         if c <= 0:
             raise NetworkSpecError("scale factor must be positive")
         scaled = {key: c * v for key, v in self.alpha_map.items()}
@@ -312,6 +360,9 @@ class FiniteSnrSpec:
     gains: Mapping[tuple[User, int], complex]
     tx_powers: Mapping[User, float]
 
+    def __post_init__(self):
+        object.__setattr__(self, "nominal_power", _nominal_power(self.nominal_power))
+
     @cached_property
     def levels(self) -> tuple[NetworkSpec, "FiniteSnrSpec"]:
         """The level network, derived once, plus this description relabelled
@@ -343,15 +394,18 @@ class FiniteSnrSpec:
         return max(1.0, self.link_power(user, rx_cell))
 
 
-def _check_nominal_power(p: float) -> None:
-    if not 1 < p < math.inf:
-        raise NetworkSpecError(f"nominal power must be finite and exceed 1, got {p!r}")
+def _nominal_power(p) -> float:
+    """``p`` under the real-parameter rule (``_real``), and above 1 so that
+    the level normalization is well defined."""
+    x = _real(p, "nominal power")
+    if not x > 1:
+        raise NetworkSpecError(f"nominal power must exceed 1, got {p!r}")
+    return x
 
 
 def _with_levels(fs: FiniteSnrSpec, net: NetworkSpec) -> FiniteSnrSpec:
     """Record ``net`` as the level network of ``fs``, whose users are already
     labelled in ``net``'s slot order, so that ``fs.levels`` is ``(net, fs)``."""
-    _check_nominal_power(fs.nominal_power)
     fs.__dict__["levels"] = (net, fs)
     return fs
 
@@ -360,9 +414,8 @@ def strength_levels(fs: FiniteSnrSpec) -> NetworkSpec:
     """Strength-level network of a finite-SNR description.
 
     Level of each link: log(max(1, |h|^2 P_tx)) / log(P), rationalized and
-    slot-sorted.  Raises unless 1 < P < inf (degenerate log base).
+    slot-sorted.  ``FiniteSnrSpec`` has checked that 1 < P < inf.
     """
-    _check_nominal_power(fs.nominal_power)
     if not fs.gains:
         raise NetworkSpecError("finite-SNR description has no gains")
     missing = {u for (u, _) in fs.gains} - set(fs.tx_powers)
@@ -389,7 +442,7 @@ def _parse_link_records(records, what: str) -> dict:
     out = {}
     for idx, rec in enumerate(records):
         try:
-            key = (User(int(rec["tx_cell"]), int(rec["tx_slot"])), int(rec["rx_cell"]))
+            key = (_user((rec["tx_cell"], rec["tx_slot"])), _index(rec["rx_cell"], "rx_cell"))
             value = rec["value"]
         except (KeyError, TypeError, ValueError) as exc:
             raise NetworkSpecError(f"{what}[{idx}]: malformed record ({exc})") from exc
@@ -420,10 +473,8 @@ def load_network(path) -> NetworkSpec:
 
 def network_from_document(doc: Mapping, where: str = "<document>") -> NetworkSpec:
     try:
-        cells = int(doc["cells"])
-        users_per_cell = [int(n) for n in doc["users_per_cell"]]
-        alpha_records = doc["alpha"]
-    except (KeyError, TypeError, ValueError) as exc:
+        cells, users_per_cell, alpha_records = doc["cells"], doc["users_per_cell"], doc["alpha"]
+    except (KeyError, TypeError) as exc:
         raise NetworkSpecError(f"{where}: missing or malformed field ({exc})") from exc
     alpha = _parse_link_records(alpha_records, f"{where}:alpha")
     return NetworkSpec.from_alpha(cells, users_per_cell, alpha)
@@ -446,10 +497,8 @@ def finite_snr_from_document(doc: Mapping, where: str = "<document>") -> FiniteS
     if block is None:
         return None
     try:
-        p = float(block["nominal_power"])
-        gains_rec = block["gains"]
-        power_rec = block["tx_powers"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        p, gains_rec, power_rec = block["nominal_power"], block["gains"], block["tx_powers"]
+    except (KeyError, TypeError) as exc:
         raise NetworkSpecError(f"{where}: malformed finite_snr block ({exc})") from exc
 
     def as_gain(v):
@@ -475,7 +524,7 @@ def finite_snr_from_document(doc: Mapping, where: str = "<document>") -> FiniteS
     powers = {}
     for idx, rec in enumerate(power_rec):
         try:
-            user, p_tx = User(int(rec["cell"]), int(rec["slot"])), float(rec["value"])
+            user, p_tx = _user((rec["cell"], rec["slot"])), float(rec["value"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise NetworkSpecError(f"{where}: tx_powers[{idx}] malformed ({exc})") from exc
         if user in powers:

@@ -53,7 +53,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple
 
 from .errors import GuardExceededError, InfeasibleAllocationError, NetworkSpecError, TinGdofError
-from .model import DecodingOrder, NetworkSpec, Subnetwork, User, _user
+from .model import DecodingOrder, NetworkSpec, Subnetwork, User, _user, rationalize
 from .regions import GdofTuple, enumerate_cyclic_sequences
 
 #: Ground vertex sentinel; cells are 1-based so (0, 0) is never a real user.
@@ -113,13 +113,14 @@ class FeasibilityResult:
 
 @dataclass(frozen=True)
 class PowerAllocation:
-    """Transmit power exponents (<= 0); deactivated users are marked off."""
+    """Transmit power exponents (<= 0), each through ``rationalize``;
+    deactivated users are marked off."""
 
     exponents: Mapping
     off: frozenset
 
     def __post_init__(self):
-        exps = {_user(u): Fraction(v) for u, v in self.exponents.items()}
+        exps = {_user(u): rationalize(v) for u, v in self.exponents.items()}
         if any(v > 0 for v in exps.values()):
             raise NetworkSpecError("power exponents must be <= 0")
         object.__setattr__(self, "exponents", exps)

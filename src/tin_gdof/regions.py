@@ -35,9 +35,9 @@ def enumerate_cyclic_sequences(cells: Iterable[int], min_len: int = 1) -> Iterat
     """
     cells = sorted(set(cells))
     if not cells:
-        raise ValueError("cell set must be nonempty")
+        raise NetworkSpecError("cell set must be nonempty")
     if min_len < 1:
-        raise ValueError("min_len must be >= 1")
+        raise NetworkSpecError("min_len must be >= 1")
     for m in range(min_len, len(cells) + 1):
         for subset in itertools.combinations(cells, m):
             anchor, rest = subset[0], subset[1:]
@@ -47,14 +47,16 @@ def enumerate_cyclic_sequences(cells: Iterable[int], min_len: int = 1) -> Iterat
 
 @dataclass(frozen=True)
 class LinearInequality:
-    """sum of d over ``users`` <= ``rhs`` (all coefficients are 0 or 1)."""
+    """sum of d over ``users`` <= ``rhs`` (all coefficients are 0 or 1);
+    ``rhs`` goes through ``rationalize``."""
 
     users: frozenset
     rhs: Fraction
 
     def __post_init__(self):
         if not self.users:
-            raise ValueError("inequality needs at least one user")
+            raise NetworkSpecError("inequality needs at least one user")
+        object.__setattr__(self, "rhs", rationalize(self.rhs))
 
     def evaluate(self, d: "GdofTuple") -> Fraction:
         return sum((d[u] for u in self.users), Fraction(0))
@@ -65,12 +67,13 @@ class LinearInequality:
 
 @dataclass(frozen=True)
 class GdofTuple:
-    """One nonnegative GDoF value per user."""
+    """One nonnegative GDoF value per user; keys go through the user-key
+    rule, values through ``rationalize``."""
 
     d: Mapping
 
     def __post_init__(self):
-        frozen = {_user(u): Fraction(v) for u, v in self.d.items()}
+        frozen = {_user(u): rationalize(v) for u, v in self.d.items()}
         if any(v < 0 for v in frozen.values()):
             raise NetworkSpecError("GDoF values must be nonnegative")
         object.__setattr__(self, "d", frozen)
@@ -85,7 +88,7 @@ class GdofTuple:
         users = net.users
         if len(values) != len(users):
             raise NetworkSpecError(f"expected {len(users)} values, got {len(values)}")
-        return cls({u: rationalize(v) for u, v in zip(users, values)})
+        return cls(dict(zip(users, values)))
 
     def __getitem__(self, user: User) -> Fraction:
         return self.d.get(user, Fraction(0))
@@ -94,7 +97,7 @@ class GdofTuple:
         return frozenset(u for u, v in self.d.items() if v > 0)
 
     def scaled(self, c: Rational) -> "GdofTuple":
-        c = Fraction(c)
+        c = rationalize(c)
         return GdofTuple({u: c * v for u, v in self.d.items()})
 
 
@@ -219,13 +222,17 @@ def _bound_indices(net: NetworkSpec, order: DecodingOrder) -> Iterator[BoundInde
 def bound_rhs(net: NetworkSpec, index: BoundIndex) -> Fraction:
     """Exact rhs of a bound: the top user's direct level for one cell, else
     sum_j (alpha_{i_j i_j} - alpha_{i_j -> i_{j-1}}) at the top users, with
-    the predecessor taken around the cycle."""
+    the predecessor taken around the cycle, summed over the integers of
+    ``net.integer_levels`` into one ``Fraction``."""
     if len(index.cells) == 1:
         return net.direct(index.tops[0])
-    rhs = Fraction(0)
-    for j, top in enumerate(index.tops):
-        rhs += net.direct(top) - net.alpha(top, index.cells[j - 1])
-    return rhs
+    den, lv = net.integer_levels
+    predecessors = index.cells[-1:] + index.cells[:-1]
+    return Fraction(
+        sum(lv[k - 1][l - 1][k - 1] - lv[k - 1][l - 1][i - 1]
+            for (k, l), i in zip(index.tops, predecessors)),
+        den,
+    )
 
 
 def polyhedral_region(

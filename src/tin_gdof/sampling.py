@@ -17,7 +17,8 @@ from typing import Iterable
 from .conditions import evaluate_conditions
 from .errors import NetworkSpecError
 from .model import (
-    DecodingOrder, FiniteSnrSpec, NetworkSpec, Subnetwork, User, _with_levels, enumerate_orders
+    DecodingOrder, FiniteSnrSpec, NetworkSpec, Subnetwork, User, _nominal_power, _with_levels,
+    enumerate_orders,
 )
 from .potential import PowerAllocation
 from .regions import GdofTuple
@@ -155,6 +156,7 @@ def finite_snr_from_network(net: NetworkSpec, nominal_power: float) -> FiniteSnr
     at or above the noise floor.  Its ``levels`` are ``net`` itself, exactly,
     not re-derived from the float gains.
     """
+    nominal_power = _nominal_power(nominal_power)
     gains = {}
     powers = {u: 1.0 for u in net.users}
     for u in net.users:

@@ -42,6 +42,7 @@ from tin_gdof.model import (
     NetworkSpec,
     User,
     enumerate_orders,
+    load_finite_snr,
     load_network,
 )
 from tin_gdof.potential import (
@@ -935,6 +936,30 @@ def test_gap_report_uses_every_corner():
     # achieved sums agree exactly.
     for bg in rep.per_bound:
         assert bg.achieved_sum == max(sum(r[u] for u in bg.bound.users) for r in corner_rates)
+
+
+def test_gap_report_checks_its_order_once(monkeypatch):
+    # The scope check runs a fixed number of times per report, not once per
+    # corner: 12 corners on the example file, 308 on the seed-9 network.
+    from tin_gdof import model
+
+    calls = []
+    original = model.DecodingOrder.validate
+
+    def counting(self, net, s=None):
+        calls.append(s)
+        return original(self, net, s)
+
+    monkeypatch.setattr(model.DecodingOrder, "validate", counting)
+    net = random_optimality_network(random.Random(9), cells=3, users_per_cell=[2, 2, 2])
+    counts = []
+    example = Path(__file__).resolve().parent.parent / "docs" / "example-network.json"
+    for fs in (load_finite_snr(example), finite_snr_from_network(net, 1e4)):
+        calls.clear()
+        counts.append((gap_report(fs).corners_used, len(calls)))
+    (small, small_checks), (large, large_checks) = counts
+    assert (small, large) == (12, 308)
+    assert small_checks == large_checks <= 2
 
 
 def test_achievability_sweep_small():

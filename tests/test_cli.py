@@ -287,6 +287,11 @@ MALFORMED = {
     "tx-power-of-slot-0": lambda doc: doc["finite_snr"]["tx_powers"].append(
         {"cell": 1, "slot": 0, "value": 1.0}
     ),
+    # Counts and record indices must be integers; each was truncated before.
+    "fractional-users-per-cell": lambda doc: doc.update(users_per_cell=[2.5, 1]),
+    "fractional-cells": lambda doc: doc.update(cells=2.9),
+    "fractional-tx-slot": lambda doc: doc["alpha"][0].update(tx_slot=1.5),
+    "fractional-tx-power-slot": lambda doc: doc["finite_snr"]["tx_powers"][0].update(slot=1.5),
 }
 
 

@@ -1,7 +1,9 @@
 import json
 import math
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,11 +16,14 @@ from tin_gdof.analysis import (
     max_weighted_gdof,
     region_includes,
 )
+from tin_gdof.cellsim import ScenarioParams, path_loss_db
 from tin_gdof.errors import NetworkSpecError, TinGdofError
 from tin_gdof.potential import PowerAllocation, build_potential_graph
 from tin_gdof.regions import (
     GdofTuple,
+    LinearInequality,
     bound_indices,
+    enumerate_cyclic_sequences,
     membership,
     polyhedral_region,
     set_function_f,
@@ -32,6 +37,7 @@ from tin_gdof.model import (
     enumerate_orders,
     finite_snr_from_document,
     load_network,
+    network_from_document,
     rationalize,
     strength_levels,
 )
@@ -546,3 +552,148 @@ def test_one_scope_check_per_request(monkeypatch, pimac_optimal):
         calls.clear()
         assert general_membership(net, d).member == member
         assert len(calls) <= 2
+
+
+# -- one rule per kind of number ---------------------------------------------
+# Exact values go through ``rationalize``, counts and indices through the
+# user-key integer rule, real parameters through one finite-float check.
+# Every entry point turns a bad number into a NetworkSpecError.
+
+NOT_NUMBERS = [math.nan, math.inf, None, "x"]
+NOT_COUNTS = NOT_NUMBERS + [2.5, "3"]
+ONE = User(1, 1)
+
+
+def _one_link(value=1, cells=1, users_per_cell=(1,), rx=1):
+    return NetworkSpec.from_alpha(cells, list(users_per_cell), {(ONE, rx): value})
+
+
+def _one_link_document(cells=1, users_per_cell=(1,), **record):
+    rec = {"tx_cell": 1, "tx_slot": 1, "rx_cell": 1, "value": 1, **record}
+    return {"cells": cells, "users_per_cell": users_per_cell, "alpha": [rec]}
+
+
+def _tx_power_record(**edit):
+    powers = [{"cell": 1, "slot": 1, "value": 1.0, **edit}, {"cell": 2, "slot": 1, "value": 1.0}]
+    return _two_cell_block(tx_powers=powers)
+
+
+def _scenario(**edit):
+    kw = dict(geometry="circular", site_radius_m=150.0, users_per_cell=1, trials=1, seed=0)
+    kw.update(edit)
+    return ScenarioParams(**kw)
+
+
+def _region_of(net):
+    return polyhedral_region(net, DecodingOrder.identity(net))
+
+
+# name: (call(net, value), a value that the call accepts)
+EXACT_ENTRIES = {
+    "GdofTuple": (lambda net, v: GdofTuple({ONE: v}), 1),
+    "GdofTuple.from_values": (lambda net, v: GdofTuple.from_values(net, [v, 0, 0]), 1),
+    "GdofTuple.scaled": (lambda net, v: GdofTuple.zero(net).scaled(v), 1),
+    "PowerAllocation": (lambda net, v: PowerAllocation({ONE: v}, frozenset()), -1),
+    "max_weighted_gdof": (lambda net, v: max_weighted_gdof(_region_of(net), {ONE: v}), 1),
+    "NetworkSpec.scaled": (lambda net, v: net.scaled(v), 1),
+    "LinearInequality": (lambda net, v: LinearInequality(frozenset([ONE]), v), 1),
+    "from_alpha-level": (lambda net, v: _one_link(value=v), 1),
+}
+COUNT_ENTRIES = {
+    "from_alpha-cells": (lambda net, v: _one_link(cells=v), 1),
+    "from_alpha-users_per_cell": (lambda net, v: _one_link(users_per_cell=(v,)), 1),
+    "from_alpha-rx": (lambda net, v: _one_link(rx=v), 1),
+    "file-cells": (lambda net, v: network_from_document(_one_link_document(cells=v)), 1),
+    "file-users_per_cell": (
+        lambda net, v: network_from_document(_one_link_document(users_per_cell=[v])),
+        1,
+    ),
+    "file-tx_cell": (lambda net, v: network_from_document(_one_link_document(tx_cell=v)), 1),
+    "file-tx_slot": (lambda net, v: network_from_document(_one_link_document(tx_slot=v)), 1),
+    "file-rx_cell": (lambda net, v: network_from_document(_one_link_document(rx_cell=v)), 1),
+    "file-tx_powers-cell": (lambda net, v: finite_snr_from_document(_tx_power_record(cell=v)), 1),
+    "file-tx_powers-slot": (lambda net, v: finite_snr_from_document(_tx_power_record(slot=v)), 1),
+    "ScenarioParams-users_per_cell": (lambda net, v: _scenario(users_per_cell=v), 1),
+    "ScenarioParams-trials": (lambda net, v: _scenario(trials=v), 1),
+    "ScenarioParams-seed": (lambda net, v: _scenario(seed=v), 1),
+    "ScenarioParams-cells": (lambda net, v: _scenario(cells=v), 2),
+}
+REAL_ENTRIES = {
+    "ScenarioParams-site_radius_m": (lambda net, v: _scenario(site_radius_m=v), 150.0),
+    "strength_levels-nominal_power": (
+        lambda net, v: strength_levels(single_link_fs(v, 10.0)),
+        100.0,
+    ),
+    "finite_snr_from_network": (lambda net, v: finite_snr_from_network(net, v), 100.0),
+    "file-nominal_power": (
+        lambda net, v: finite_snr_from_document(_two_cell_block(nominal_power=v)),
+        100.0,
+    ),
+}
+NUMBER_ENTRIES = [
+    (name, call, good, bad)
+    for entries, bad in (
+        (EXACT_ENTRIES, NOT_NUMBERS),
+        (COUNT_ENTRIES, NOT_COUNTS),
+        (REAL_ENTRIES, NOT_NUMBERS),
+    )
+    for name, (call, good) in entries.items()
+]
+
+
+def _number_cases():
+    for name, call, _, bad in NUMBER_ENTRIES:
+        for v in bad:
+            if v is None and name == "ScenarioParams-cells":
+                continue  # None asks for the geometry's default
+            yield pytest.param(lambda net, c=call, v=v: c(net, v), id=f"{name}-{v!r}")
+    yield pytest.param(
+        lambda net: network_from_document(_one_link_document(users_per_cell=5)),
+        id="file-users_per_cell-not-a-list",
+    )
+    # The four checks that raised a bare ValueError.
+    yield pytest.param(lambda net: list(enumerate_cyclic_sequences([])), id="cyclic-no-cells")
+    yield pytest.param(lambda net: list(enumerate_cyclic_sequences([1], 0)), id="cyclic-min_len-0")
+    yield pytest.param(lambda net: LinearInequality(frozenset(), 0), id="LinearInequality-no-users")
+    yield pytest.param(lambda net: path_loss_db(0), id="path_loss_db-0")
+
+
+@pytest.mark.parametrize("call", list(_number_cases()))
+def test_bad_numbers_are_spec_errors(call, pimac_optimal):
+    with pytest.raises(NetworkSpecError):
+        call(pimac_optimal)
+
+
+@pytest.mark.parametrize("name, call, good", [entry[:3] for entry in NUMBER_ENTRIES])
+def test_each_number_entry_accepts_a_good_value(name, call, good, pimac_optimal):
+    # So that each case of the table above fails on its value alone.
+    call(pimac_optimal, good)
+
+
+def test_a_float_exact_value_means_its_nine_digit_rounding(pimac_optimal):
+    net, tenth = pimac_optimal, Fraction(1, 10)
+    assert GdofTuple({ONE: 0.1})[ONE] == tenth
+    assert GdofTuple.from_values(net, [0.1, 0, 0])[ONE] == tenth
+    assert GdofTuple({ONE: 1}).scaled(0.1)[ONE] == tenth
+    assert PowerAllocation({ONE: -0.1}, frozenset())[ONE] == -tenth
+    assert LinearInequality(frozenset([ONE]), 0.1).rhs == tenth
+    assert net.scaled(0.1).alpha_map == net.scaled(tenth).alpha_map
+    region = _region_of(net)
+    weights = dict.fromkeys(net.users, 1)
+    assert max_weighted_gdof(region, {**weights, ONE: 0.1}) == max_weighted_gdof(
+        region, {**weights, ONE: tenth}
+    )
+
+
+def test_other_rational_types_convert_exactly():
+    one = _one_link(value=numpy.int64(1), cells=numpy.int64(1), users_per_cell=[numpy.int64(1)])
+    assert one.direct(ONE) == 1 and one.users_per_cell == (1,)
+    assert rationalize(Decimal("0.1")) == rationalize("0.1") == rationalize("1/10") == Fraction(1, 10)
+    assert rationalize(1e300) == Fraction(int(1e300))  # too large to scale, already an integer
+    assert _scenario(seed=numpy.int64(3)).seed == 3
+    assert _scenario(site_radius_m="150").site_radius_m == 150.0
+
+
+def test_from_alpha_names_the_link_of_a_bad_level():
+    with pytest.raises(NetworkSpecError, match=r"alpha entry for link u\(1,1\)->rx1"):
+        _one_link(value="x")
