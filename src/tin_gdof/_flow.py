@@ -2,17 +2,29 @@
 
 ``min_cost_flow`` solves an uncapacitated transshipment problem by
 successive shortest paths (Ahuja, Magnanti & Orlin, *Network Flows*, 1993,
-ch. 9).  Each round runs Dijkstra on reduced costs from every node with
-excess, augments along the path to the nearest node with a deficit, and
-moves the node potentials by the distances found.  Costs, flows and
-potentials are Python integers, so the result is exact.  The heap orders
-nodes by (distance, index), so ties, and with them the returned potentials,
-are deterministic.
+ch. 9).  Costs, flows and potentials are Python integers, so the result is
+exact.
+
+One round runs Dijkstra on reduced costs ``cost + p[tail] - p[head]``,
+which the potentials p keep nonnegative on every residual step, from every
+node with excess at once.  It stops at the first node with a deficit that
+it settles, the target, at distance ``reach``.  The path of predecessors to
+it is augmented by the largest amount that the source's excess, the
+target's deficit and the flow on its backward steps allow, and its cost is
+added to the total.  Then each settled node v moves its potential by
+``dist(v) - reach``.  The textbook update moves every node by
+``min(dist(v), reach)``; every node not settled has ``dist(v) >= reach``,
+so the two differ by the same ``reach`` at every node.  A common shift
+changes no reduced cost, so no later distance, tie or path changes, and
+the returned potentials are optimal all the same.  The heap orders nodes
+by (distance, index), so ties, and with them the returned potentials, are
+deterministic.
 """
 
 from __future__ import annotations
 
-import heapq
+import math
+from heapq import heappop, heappush
 from typing import Sequence
 
 from .errors import TinGdofError
@@ -37,62 +49,73 @@ def min_cost_flow(
     if sum(supply) != 0:
         raise TinGdofError("supplies and deficits do not balance")
     p = list(potential)
-    if any(c + p[t] - p[h] < 0 for t, h, c in arcs):
-        raise TinGdofError("initial potentials leave an arc with negative reduced cost")
-    excess = list(supply)
-    flow = [0] * len(arcs)
-    # Residual steps out of each node: every arc forward, which is always
-    # open, and every arc into the node backward, open while it carries flow.
-    steps: list[list[tuple[int, bool, int, int]]] = [[] for _ in range(n)]
+    # Residual steps out of each node, as (arc, other end, cost): every arc
+    # forward, which is always open, and every arc into the node backward,
+    # open while it carries flow.
+    forward: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    backward: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for a, (t, h, c) in enumerate(arcs):
-        steps[t].append((a, True, h, c))
-        steps[h].append((a, False, t, -c))
+        if c + p[t] - p[h] < 0:
+            raise TinGdofError("initial potentials leave an arc with negative reduced cost")
+        forward[t].append((a, h, c))
+        backward[h].append((a, t, -c))
+    excess = list(supply)
+    sources = [v for v in range(n) if excess[v] > 0]
+    flow = [0] * len(arcs)
+    total = 0
 
-    while any(e > 0 for e in excess):
-        dist: list[int | None] = [None] * n
-        pred: list[tuple[int, bool] | None] = [None] * n
-        heap = []
-        for v in range(n):
-            if excess[v] > 0:
-                dist[v] = 0
-                heap.append((0, v))
-        settled = [False] * n
-        target = None
+    while sources:
+        dist: list = [math.inf] * n
+        # pred[w] = (node, arc, +1 forward or -1 backward) of w's path step.
+        pred: list[tuple[int, int, int] | None] = [None] * n
+        for v in sources:
+            dist[v] = 0
+        heap = [(0, v) for v in sources]  # ascending, so already a heap
+        settled = []
         while heap:
-            dv, v = heapq.heappop(heap)
-            if settled[v]:
-                continue
-            settled[v] = True
+            dv, v = heappop(heap)
+            if dv != dist[v]:
+                continue  # superseded by a shorter distance, already settled
+            settled.append(v)
             if excess[v] < 0:
-                target = v
                 break
             base = dv + p[v]
-            for a, forward, w, c in steps[v]:
-                if forward or flow[a]:
+            for a, w, c in forward[v]:
+                nd = base + c - p[w]
+                if nd < dist[w]:
+                    dist[w] = nd
+                    pred[w] = (v, a, 1)
+                    heappush(heap, (nd, w))
+            for a, w, c in backward[v]:
+                if flow[a]:
                     nd = base + c - p[w]
-                    if dist[w] is None or nd < dist[w]:
+                    if nd < dist[w]:
                         dist[w] = nd
-                        pred[w] = (a, forward)
-                        heapq.heappush(heap, (nd, w))
-        if target is None:
+                        pred[w] = (v, a, -1)
+                        heappush(heap, (nd, w))
+        else:
             raise TinGdofError("an excess cannot reach any deficit")
 
-        reach = dist[target]
-        for v in range(n):
-            p[v] += reach if dist[v] is None else min(dist[v], reach)
+        target, reach = v, dv
+        for u in settled:
+            p[u] += dist[u] - reach
 
         path = []
         source = target
         while pred[source] is not None:
-            a, forward = pred[source]
-            path.append((a, forward))
-            source = arcs[a][0] if forward else arcs[a][1]
-        delta = min(
-            [excess[source], -excess[target]] + [flow[a] for a, forward in path if not forward]
-        )
-        for a, forward in path:
-            flow[a] += delta if forward else -delta
+            step = pred[source]
+            path.append(step)
+            source = step[0]
+        delta = min(excess[source], -excess[target])
+        for _, a, sign in path:
+            if sign < 0 and flow[a] < delta:
+                delta = flow[a]
+        for _, a, sign in path:
+            flow[a] += sign * delta
+            total += sign * delta * arcs[a][2]
         excess[source] -= delta
         excess[target] += delta
+        if not excess[source]:
+            sources.remove(source)
 
-    return sum(c * f for (_, _, c), f in zip(arcs, flow)), p
+    return total, p

@@ -9,6 +9,7 @@ representation.  All rates are in bits per channel use (base-2 logs).
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -272,16 +273,18 @@ def max_weighted_gdof(region: PolyRegion, weights: Mapping) -> WeightedOptimum:
     den_w = math.lcm(*(x.denominator for x in w))
     supply = [0] * len(potential)
     for i, x in enumerate(w):
-        supply[2 * i + 2] = int(x * den_w)
+        supply[2 * i + 2] = x.numerator * (den_w // x.denominator)
         supply[2 * i + 1] = -supply[2 * i + 2]
     cost, p = _flow.min_cost_flow(len(supply), arcs, supply, potential)
-    value = Fraction(cost, den * den_w)
-    d = {u: Fraction(0) for u in region.dim_users}
-    d.update((u, Fraction(p[2 * i + 1] - p[2 * i + 2], den)) for i, u in enumerate(users))
-    # Equal primal and dual objectives certify that both are optimal.
-    if sum(x * d[u] for x, u in zip(w, users)) != value:
+    gaps = [p[2 * i + 1] - p[2 * i + 2] for i in range(len(users))]
+    # Equal primal and dual objectives certify that both are optimal:
+    # sum_u w_u d_u == value, with w_u = supply / den_w and d_u = gap / den,
+    # checked on the integers over den * den_w.
+    if any(g < 0 for g in gaps) or sum(map(operator.mul, supply[2::2], gaps)) != cost:
         raise TinGdofError("min-cost flow potentials do not attain the flow cost")
-    return WeightedOptimum(value, GdofTuple(d))
+    d = {u: Fraction(0) for u in region.dim_users}
+    d.update((u, Fraction(g, den)) for u, g in zip(users, gaps))
+    return WeightedOptimum(Fraction(cost, den * den_w), GdofTuple(d))
 
 
 def vertices(region: PolyRegion) -> list[GdofTuple]:

@@ -162,8 +162,20 @@ class NetworkSpec:
         levels = [[[None] * cells for _ in range(n)] for n in users_per_cell]
         cell_ids = range(1, cells + 1)
         filled = 0  # distinct keys of a mapping name distinct links
-        for key, value in alpha.items():
-            user, rx = key
+        try:
+            entries = alpha.items()
+        except AttributeError:
+            raise NetworkSpecError(
+                f"alpha must be a mapping of (user, receiver cell) keys to levels, "
+                f"got {type(alpha).__name__}"
+            ) from None
+        for key, value in entries:
+            try:
+                user, rx = key
+            except (TypeError, ValueError):
+                raise NetworkSpecError(
+                    f"alpha key {key!r} is not a (user, receiver cell) pair"
+                ) from None
             k, l = user = _user(user)
             rx = _index(rx, "receiver cell")
             if not (

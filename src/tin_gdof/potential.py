@@ -292,24 +292,23 @@ def potential_skeleton(
     """
     den, lv = net.integer_levels
     active = net.users if s is None else sorted(s)
-    index = {u: i for i, u in enumerate(active, 1)}
-
-    def level(u: User, rx: int) -> int:
-        return lv[u.cell - 1][u.slot - 1][rx - 1]
+    # (vertex index, cell index, integer level row) of each active user.
+    rows = [(i, u.cell - 1, lv[u.cell - 1][u.slot - 1]) for i, u in enumerate(active, 1)]
+    row_of = dict(zip(active, rows))
 
     edges: list[tuple[int, int, int]] = []
     for k in range(1, net.cells + 1):
-        seq = [User(k, slot) for slot in order.slots(k)]
-        for a, u in enumerate(seq):
-            for v in seq[a + 1:]:
-                edges.append((index[u], index[v], level(u, k)))
-                edges.append((index[v], index[u], level(v, k) - level(u, k)))
-    for u, v in itertools.permutations(active, 2):
-        if u.cell != v.cell:
-            edges.append((index[u], index[v], level(u, u.cell) - level(v, u.cell)))
-    for u in active:
-        edges.append((0, index[u], 0))
-        edges.append((index[u], 0, level(u, u.cell)))
+        seq = [row_of[User(k, slot)] for slot in order.slots(k)]
+        for a, (i, _, ri) in enumerate(seq):
+            for j, _, rj in seq[a + 1:]:
+                edges.append((i, j, ri[k - 1]))
+                edges.append((j, i, rj[k - 1] - ri[k - 1]))
+    for (i, ki, ri), (j, kj, rj) in itertools.permutations(rows, 2):
+        if ki != kj:
+            edges.append((i, j, ri[ki] - rj[ki]))
+    for i, k, r in rows:
+        edges.append((0, i, 0))
+        edges.append((i, 0, r[k]))
     return PotentialSkeleton(den, (GROUND, *active), tuple(edges))
 
 

@@ -128,8 +128,9 @@ class PolyRegion:
     def inequalities(self) -> tuple[LinearInequality, ...]:
         """One inequality per index of ``bound_indices``, in its emission order."""
         net, order, _ = self.source
+        den, lv = net.integer_levels
         return tuple(
-            LinearInequality(index.users, bound_rhs(net, index))
+            LinearInequality(index.users, Fraction(_rhs(lv, index.tops), den))
             for index in _bound_indices(net, order)
         )
 
@@ -200,23 +201,35 @@ def bound_indices(
 def _bound_indices(net: NetworkSpec, order: DecodingOrder) -> Iterator[BoundIndex]:
     """``bound_indices`` of an order whose scope is already checked: the
     active users are the slots that ``order`` lists."""
-    tops = {k: [User(k, slot) for slot in order.slots(k)] for k in range(1, net.cells + 1)}
-    prefixes = {k: [frozenset(t[:l]) for l in range(1, len(t) + 1)] for k, t in tops.items()}
-    active_cells = [k for k, t in tops.items() if t]
+    # (depth, top, prefix) of every decode depth of each cell.
+    picks = {}
+    for k in range(1, net.cells + 1):
+        tops = [User(k, slot) for slot in order.slots(k)]
+        picks[k] = [(l, top, frozenset(tops[:l])) for l, top in enumerate(tops, 1)]
+    active_cells = [k for k, p in picks.items() if p]
     for k in active_cells:
-        for l, top in enumerate(tops[k], start=1):
-            yield BoundIndex((k,), (l,), (top,), prefixes[k][l - 1])
+        for l, top, prefix in picks[k]:
+            yield BoundIndex((k,), (l,), (top,), prefix)
 
     if len(active_cells) >= 2:
         for seq in enumerate_cyclic_sequences(active_cells, min_len=2):
-            for depths in itertools.product(*(range(1, len(tops[k]) + 1) for k in seq)):
-                picks = list(zip(seq, depths))
-                yield BoundIndex(
-                    seq,
-                    depths,
-                    tuple(tops[k][l - 1] for k, l in picks),
-                    frozenset().union(*(prefixes[k][l - 1] for k, l in picks)),
-                )
+            for choice in itertools.product(*(picks[k] for k in seq)):
+                depths, tops, prefixes = zip(*choice)
+                yield BoundIndex(seq, depths, tops, frozenset().union(*prefixes))
+
+
+def _rhs(lv, tops: tuple[User, ...]) -> int:
+    """``bound_rhs`` of the bound with these top users, as an integer over
+    the denominator of ``lv``, the levels of ``net.integer_levels``."""
+    if len(tops) == 1:
+        k, l = tops[0]
+        return lv[k - 1][l - 1][k - 1]
+    total, pred = 0, tops[-1].cell
+    for k, l in tops:
+        row = lv[k - 1][l - 1]
+        total += row[k - 1] - row[pred - 1]
+        pred = k
+    return total
 
 
 def bound_rhs(net: NetworkSpec, index: BoundIndex) -> Fraction:
@@ -224,15 +237,8 @@ def bound_rhs(net: NetworkSpec, index: BoundIndex) -> Fraction:
     sum_j (alpha_{i_j i_j} - alpha_{i_j -> i_{j-1}}) at the top users, with
     the predecessor taken around the cycle, summed over the integers of
     ``net.integer_levels`` into one ``Fraction``."""
-    if len(index.cells) == 1:
-        return net.direct(index.tops[0])
     den, lv = net.integer_levels
-    predecessors = index.cells[-1:] + index.cells[:-1]
-    return Fraction(
-        sum(lv[k - 1][l - 1][k - 1] - lv[k - 1][l - 1][i - 1]
-            for (k, l), i in zip(index.tops, predecessors)),
-        den,
-    )
+    return Fraction(_rhs(lv, index.tops), den)
 
 
 def polyhedral_region(

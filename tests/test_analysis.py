@@ -443,6 +443,43 @@ def test_flow_network_is_built_once_per_region(monkeypatch, pimac_optimal):
     assert [reg.flow_network for reg in regs] == [analysis.flow_network(reg) for reg in regs]
 
 
+def _corrupted_flow(monkeypatch, corrupt):
+    """Route ``max_weighted_gdof`` through a min-cost flow whose result
+    ``corrupt(cost, p)`` alters."""
+    original = analysis._flow.min_cost_flow
+
+    def corrupted(*args):
+        return corrupt(*original(*args))
+
+    monkeypatch.setattr(analysis._flow, "min_cost_flow", corrupted)
+
+
+def _moved(p, node, step):
+    p = list(p)
+    p[node] += step
+    return p
+
+
+@pytest.mark.parametrize("step", [1, -1])
+@pytest.mark.parametrize("user", range(3))
+def test_max_weighted_gdof_refuses_potentials_off_by_one(monkeypatch, pimac_optimal, user, step):
+    # User i's out-node is 2i + 2; with every weight positive, moving it
+    # changes the dual objective, so the certificate must fail.
+    region = polyhedral_region(pimac_optimal, DecodingOrder.identity(pimac_optimal))
+    weights = {u: 1 for u in pimac_optimal.users}
+    _corrupted_flow(monkeypatch, lambda cost, p: (cost, _moved(p, 2 * user + 2, step)))
+    with pytest.raises(TinGdofError):
+        max_weighted_gdof(region, weights)
+
+
+def test_max_weighted_gdof_refuses_a_cost_off_by_one(monkeypatch, pimac_optimal):
+    region = polyhedral_region(pimac_optimal, DecodingOrder.identity(pimac_optimal))
+    weights = {u: 1 for u in pimac_optimal.users}
+    _corrupted_flow(monkeypatch, lambda cost, p: (cost + 1, p))
+    with pytest.raises(TinGdofError):
+        max_weighted_gdof(region, weights)
+
+
 def fraction_flow_network(net, order, s):
     """``analysis.flow_network`` built from the ``Fraction`` potential graph
     and its ``Fraction`` Bellman-Ford pass: the oracle for the skeleton."""

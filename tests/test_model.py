@@ -697,3 +697,20 @@ def test_other_rational_types_convert_exactly():
 def test_from_alpha_names_the_link_of_a_bad_level():
     with pytest.raises(NetworkSpecError, match=r"alpha entry for link u\(1,1\)->rx1"):
         _one_link(value="x")
+
+
+# (alpha, what the error names): an alpha that is not a mapping, or a key
+# that is not a (user, receiver cell) pair.
+BAD_ALPHA_SHAPES = [
+    pytest.param({"x": 1}, r"alpha key 'x' is not a \(user, receiver cell\) pair", id="key-str"),
+    pytest.param({5: 1}, r"alpha key 5 is not a \(user, receiver cell\) pair", id="key-int"),
+    pytest.param({(ONE, 1, 1): 1}, r"is not a \(user, receiver cell\) pair", id="key-triple"),
+    pytest.param([1], r"alpha must be a mapping", id="list"),
+    pytest.param(None, r"alpha must be a mapping", id="None"),
+]
+
+
+@pytest.mark.parametrize("alpha, message", BAD_ALPHA_SHAPES)
+def test_from_alpha_rejects_malformed_alpha(alpha, message):
+    with pytest.raises(NetworkSpecError, match=message):
+        NetworkSpec.from_alpha(1, [1], alpha)
