@@ -19,28 +19,38 @@ depend on the reference, by degree-1 homogeneity of the conditions).
 Trials are keyed by (seed, trial index) through a counter-based generator,
 so results are independent of evaluation order and safely parallelizable.
 
-Trials are sampled and checked in blocks of ``TRIAL_BLOCK``, on integers:
-one Philox4x64-10 pass over Python ints draws every uniform of a block,
-one sampler turns them into an int64 table of levels over
-``10**RATIONALIZE_DIGITS`` (the rounding ``model.rationalize`` applies to
-floats) with every cell's slots sorted by direct level, and one integer
-pass returns both condition flags of every trial.  The draws are bit for bit
-those of numpy's ``Philox``, which the library never imports.
-``estimate_probabilities`` builds no ``NetworkSpec`` and no ``Fraction``;
-``sample_network`` runs the same sampler on one trial and returns the
-network, equal to the one ``NetworkSpec.from_alpha`` makes of those levels.
+Trials are sampled and checked in blocks, on integers: one Philox4x64-10
+pass over Python ints draws every uniform of a block, one sampler turns
+them into an int64 table of levels over ``10**RATIONALIZE_DIGITS`` (the
+rounding ``model.rationalize`` applies to floats) with every cell's slots
+sorted by direct level, and one integer pass returns both condition flags
+of every trial.  The draws are bit for bit those of numpy's ``Philox``,
+which the library never imports.  ``estimate_probabilities`` builds no
+``NetworkSpec`` and no ``Fraction``; ``sample_network`` runs the same
+sampler on one trial and returns the network, equal to the one
+``NetworkSpec.from_alpha`` makes of those levels.
+
+What depends only on a block's shape is built once and kept, read-only, in
+two small caches bounded by ``_SHAPES``: the Philox lane constants of
+``count`` trials of ``blocks`` counters (``_lanes``), and the ring's index
+arrays and the masks of both condition checks for ``cells`` cells of
+``users`` users (``_layout``).  A block holds at most ``TRIAL_BLOCK``
+trials, and fewer on large rings, so that its arrays stay within
+``BLOCK_ENTRIES`` entries; a scenario one of whose trials alone exceeds
+that budget is refused with ``GuardExceededError``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import NetworkSpecError, TinGdofError
+from .errors import GuardExceededError, NetworkSpecError, TinGdofError
 from .model import RATIONALIZE_DIGITS, NetworkSpec, User, _index, _real
 
 #: Radio setup of every scenario: transmit power and noise floor in dBm, the
@@ -113,16 +123,54 @@ class ScenarioParams:
                 f"site radius {self.site_radius_m!r} m makes the {self.geometry} layout "
                 "longer than the float range"
             )
+        entries = _trial_entries(self.cells, self.users_per_cell)
+        if entries > BLOCK_ENTRIES:
+            raise GuardExceededError(
+                f"{self.cells} cells of {self.users_per_cell} users need {entries} "
+                f"array entries per trial, above the block budget ({BLOCK_ENTRIES})"
+            )
 
 
-#: Trials sampled and checked together, so that a call's memory does not
-#: grow with ``trials``.  Every array of a block has at most
-#: ``TRIAL_BLOCK * cells**2 * users_per_cell**2`` entries, and a block peaks
-#: at about three such arrays.  Sized from the peaks that ``tracemalloc``
-#: reads for one call at any trial count: 0.8 MiB on the 4-cell ring with 3
-#: users per cell (the largest scenario of acceptance test 10), 2 MiB with 5
-#: users, 11 MiB on 10 cells with 5 users.
+#: Trials sampled and checked together at most, so that a call's memory
+#: does not grow with ``trials``.
 TRIAL_BLOCK = 256
+
+#: Entry budget of a block.  A block holds ``_block_trials`` trials: at most
+#: ``TRIAL_BLOCK``, and no more than keep its largest array, ``_trial_entries``
+#: per trial, within ``BLOCK_ENTRIES`` int64 entries (512 KiB).  A block peaks
+#: at about three such arrays whatever the ring; ``tracemalloc`` reads these
+#: peaks for one call at any trial count: 0.15 MiB on the line with 2 users,
+#: 0.8 MiB on the 4-cell ring with 3 users (the largest scenario of
+#: acceptance test 10, in blocks of 256 as before), 1.3 MiB with 5 users
+#: (2.0 MiB in blocks of 256), 0.8 MiB on 10 cells with 5 users (11.3 MiB)
+#: and 0.5 MiB on 20 cells with 5 users (44.0 MiB).  ``ScenarioParams``
+#: refuses with ``GuardExceededError`` a scenario one of whose trials
+#: exceeds the budget, such as 41 cells of 1 user or 24 cells of 5 users,
+#: before any array is allocated.
+BLOCK_ENTRIES = 2**16
+
+#: Shapes whose constants ``_lanes`` and ``_layout`` each keep, least
+#: recently used first out.  Within the budget a block has at most 2,048
+#: Philox lanes, and ``_lanes`` keeps six ints a shape, about 103 bytes a
+#: lane (Python stores 30 bits in 4 bytes), so at most 1.7 MiB; a
+#: ``_layout`` is below 96 KiB (its slot-pair mask has at most
+#: ``BLOCK_ENTRIES`` bools, and a ring at most 40 cells), so at most
+#: 0.75 MiB.  The 30 points of acceptance test 10 use 6 shapes of at most
+#: 120 lanes.
+_SHAPES = 8
+
+
+def _trial_entries(cells: int, users: int) -> int:
+    """Entries per trial of a block's largest array: ``users**2 * cells**2``
+    for the optimality pair's slot pairs, ``users * cells**3`` for the
+    convexity pair's cross-cell terms."""
+    return cells * cells * users * max(cells, users)
+
+
+def _block_trials(cells: int, users: int) -> int:
+    """Trials per block of ``cells`` cells of ``users`` users, within the budget."""
+    return min(TRIAL_BLOCK, BLOCK_ENTRIES // _trial_entries(cells, users))
+
 
 _WORD = 2**64 - 1
 _LANE_BYTES = 16
@@ -135,10 +183,25 @@ _PHILOX_ROUNDS = 10
 _LEAST = np.iinfo(np.int64).min
 
 
-def _packed(words, repeat: int = 1) -> int:
-    """One int holding ``words`` ``repeat`` times over, one per 128-bit lane from bit 0."""
-    return int.from_bytes(
-        b"".join(w.to_bytes(_LANE_BYTES, "little") for w in words) * repeat, "little"
+def _packed(words) -> int:
+    """One int holding ``words``, one per 128-bit lane from bit 0."""
+    return int.from_bytes(b"".join(w.to_bytes(_LANE_BYTES, "little") for w in words), "little")
+
+
+@functools.lru_cache(maxsize=_SHAPES)
+def _lanes(count: int, blocks: int) -> tuple[int, ...]:
+    """Philox lane constants of ``count`` trials of ``blocks`` counters each:
+    the lane mask (2**64 - 1 in every lane), the counter words 1..blocks of
+    every trial, the all-ones pattern (1 in every lane), the trial ramp (t
+    in the lanes of trial t) and both key increments in every lane."""
+    ones = _packed([1] * (count * blocks))
+    return (
+        _WORD * ones,
+        _packed(list(range(1, blocks + 1)) * count),
+        ones,
+        _packed([t for t in range(count) for _ in range(blocks)]),
+        _PHILOX_W[0] * ones,
+        _PHILOX_W[1] * ones,
     )
 
 
@@ -154,15 +217,16 @@ def _uniforms(seed: int, first: int, count: int, m: int) -> np.ndarray:
     lane's full 128-bit product, and ``>> 64`` with the lane mask splits off
     the high words.  Words keep junk above bit 64 of their lane where the
     next step masks it anyway: the low words of a product, and the keys,
-    which grow by at most 10 increments.
+    which start below 2**65 (``first mod 2**64`` plus the trial's offset in
+    the block) and grow by at most 10 increments.  The lane constants of a
+    shape come from ``_lanes``, so a call packs no words: each key is a
+    multiple of the all-ones lane pattern, plus the trial ramp for the
+    trial word.
     """
     blocks = -(-m // 4)
-    lanes = count * blocks
-    mask = _packed([_WORD], lanes)
-    x0 = _packed(range(1, blocks + 1), count)
-    k0 = _packed([seed & _WORD], lanes)
-    k1 = _packed([(first + t) & _WORD for t in range(count) for _ in range(blocks)])
-    w0, w1 = (_packed([w], lanes) for w in _PHILOX_W)
+    mask, x0, ones, ramp, w0, w1 = _lanes(count, blocks)
+    k0 = (seed & _WORD) * ones
+    k1 = (first & _WORD) * ones + ramp
     m0, m1 = _PHILOX_M
     x1 = x2 = x3 = 0
     for _ in range(_PHILOX_ROUNDS):
@@ -172,7 +236,7 @@ def _uniforms(seed: int, first: int, count: int, m: int) -> np.ndarray:
         x1, x3 = p1, p0
         k0 += w0
         k1 += w1
-    size = lanes * _LANE_BYTES
+    size = count * blocks * _LANE_BYTES
     raw = (x0 | (x1 & mask) << 64).to_bytes(size, "little") + (
         x2 | (x3 & mask) << 64
     ).to_bytes(size, "little")
@@ -181,12 +245,38 @@ def _uniforms(seed: int, first: int, count: int, m: int) -> np.ndarray:
     return (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
+class _Layout(NamedTuple):
+    """Index arrays and masks of ``cells`` cells of ``users`` users, read-only."""
+
+    ids: np.ndarray  # 0, ..., cells - 1
+    step: np.ndarray  # step[k, i] = i - k
+    own: np.ndarray  # own[k, i]: k == i
+    links: tuple[np.ndarray, np.ndarray]  # (k, i) of every link that carries signal on the ring
+    skip: np.ndarray  # skip[i, s, w, j]: j == i or s <= w, unchecked by the optimality MAC
+
+
+@functools.lru_cache(maxsize=_SHAPES)
+def _layout(cells: int, users: int) -> _Layout:
+    ids = np.arange(cells)
+    step = ids[None, :] - ids[:, None]
+    # Receivers a cell's users reach: its own and the adjacent ones on the ring.
+    reach = np.minimum(np.abs(step), cells - np.abs(step)) <= 1
+    own = np.eye(cells, dtype=bool)
+    slots = np.arange(users)
+    skip = own[:, None, None] | (slots[:, None] <= slots)[:, :, None]
+    layout = _Layout(ids, step, own, np.nonzero(reach), skip)
+    for a in (ids, step, own, *layout.links, skip):
+        a.flags.writeable = False
+    return layout
+
+
 def _distances(p: ScenarioParams, first: int, count: int):
     """Link lengths in meters of ``count`` trials from ``first``, before sorting.
 
-    Returns ``(dist, reach)``: ``dist[t, k, l, i]`` is the distance from drawn
-    slot ``l + 1`` of cell ``k + 1`` to the site of cell ``i + 1`` in trial
-    ``first + t``; only links with ``reach[k, i]`` carry signal.  Each
+    ``dist[t, k, l, i]`` is the distance from drawn slot ``l + 1`` of cell
+    ``k + 1`` to the site of cell ``i + 1`` in trial ``first + t``; only the
+    ``_layout(cells, users).links`` carry signal, which on the line are all
+    four (its two cells reach each other as on a 2-cell ring).  Each
     uniform is mapped as numpy's ``uniform(a, b)`` maps it, ``a + (b - a) * u``,
     and every step is elementwise IEEE arithmetic in the order of one scalar
     ``uniform`` call per number.
@@ -203,24 +293,19 @@ def _distances(p: ScenarioParams, first: int, count: int):
         dist = np.empty((count, 2, n, 2))
         dist[:, 0, :, 0], dist[:, 0, :, 1] = x, 2 * r - x
         dist[:, 1, :, 0], dist[:, 1, :, 1] = y, 2 * r - y
-        return dist, np.ones((2, 2), dtype=bool)
+        return dist
 
     cells = p.cells
+    ring = _layout(cells, n)
     circumference = 2 * r * cells
     u = _uniforms(p.seed, first, count, 2 * cells * n).reshape(count, cells, n, 2)
     offset = np.where(u[..., 0] < 0.5, 1.0, -1.0) * (r0 + (r - r0) * u[..., 1])
-    ids = np.arange(cells)
-    step = ids[None, :] - ids[:, None]  # step[k, i] = i - k
-    # Receivers a cell's users reach: its own and the adjacent ones on the ring.
-    reach = np.minimum(np.abs(step), cells - np.abs(step)) <= 1
     # signed ring distance, folded to the shorter arc
-    raw = (2 * r * step[:, None, :] - offset[..., None]) % circumference
+    raw = (2 * r * ring.step[:, None, :] - offset[..., None]) % circumference
     dist = np.where(
-        np.eye(cells, dtype=bool)[:, None, :],
-        np.abs(offset)[..., None],
-        np.minimum(raw, circumference - raw),
+        ring.own[:, None, :], np.abs(offset)[..., None], np.minimum(raw, circumference - raw)
     )
-    return dist, reach
+    return dist
 
 
 def _sample(p: ScenarioParams, first: int, count: int):
@@ -238,8 +323,8 @@ def _sample(p: ScenarioParams, first: int, count: int):
     in the order of ``path_loss_db``, and ``np.rint`` rounds half to even
     like ``round``.
     """
-    dist, reach = _distances(p, first, count)
-    k, i = np.nonzero(reach)
+    dist = _distances(p, first, count)
+    k, i = _layout(p.cells, p.users_per_cell).links
     km = dist[:, k, :, i] / 1000.0  # km[link, t, l]
     log10 = np.fromiter(map(math.log10, km.ravel().tolist()), dtype=np.float64, count=km.size)
     margin_db = TX_POWER_DBM - (PATHLOSS_A_DB + PATHLOSS_B_DB * log10) - NOISE_FLOOR_DBM
@@ -253,36 +338,35 @@ def _sample(p: ScenarioParams, first: int, count: int):
 
 def _convexity_flags(lv: np.ndarray, direct: np.ndarray) -> np.ndarray:
     """Whether the convexity pair holds, per trial; see ``_condition_flags``."""
-    count, cells, _, _ = lv.shape
-    own = np.eye(cells, dtype=bool)  # own[i, j]: j == i
-    # per cell: direct - lv[..., j] does not fall from a weaker slot to the next
-    mac = (np.diff(direct[..., None] - lv, axis=2) >= 0).all(axis=(1, 2, 3))
+    count, cells, users, _ = lv.shape
+    layout = _layout(cells, users)
+    ids = layout.ids
+    slack = direct[..., None] - lv  # slack[t, i, l, j] = direct - lv[..., j]
+    # per cell: slack does not fall from a weaker slot to the next
+    mac = (slack[:, :, 1:] >= slack[:, :, :-1]).reshape(count, -1).all(1)
     # cross-cell: interferer v of cell k != i counts v[i] - v[j] toward
     # cell j, or v[i] when it sits in cell j itself
-    spill = np.where(own[:, None], 0, lv)
-    worst = np.full((count, cells, cells), _LEAST)  # worst[t, i, j]
-    for k in range(cells):
-        terms = (lv[:, k, :, :, None] - spill[:, k, :, None]).max(axis=1)
-        terms[:, k] = _LEAST  # no interferer from the receiver's own cell
-        np.maximum(worst, terms, out=worst)
-    cross = ((direct[..., None] >= lv + worst[:, :, None]) | own[:, None]).all(axis=(1, 2, 3))
+    spill = np.where(layout.own[:, None], 0, lv)
+    terms = (lv[..., None] - spill[:, :, :, None]).max(axis=2)  # terms[t, k, i, j]
+    terms[:, ids, ids] = _LEAST  # no interferer from the receiver's own cell
+    worst = terms.max(axis=1)  # worst[t, i, j]; 0 at j == i, as is slack there
+    cross = (slack >= worst[:, :, None]).reshape(count, -1).all(1)
     return mac & cross
 
 
 def _optimality_flags(lv: np.ndarray, direct: np.ndarray) -> np.ndarray:
     """Whether the optimality pair holds, per trial; see ``_condition_flags``."""
-    _, cells, n, _ = lv.shape
-    own = np.eye(cells, dtype=bool)
+    count, cells, users, _ = lv.shape
+    layout = _layout(cells, users)
     # per cell: every stronger slot s against every weaker slot w
     strong, weak = lv[:, :, :, None], lv[:, :, None]  # [t, i, s, w, j]
     gap = (direct[:, :, :, None] - direct[:, :, None])[..., None]
-    skip = own[:, None, None] | (np.arange(n)[:, None] <= np.arange(n))[:, :, None]
-    mac = ((gap >= np.minimum(strong, 2 * strong - weak)) | skip).all(axis=(1, 2, 3, 4))
+    mac = ((gap >= np.minimum(strong, 2 * strong - weak)) | layout.skip).reshape(count, -1).all(1)
     # cross-cell: caused toward any other cell plus the largest level
     # received from any other cell's user
-    received = np.where(own, _LEAST, lv.max(axis=2)).max(axis=1)  # [t, i]
-    caused = np.where(own[:, None], _LEAST, lv).max(axis=3)  # [t, i, l]
-    return mac & (direct >= caused + received[:, :, None]).all(axis=(1, 2))
+    received = np.where(layout.own, _LEAST, lv.max(axis=2)).max(axis=1)  # [t, i]
+    caused = np.where(layout.own[:, None], _LEAST, lv).max(axis=3)  # [t, i, l]
+    return mac & (direct >= caused + received[:, :, None]).reshape(count, -1).all(1)
 
 
 def _condition_flags(lv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -300,7 +384,9 @@ def _condition_flags(lv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Every side is a sum or difference of at most three levels, or
     ``2 * strong - weak``.  A link is at least 5e-324 km long, so a level is
     at most about 12,133 dB / 60 * 10**9, below 2.1e11, and no side comes
-    near 2**63.  Optimality without convexity in any trial raises
+    near 2**63.  So the cross-cell convexity condition ``direct >= lv +
+    worst`` can be checked as ``direct - lv >= worst``, on the difference
+    the per-cell condition also reads.  Optimality without convexity in any trial raises
     ``TinGdofError``, as in ``condition_flags``.
     """
     direct = np.diagonal(lv, axis1=1, axis2=3).transpose(0, 2, 1)  # direct[t, i, l]
@@ -351,15 +437,16 @@ def _ci95(p_hat: float, trials: int) -> float:
 def estimate_probabilities(p: ScenarioParams) -> ProbabilityPoint:
     """Empirical probabilities that each condition pair holds, with 95% CIs.
 
-    Counted jointly per trial on the integer level tables, ``TRIAL_BLOCK``
-    trials at a time; no network is built.  A trial where the optimality
-    pair holds but the convexity pair does not would be a bug, and
-    ``_condition_flags`` raises on it.
+    Counted jointly per trial on the integer level tables, one block of
+    ``_block_trials`` trials at a time; no network is built.  A trial where
+    the optimality pair holds but the convexity pair does not would be a
+    bug, and ``_condition_flags`` raises on it.
     """
+    block = _block_trials(p.cells, p.users_per_cell)
     conv = opt = 0
-    for first in range(0, p.trials, TRIAL_BLOCK):
+    for first in range(0, p.trials, block):
         convexity, optimality = _condition_flags(
-            _sample(p, first, min(TRIAL_BLOCK, p.trials - first))[0]
+            _sample(p, first, min(block, p.trials - first))[0]
         )
         conv += int(convexity.sum())
         opt += int(optimality.sum())

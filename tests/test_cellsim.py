@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -24,7 +25,7 @@ from tin_gdof.cellsim import (
     sweep,
 )
 from tin_gdof.conditions import condition_flags, evaluate_conditions
-from tin_gdof.errors import NetworkSpecError
+from tin_gdof.errors import GuardExceededError, NetworkSpecError
 from tin_gdof.model import NetworkSpec, User, rationalize
 
 
@@ -447,3 +448,136 @@ def test_estimate_probabilities_across_block_boundaries():
         for t in range(4):
             one_lv, one_order = cellsim._sample(p, block - 2 + t, 1)
             assert np.array_equal(lv[t], one_lv[0]) and np.array_equal(order[t], one_order[0])
+
+
+# -- constants built once per shape, and the block budget ------------------------
+
+
+def test_uniforms_across_interleaved_shapes():
+    # Shapes come and go in a shuffled order, more of them than the cache
+    # keeps, so rows are drawn from fresh, cached and rebuilt constants; the
+    # trial word wraps at 2**64 inside a block.
+    rng = random.Random(71)
+    calls = [
+        (seed, first, count, m)
+        for seed in (-(2**63) - 5, -1, 9, 2**64 + 3)
+        for first, count in ((0, 1), (3, 7), (2**64 - 3, 5), (2**64 - 1, 2), (cellsim.TRIAL_BLOCK - 1, 3))
+        for m in (1, 4, 5, 13, 24)
+    ]
+    rng.shuffle(calls)
+    for seed, first, count, m in calls:
+        rows = cellsim._uniforms(seed, first, count, m)
+        assert rows.shape == (count, m)
+        for t in range(count):
+            assert np.array_equal(rows[t], fresh_draws(seed, first + t, m)), (seed, first, t, m)
+
+
+def block_networks(p: ScenarioParams, first: int, count: int) -> list[NetworkSpec]:
+    """The networks of a block's rows, built as ``sample_network`` builds one."""
+    lv, order = cellsim._sample(p, first, count)
+    cells = lv.shape[1]
+    return [
+        NetworkSpec(
+            (p.users_per_cell,) * cells,
+            {
+                (User(k, l), i): Fraction(level, 10**9)
+                for k, rows in enumerate(table, start=1)
+                for l, row in enumerate(rows, start=1)
+                for i, level in enumerate(row, start=1)
+            },
+            tuple(tuple(s + 1 for s in slots) for slots in drawn),
+        )
+        for table, drawn in zip(lv.tolist(), order.tolist())
+    ]
+
+
+def test_sample_across_interleaved_rings():
+    rng = random.Random(72)
+    calls = [
+        (ScenarioParams(geometry, r, users, 1, seed, cells=cells), first, count)
+        for geometry, cells in [("linear", 2)] + [("circular", c) for c in range(2, 8)]
+        for users in (1, 2, 4)
+        for r, seed, first, count in ((60.0, 5, 0, 3), (230.0, 77, 40, 2))
+    ]
+    rng.shuffle(calls)
+    for p, first, count in calls:
+        for t, got in enumerate(block_networks(p, first, count)):
+            want = reference_sample_network(p, first + t)
+            assert got.alpha_map == want.alpha_map, (p, first + t)
+            assert got.slot_provenance == want.slot_provenance, (p, first + t)
+
+
+def test_cached_arrays_are_read_only():
+    layout = cellsim._layout(5, 2)
+    for a in (layout.ids, layout.step, layout.own, *layout.links, layout.skip):
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = a[(0,) * a.ndim]
+    # the per-shape Philox constants are Python ints, immutable as such
+    assert all(isinstance(word, int) for word in cellsim._lanes(3, 2))
+
+
+def test_shape_caches_stay_within_their_bound():
+    # Within the budget a block has at most LANES_MAX lanes, each cached
+    # Philox shape keeps six ints of 16 bytes a lane, and a cached layout
+    # stays below LAYOUT_MAX bytes; both caches keep _SHAPES entries.
+    lanes_max, layout_max = 2048, 96 * 2**10
+    for cells in range(2, 41):
+        for users in range(1, 65):
+            if cellsim._trial_entries(cells, users) <= cellsim.BLOCK_ENTRIES:
+                assert cellsim._block_trials(cells, users) * -(-cells * users // 2) <= lanes_max
+    bound = cellsim._SHAPES * (6 * 16 * lanes_max + layout_max)
+    shapes = [(cells, users) for cells in range(2, 41) for users in (1, 2, 4, 8)]
+    shapes = [s for s in shapes if cellsim._trial_entries(*s) <= cellsim.BLOCK_ENTRIES]
+    random.Random(73).shuffle(shapes)
+    shapes = shapes[:50]
+    assert len(shapes) == 50
+    cellsim._lanes.cache_clear()
+    cellsim._layout.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for cells, users in shapes:
+            count = cellsim._block_trials(cells, users)
+            cellsim._uniforms(1, 0, count, 2 * cells * users)
+            cellsim._layout(cells, users)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert cellsim._lanes.cache_info().currsize == cellsim._SHAPES
+    assert cellsim._layout.cache_info().currsize == cellsim._SHAPES
+    assert 0 < held <= bound, (held, bound)
+
+
+def test_scenario_beyond_the_block_budget_is_refused_before_any_allocation():
+    tracemalloc.start()
+    try:
+        for cells, users in ((10**15, 1), (4, 10**12), (41, 1), (24, 5)):
+            with pytest.raises(GuardExceededError, match="block budget"):
+                ScenarioParams("circular", 100.0, users, 10**9, 3, cells=cells)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10
+    # the largest rings within the budget are accepted
+    ScenarioParams("circular", 100.0, 1, 1, 3, cells=40)
+    ScenarioParams("circular", 100.0, 5, 1, 3, cells=23)
+
+
+def test_block_memory_is_bounded_on_a_large_ring(monkeypatch):
+    # 20 cells of 5 users peaked at 44 MiB for 300 trials in blocks of
+    # TRIAL_BLOCK; within the budget a block peaks at about three arrays of
+    # BLOCK_ENTRIES int64 entries, whatever the ring.
+    p = ScenarioParams("circular", 225.0, 5, 300, 8, cells=20)
+    estimate_probabilities(replace(p, trials=1))
+    tracemalloc.start()
+    try:
+        point = estimate_probabilities(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * cellsim.BLOCK_ENTRIES, peak
+    # the block size changes no count
+    monkeypatch.setattr(cellsim, "BLOCK_ENTRIES", 64 * cellsim._trial_entries(20, 5))
+    assert cellsim._block_trials(20, 5) == 64
+    assert estimate_probabilities(p) == point
+    assert 0 < point.p_optimality < point.p_convexity < 1

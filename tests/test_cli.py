@@ -388,6 +388,17 @@ def test_simulate_deterministic():
     assert run_cli(*args).stdout == run_cli(*args).stdout
 
 
+def test_simulate_refuses_a_ring_beyond_the_block_budget():
+    proc = run_cli(
+        "simulate", "--geometry", "circular", "--cells", str(10**15), "--r-sweep", "150",
+        "--L", "1", "--trials", "5",
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "block budget" in lines[0]
+
+
 def test_docs_headings_list_every_option():
     # Each "### `sub ...`" heading of docs/cli.md names exactly the options of
     # that subcommand, and every subcommand has one.

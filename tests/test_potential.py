@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,7 +36,12 @@ from tin_gdof.potential import (
     skeleton_distances,
 )
 from tin_gdof.regions import GdofTuple, membership, polyhedral_region
-from tin_gdof.sampling import random_gdof_tuple, random_network, random_order
+from tin_gdof.sampling import (
+    random_gdof_tuple,
+    random_grid_allocation,
+    random_network,
+    random_order,
+)
 
 
 def single_user_net(alpha):
@@ -334,6 +340,32 @@ def test_all_circuits_oracle_agrees():
         d = random_gdof_tuple(rng, net)
         by_ineq = membership(polyhedral_region(net, order), d).member
         assert all_circuits_region_oracle(net, order, d) == by_ineq
+
+
+def test_oracles_agree_next_to_the_region_boundary():
+    # Random lattice tuples mostly miss the region, or land on networks where
+    # even 0 is outside it.  Here every tuple is an achievable tuple of the
+    # identity order scaled by 1 -+ 1/100, on networks whose region holds 0,
+    # so both answers occur a hair from the boundary.
+    rng = random.Random(61)
+    answers = Counter()
+    for _ in range(200):
+        net = random_network(rng)
+        order = DecodingOrder.identity(net)
+        region = polyhedral_region(net, order)
+        achievable = GdofTuple(achievable_gdof(net, order, random_grid_allocation(rng, net)))
+        if not (membership(region, GdofTuple.zero(net)).member and achievable.support()):
+            continue
+        for scale in (Fraction(99, 100), Fraction(101, 100)):
+            d = GdofTuple({u: v * scale for u, v in achievable.d.items()})
+            by_ineq = membership(region, d).member
+            g = build_potential_graph(net, order, None, d)
+            assert feasible_by_negative_cycle(g).feasible == by_ineq, (net, d)
+            assert all_circuits_region_oracle(net, order, d) == by_ineq, (net, d)
+            answers[scale, by_ineq] += 1
+    assert sum(answers.values()) >= 80
+    assert answers[Fraction(99, 100), True] >= 20 and answers[Fraction(101, 100), False] >= 10
+    assert answers[Fraction(99, 100), False] and answers[Fraction(101, 100), True]
 
 
 def test_single_user_oracle_reduces_to_cap():
