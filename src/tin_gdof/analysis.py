@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple
 
 from . import _flow, _lp
-from .conditions import evaluate_conditions
 from .errors import (
     ConditionsNotMetError,
     EmptyRegionError,
@@ -31,9 +30,8 @@ from .model import (
     NetworkSpec,
     Subnetwork,
     User,
-    _user,
+    _per_user,
     enumerate_orders,
-    rationalize,
 )
 from .potential import (
     Circuit,
@@ -262,7 +260,7 @@ def max_weighted_gdof(region: PolyRegion, weights: Mapping) -> WeightedOptimum:
     reduced cost of u's split arc.  Raises ``EmptyRegionError`` when the
     region is empty.
     """
-    weights = {_user(u): rationalize(w) for u, w in weights.items()}
+    weights = _per_user(weights, "weights")
     unknown = weights.keys() - set(region.dim_users)
     if unknown:
         raise NetworkSpecError(f"weights index unknown users {sorted(unknown)}")
@@ -351,7 +349,7 @@ def gdof_outer_bound(net: NetworkSpec) -> PolyRegion:
     the sum of (direct - cross-to-predecessor) differences.  That is the
     identity-order region, bound for bound.
     """
-    if not evaluate_conditions(net).optimality_holds:
+    if not net.optimality_holds:
         raise ConditionsNotMetError(
             "outer bound is only established when the optimality conditions hold"
         )
@@ -416,7 +414,7 @@ def outer_bound_rates(fs: FiniteSnrSpec) -> list[RateBound]:
     """
     net, fs = fs.levels
     _require_link_assumption(fs)
-    if not evaluate_conditions(net).optimality_holds:
+    if not net.optimality_holds:
         raise ConditionsNotMetError(
             "rate outer bound is only established when the optimality conditions hold"
         )

@@ -20,9 +20,9 @@ cross-cell), yield the failing conditions of such a table for either pair.
 ``evaluate_conditions`` runs the four (condition, kernel, pair) cases in one
 loop over ``NetworkSpec.integer_levels`` and turns each failure into a
 ``Violation`` witness; ``condition_flags`` takes only the two booleans of
-any integer table, stopping at the first failure, for
-``NetworkSpec.convexity_holds``.  The cellular Monte Carlo checks whole
-blocks of trials at once in ``cellsim``, against these two as its oracle.
+any integer table, stopping at the first failure, for the flags that
+``NetworkSpec`` caches.  The cellular Monte Carlo checks whole blocks of
+trials at once in ``cellsim``, against these two as its oracle.
 The cross-cell maxima are separable, so the interferer part is maximized
 once per cell pair rather than once per user.  The plain ``Fraction``
 triple loops that this replaces are kept in the tests as the oracle.
@@ -197,7 +197,7 @@ def outer_bound_user_partition(net: NetworkSpec, i: int, j: int, l_i: int) -> Us
         s for s in range(1, l_i) if margin >= net.direct(User(i, s))
     )
     primed = frozenset(range(1, l_i + 1)) - double_primed
-    if evaluate_conditions(net).optimality_holds:
+    if net.optimality_holds:
         chain = sorted(primed - {l_i})
         for s_prime, l_prime in itertools.combinations(chain, 2):
             s_u, l_u = User(i, s_prime), User(i, l_prime)

@@ -50,23 +50,50 @@ Subnetwork = frozenset
 
 def _user(key) -> User:
     """The ``User`` that a user key names: a pair of ints, or of values that
-    ``operator.index`` accepts.  The one rule for user keys; any other key
-    is a ``NetworkSpecError``."""
+    ``operator.index`` accepts, bools excluded.  The one rule for user keys;
+    any other key is a ``NetworkSpecError``."""
     try:
         k, l = key
-        return User(operator.index(k), operator.index(l))
+        return User(_index(k, "cell"), _index(l, "slot"))
     except (TypeError, ValueError):
         raise NetworkSpecError(f"user key {key!r} is not a (cell, slot) pair of ints") from None
 
 
-def _index(value, what: str) -> int:
-    """``value`` as an int under ``operator.index``, the user-key rule: the
-    one rule for counts and indices.  A float, even ``2.0``, a string or
-    ``None`` is a ``NetworkSpecError`` that names ``what``."""
+def _users(keys, what: str) -> Iterator[User]:
+    """Each key of a collection of users through the user-key rule; a
+    non-collection is a ``NetworkSpecError`` naming ``what``."""
     try:
-        return operator.index(value)
+        return map(_user, iter(keys))
     except TypeError:
-        raise NetworkSpecError(f"{what} must be an integer, got {value!r}") from None
+        raise NetworkSpecError(f"{what} must be a collection of users, got {keys!r}") from None
+
+
+def _items(mapping, what: str):
+    """The items of a mapping argument; a non-mapping is a
+    ``NetworkSpecError`` naming ``what``."""
+    try:
+        return mapping.items()
+    except AttributeError:
+        raise NetworkSpecError(f"{what} must be a mapping, got {type(mapping).__name__}") from None
+
+
+def _per_user(mapping, what: str) -> dict[User, Fraction]:
+    """A per-user argument (GDoF values, power exponents, weights) through
+    the user-key rule and ``rationalize``."""
+    return {_user(u): rationalize(v) for u, v in _items(mapping, what)}
+
+
+def _index(value, what: str) -> int:
+    """``value`` as an int under ``operator.index``, bools excluded (a JSON
+    ``true`` is not the number 1): the one rule for counts and indices, and
+    for the fields of user keys.  A bool, a float, even ``2.0``, a string or
+    ``None`` is a ``NetworkSpecError`` that names ``what``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise NetworkSpecError(f"{what} must be an integer, got {value!r}")
 
 
 def _real(value, what: str) -> float:
@@ -93,8 +120,8 @@ def rationalize(x) -> Fraction:
     Ints, ``Fraction``s and other rationals (numpy ints), decimal strings
     such as ``"0.1"`` or ``"1/3"`` and ``Decimal``s convert exactly.  A
     finite float is rounded to the nearest multiple of 10^-RATIONALIZE_DIGITS,
-    so ``0.1`` means 1/10, not its binary expansion.  Anything else, NaN and
-    infinities included, is a ``NetworkSpecError``.
+    so ``0.1`` means 1/10, not its binary expansion.  Anything else, NaN,
+    infinities and bools included, is a ``NetworkSpecError``.
     """
     if isinstance(x, Fraction):
         return x
@@ -105,7 +132,7 @@ def rationalize(x) -> Fraction:
                 return Fraction(round(x * scale), scale)
             except OverflowError:  # x * scale is inf, so x is an integer already
                 return Fraction(x)
-    elif isinstance(x, (numbers.Rational, Decimal, str)):
+    elif isinstance(x, (numbers.Rational, Decimal, str)) and not isinstance(x, bool):
         try:
             return Fraction(x)
         except (ValueError, OverflowError, ZeroDivisionError):
@@ -162,14 +189,7 @@ class NetworkSpec:
         levels = [[[None] * cells for _ in range(n)] for n in users_per_cell]
         cell_ids = range(1, cells + 1)
         filled = 0  # distinct keys of a mapping name distinct links
-        try:
-            entries = alpha.items()
-        except AttributeError:
-            raise NetworkSpecError(
-                f"alpha must be a mapping of (user, receiver cell) keys to levels, "
-                f"got {type(alpha).__name__}"
-            ) from None
-        for key, value in entries:
+        for key, value in _items(alpha, "alpha"):
             try:
                 user, rx = key
             except (TypeError, ValueError):
@@ -247,11 +267,20 @@ class NetworkSpec:
         return den, tuple(tuple(map(tuple, cell)) for cell in lv)
 
     @cached_property
-    def convexity_holds(self) -> bool:
-        """Whether the convexity conditions hold, checked once, on first access."""
+    def _condition_flags(self) -> tuple[bool, bool]:
         from .conditions import condition_flags  # conditions imports this module
 
-        return condition_flags(self.integer_levels[1])[0]
+        return condition_flags(self.integer_levels[1])
+
+    @property
+    def convexity_holds(self) -> bool:
+        """Whether the convexity conditions hold: checked once, on first access."""
+        return self._condition_flags[0]
+
+    @property
+    def optimality_holds(self) -> bool:
+        """Whether the optimality conditions hold, from the same pass."""
+        return self._condition_flags[1]
 
     @cached_property
     def cells(self) -> int:
@@ -288,8 +317,8 @@ class NetworkSpec:
             return tuple(tuple(range(1, n + 1)) for n in self.users_per_cell)
         per_cell = [set() for _ in self.users_per_cell]
         unknown = set()
-        for key in s:
-            k, l = user = _user(key)
+        for user in _users(s, "subnetwork"):
+            k, l = user
             if 1 <= k <= self.cells and 1 <= l <= self.users_per_cell[k - 1]:
                 per_cell[k - 1].add(l)
             else:
@@ -333,13 +362,23 @@ class DecodingOrder:
         """The scope check: that this is a decoding order of the subnetwork
         ``s`` of ``net`` (of every user when ``s`` is None).  Returns ``s``
         as a frozenset of ``User``s, which what is built on it trusts.  A
-        bad user key, an unknown user, a wrong cell count or a cell that
-        does not list its active slots is a ``NetworkSpecError``."""
+        bad user key, an unknown user, a wrong cell count, an order that
+        is not one sequence of slots per cell or a cell that does not list
+        its active slots is a ``NetworkSpecError``."""
         active = net.active_slots(s)
-        if len(self.per_cell) != net.cells:
+        try:
+            listed = [
+                tuple(sorted(_user((k, l)).slot for l in slots))
+                for k, slots in enumerate(self.per_cell, start=1)
+            ]
+        except TypeError:
+            raise NetworkSpecError(
+                f"decoding order must be one sequence of slots per cell, got {self.per_cell!r}"
+            ) from None
+        if len(listed) != net.cells:
             raise NetworkSpecError("decoding order has wrong number of cells")
-        for k, (slots, want) in enumerate(zip(self.per_cell, active), start=1):
-            if tuple(sorted(_user((k, l)).slot for l in slots)) != want:
+        for k, (slots, want) in enumerate(zip(listed, active), start=1):
+            if slots != want:
                 raise NetworkSpecError(
                     f"decoding order for cell {k} is not a permutation of active slots {list(want)}"
                 )

@@ -18,28 +18,14 @@ where ``alpha_x`` is the direct level of x.  Which direction of an intra-cell
 pair is "forward" is fixed by the decode positions, never by comparing
 levels, so ties in levels cannot change the family.
 
-The graph is written once, by ``potential_skeleton``: per ``(net, order,
-s)``, the edges as vertex indices and integer lengths at d = 0 over
-``NetworkSpec.integer_levels``' denominator.  It takes a scope that
-``DecodingOrder.validate`` has already checked: ``build_potential_graph``
-checks once per graph, and ``polyhedral_region`` once per region before
-``analysis.flow_network`` builds on it.  A tuple d enters as one
+One type, ``PotentialGraph``, holds the graph: edges over vertex indices,
+with exact lengths over a denominator.  ``potential_skeleton`` is the one
+writer of the edges, with integer lengths at d = 0.  A tuple d enters as one
 integer shift of the edges out of each user, and one relaxation, ``_relax``,
-serves every length type.  ``skeleton_distances`` relaxes the shifted edges
-on Python ints.  Region set-up uses it: ``analysis.flow_network`` (the arcs
-and start potentials of ``max_weighted_gdof``) and the corner loop of
-``analysis.gap_report``, where ``Fraction`` relaxation was most of the
-cost.  ``build_potential_graph`` gives the same edges as ``Edge`` objects
-with ``Fraction`` lengths and families, which ``feasible_by_negative_cycle``
-and ``recover_power_allocation`` relax in ``Fraction``: the readable form,
-used by ``general_membership``, CLI ``membership --order`` and
-``oracle-verify``.  ``general_membership`` stays on ``Fraction`` lengths
-until the benchmark worker's memory is bounded (ROADMAP item 1): routed
-through the integer pass, it answered about four times as many queries,
-and the worker, which keeps every latency, grew past the benchmark's
-memory bound.  ``tests/test_potential.py`` keeps an independent
-construction from ``net.direct`` and ``net.alpha``, with a dict-based
-relaxation, as the oracle.
+serves every length type: region set-up relaxes integers
+(``skeleton_distances``), and ``build_potential_graph`` gives the same edges
+with ``Fraction`` lengths for membership.  ``tests/test_potential.py`` keeps
+an independent construction, labelled by edge family, as the oracle.
 """
 
 from __future__ import annotations
@@ -47,13 +33,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from enum import Enum
-from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple
 
 from .errors import GuardExceededError, InfeasibleAllocationError, NetworkSpecError, TinGdofError
-from .model import DecodingOrder, NetworkSpec, Subnetwork, User, _user, rationalize
+from .model import DecodingOrder, NetworkSpec, Subnetwork, User, _per_user, _users
 from .regions import GdofTuple, enumerate_cyclic_sequences
 
 #: Ground vertex sentinel; cells are 1-based so (0, 0) is never a real user.
@@ -63,35 +47,21 @@ GROUND = User(0, 0)
 CIRCUIT_ENUMERATION_MAX_VERTICES = 9
 
 
-class EdgeFamily(Enum):
-    INTRA_FORWARD = "intra_forward"
-    INTRA_BACKWARD = "intra_backward"
-    CROSS = "cross"
-    FROM_GROUND = "from_ground"
-    TO_GROUND = "to_ground"
+class PotentialGraph(NamedTuple):
+    """The potential graph of a ``(net, order, s)`` at a tuple d.
 
+    ``vertices`` are ground, then the sorted active users.  ``edges`` are
+    ``(tail, head, length)``: vertex indices and an exact length, an
+    ``int`` or a ``Fraction``, in units of ``1 / den``.  They come cell by
+    cell, each decode-ordered pair of a cell as its forward then its
+    backward edge, then the cross edges, then each user's edges from and
+    to ground.  A tuple d lowers every edge out of a user u by d_u, and no
+    edge out of ground.
+    """
 
-@dataclass(frozen=True)
-class Edge:
-    tail: User
-    head: User
-    length: Fraction
-    family: EdgeFamily
-
-
-@dataclass(frozen=True)
-class PotentialGraph:
-    """Complete digraph over ground + active users with exact edge lengths."""
-
+    den: int
     vertices: tuple[User, ...]
-    edges: tuple[Edge, ...]
-
-    def length(self, tail: User, head: User) -> Fraction:
-        return self._length_map[(tail, head)]
-
-    @cached_property
-    def _length_map(self) -> Mapping:
-        return {(e.tail, e.head): e.length for e in self.edges}
+    edges: tuple[tuple[int, int, int | Fraction], ...]
 
 
 @dataclass(frozen=True)
@@ -120,11 +90,11 @@ class PowerAllocation:
     off: frozenset
 
     def __post_init__(self):
-        exps = {_user(u): rationalize(v) for u, v in self.exponents.items()}
+        exps = _per_user(self.exponents, "power exponents")
         if any(v > 0 for v in exps.values()):
             raise NetworkSpecError("power exponents must be <= 0")
         object.__setattr__(self, "exponents", exps)
-        object.__setattr__(self, "off", frozenset(map(_user, self.off)))
+        object.__setattr__(self, "off", frozenset(_users(self.off, "off")))
         if exps.keys() & self.off:
             raise NetworkSpecError("a user cannot be both powered and off")
 
@@ -146,28 +116,19 @@ def build_potential_graph(
     ``d`` must vanish outside ``s``; deactivated users are removed from the
     graph entirely.  The scope is checked here, once, by
     ``DecodingOrder.validate``.  The edges are those of
-    ``potential_skeleton`` at ``d``, each with its ``Fraction`` length and
-    the family that its ends and their decode positions give.
+    ``potential_skeleton`` at ``d``, in the same order, each length a
+    ``Fraction`` (``den`` is 1).
+
+    This is the one place that makes ``Fraction`` lengths.  Its callers,
+    ``general_membership``, CLI ``membership --order`` and
+    ``oracle-verify``, stay on them until the benchmark worker's memory is
+    bounded (ROADMAP item 1): with integer lengths ``general_membership``
+    answered about five times as many queries, and the worker, which keeps
+    every latency, grew past the benchmark's memory bound.
     """
     sk = potential_skeleton(net, order, order.validate(net, s))
     den, edges = _shifted(sk, d)
-    v = sk.vertices
-    position = {u: order.slots(u.cell).index(u.slot) for u in v[1:]}
-
-    def family(t: int, h: int) -> EdgeFamily:
-        if t == 0:
-            return EdgeFamily.FROM_GROUND
-        if h == 0:
-            return EdgeFamily.TO_GROUND
-        if v[t].cell != v[h].cell:
-            return EdgeFamily.CROSS
-        if position[v[t]] < position[v[h]]:
-            return EdgeFamily.INTRA_FORWARD
-        return EdgeFamily.INTRA_BACKWARD
-
-    return PotentialGraph(
-        v, tuple(Edge(v[t], v[h], Fraction(c, den), family(t, h)) for t, h, c in edges)
-    )
+    return PotentialGraph(1, sk.vertices, tuple((t, h, Fraction(c, den)) for t, h, c in edges))
 
 
 def _relax(vertices: tuple[User, ...], edges, den: int = 1) -> list | Circuit:
@@ -224,11 +185,11 @@ def _relax(vertices: tuple[User, ...], edges, den: int = 1) -> list | Circuit:
     return Circuit(circuit, length)
 
 
-def _bellman_ford(g: PotentialGraph) -> dict[User, Fraction] | Circuit:
-    """Shortest-path lengths from ground, or a negative simple circuit:
-    ``_relax`` over the edges of ``g``, in their order."""
-    index = {u: i for i, u in enumerate(g.vertices)}
-    result = _relax(g.vertices, [(index[e.tail], index[e.head], e.length) for e in g.edges])
+def _bellman_ford(g: PotentialGraph) -> dict[User, int | Fraction] | Circuit:
+    """Shortest-path lengths from ground, in units of ``1 / g.den``, or a
+    negative simple circuit: ``_relax`` over the edges of ``g``, in their
+    order."""
+    result = _relax(g.vertices, g.edges, g.den)
     return result if isinstance(result, Circuit) else dict(zip(g.vertices, result))
 
 
@@ -258,31 +219,15 @@ def recover_power_allocation(g: PotentialGraph, off: frozenset = frozenset()) ->
             f"no feasible power allocation: circuit {result.vertices} has length {result.length}",
             result,
         )
-    return PowerAllocation({v: result[v] for v in g.vertices if v != GROUND}, off)
-
-
-class PotentialSkeleton(NamedTuple):
-    """The potential graph of a ``(net, order, s)`` over integers, d left out.
-
-    ``vertices`` are ground, then the sorted active users.  ``edges`` are
-    ``(tail, head, length)``: vertex indices and the length at d = 0, an
-    integer over ``den``, the levels' common denominator.  They come cell
-    by cell, each decode-ordered pair of a cell as its forward then its
-    backward edge, then the cross edges, then each user's edges from and
-    to ground.  A tuple d lowers every edge out of a user u by d_u, and no
-    edge out of ground.
-    """
-
-    den: int
-    vertices: tuple[User, ...]
-    edges: tuple[tuple[int, int, int], ...]
+    return PowerAllocation({v: Fraction(result[v], g.den) for v in g.vertices[1:]}, off)
 
 
 def potential_skeleton(
     net: NetworkSpec, order: DecodingOrder, s: Subnetwork | None = None
-) -> PotentialSkeleton:
-    """The ``PotentialSkeleton`` of ``(net, order, s)``, built from
+) -> PotentialGraph:
+    """The ``PotentialGraph`` of ``(net, order, s)`` at d = 0, built from
     ``net.integer_levels``: the one place that writes the edge families.
+    Its lengths are integers over ``den``, the levels' common denominator.
 
     Takes a checked scope and checks nothing: ``s`` (None for every user)
     and ``order`` as ``DecodingOrder.validate`` returns and checks them.
@@ -309,10 +254,10 @@ def potential_skeleton(
     for i, k, r in rows:
         edges.append((0, i, 0))
         edges.append((i, 0, r[k]))
-    return PotentialSkeleton(den, (GROUND, *active), tuple(edges))
+    return PotentialGraph(den, (GROUND, *active), tuple(edges))
 
 
-def _shifted(sk: PotentialSkeleton, d: GdofTuple | None) -> tuple[int, list | tuple]:
+def _shifted(sk: PotentialGraph, d: GdofTuple | None) -> tuple[int, list | tuple]:
     """``(D, edges)``: the skeleton's edges at ``d``, with integer lengths
     over D, the lcm of ``sk.den`` and the denominators of d.  Each d_u
     enters as one integer shift of the edges out of u.  ``d`` must vanish
@@ -331,7 +276,7 @@ def _shifted(sk: PotentialSkeleton, d: GdofTuple | None) -> tuple[int, list | tu
 
 
 def skeleton_distances(
-    sk: PotentialSkeleton, d: GdofTuple | None = None
+    sk: PotentialGraph, d: GdofTuple | None = None
 ) -> tuple[int, list[int]] | Circuit:
     """Ground distances of the skeleton at ``d``, or a negative simple circuit.
 
@@ -349,9 +294,10 @@ def skeleton_distances(
 
 def iter_simple_circuits(g: PotentialGraph) -> Iterator[Circuit]:
     """Every simple directed circuit of the (complete) potential graph."""
-    lengths = g._length_map
-    for c in enumerate_cyclic_sequences(g.vertices, min_len=2):
-        yield Circuit(c, sum((lengths[(c[i - 1], c[i])] for i in range(len(c))), Fraction(0)))
+    v = g.vertices
+    lengths = {(v[t], v[h]): c for t, h, c in g.edges}
+    for c in enumerate_cyclic_sequences(v, min_len=2):
+        yield Circuit(c, Fraction(sum(lengths[(c[i - 1], c[i])] for i in range(len(c))), g.den))
 
 
 def all_circuits_region_oracle(net: NetworkSpec, order: DecodingOrder, d: GdofTuple) -> bool:

@@ -21,7 +21,9 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import NetworkSpecError
-from .model import DecodingOrder, NetworkSpec, Rational, Subnetwork, User, _user, rationalize
+from .model import (
+    DecodingOrder, NetworkSpec, Rational, Subnetwork, User, _per_user, _users, rationalize,
+)
 
 
 def enumerate_cyclic_sequences(cells: Iterable[int], min_len: int = 1) -> Iterator[tuple]:
@@ -73,7 +75,7 @@ class GdofTuple:
     d: Mapping
 
     def __post_init__(self):
-        frozen = {_user(u): rationalize(v) for u, v in self.d.items()}
+        frozen = _per_user(self.d, "GDoF tuple")
         if any(v < 0 for v in frozen.values()):
             raise NetworkSpecError("GDoF values must be nonnegative")
         object.__setattr__(self, "d", frozen)
@@ -85,10 +87,11 @@ class GdofTuple:
     @classmethod
     def from_values(cls, net: NetworkSpec, values: Sequence[Rational]) -> "GdofTuple":
         """Build from one value per user in canonical (cell, slot) order."""
-        users = net.users
-        if len(values) != len(users):
-            raise NetworkSpecError(f"expected {len(users)} values, got {len(values)}")
-        return cls(dict(zip(users, values)))
+        try:
+            d = dict(zip(net.users, values, strict=True))
+        except (TypeError, ValueError):
+            raise NetworkSpecError(f"expected {len(net.users)} values, got {values!r}") from None
+        return cls(d)
 
     def __getitem__(self, user: User) -> Fraction:
         return self.d.get(user, Fraction(0))
@@ -268,7 +271,7 @@ def set_function_f(net: NetworkSpec, order: DecodingOrder, subset: Iterable[User
     cyclic arrangements of the participating cells otherwise.
     """
     order.validate(net, order.active_users())
-    subset = frozenset(map(_user, subset))
+    subset = frozenset(_users(subset, "user set"))
     depth = {}
     for k, slots in enumerate(net.active_slots(subset), start=1):
         if slots:

@@ -10,15 +10,15 @@ level may grow with the slot.  ``tests/test_sampling.py`` pins the draws.
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from fractions import Fraction
 from typing import Iterable
 
-from .conditions import evaluate_conditions
 from .errors import NetworkSpecError
 from .model import (
     DecodingOrder, FiniteSnrSpec, NetworkSpec, Subnetwork, User, _nominal_power, _with_levels,
-    enumerate_orders,
 )
 from .potential import PowerAllocation
 from .regions import GdofTuple
@@ -55,8 +55,18 @@ def random_network(
 
 
 def random_order(rng: random.Random, net: NetworkSpec, s: Subnetwork | None = None) -> DecodingOrder:
-    orders = list(enumerate_orders(net, s))
-    return orders[rng.randrange(len(orders))]
+    """``list(enumerate_orders(net, s))[rng.randrange(count)]`` without the
+    list of prod_i |S_i|! orders.  That enumeration is the product of each
+    cell's permutations, the last cell fastest, so the index splits into
+    one rank per cell, and each cell steps through its |S_i|! permutations."""
+    active = net.active_slots(s)
+    sizes = [math.factorial(len(slots)) for slots in active]
+    index = rng.randrange(math.prod(sizes))
+    per_cell = []
+    for slots, size in zip(reversed(active), reversed(sizes)):
+        index, rank = divmod(index, size)
+        per_cell.append(next(itertools.islice(itertools.permutations(slots), rank, None)))
+    return DecodingOrder(tuple(reversed(per_cell)))
 
 
 def random_gdof_tuple(
@@ -118,8 +128,7 @@ def _constructive_network(rng, shape, denom: int, optimality: bool) -> NetworkSp
                     value = base + Fraction(rng.randint(0, top), denom)
                     alpha[(User(k, l + 1), j)] = value
         net = NetworkSpec.from_alpha(cells, users_per_cell, alpha)
-        report = evaluate_conditions(net)
-        if report.optimality_holds if optimality else report.convexity_holds:
+        if net.optimality_holds if optimality else net.convexity_holds:
             return net
 
 

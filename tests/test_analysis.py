@@ -197,6 +197,40 @@ def test_convexity_is_checked_once_per_network(
     assert len(calls) == len(nets)
 
 
+def test_optimality_is_read_from_the_one_flag_pass(monkeypatch, pimac_optimal, pimac_convex_only):
+    # The outer bounds, the user partition and the constructive samplers read
+    # the flags that one ``condition_flags`` pass per network caches; none
+    # builds a witness report.
+    calls = []
+    original = conditions.condition_flags
+
+    def counting(lv):
+        calls.append(lv)
+        return original(lv)
+
+    def refuse(net):
+        raise AssertionError("a witness report was built to read one flag")
+
+    monkeypatch.setattr(conditions, "condition_flags", counting)
+    monkeypatch.setattr(conditions, "evaluate_conditions", refuse)
+    for net, holds in ((pimac_optimal, True), (pimac_convex_only, False)):
+        fs = finite_snr_from_network(net, 1e4)
+        for _ in range(2):
+            assert net.optimality_holds is holds
+            conditions.outer_bound_user_partition(net, 1, 2, 2)
+            for bound in (lambda: gdof_outer_bound(net), lambda: outer_bound_rates(fs)):
+                if holds:
+                    bound()
+                else:
+                    with pytest.raises(ConditionsNotMetError):
+                        bound()
+    assert len(calls) == 2
+    rng = random.Random(3)
+    for _ in range(3):
+        assert random_optimality_network(rng).optimality_holds
+        assert random_convexity_network(rng).convexity_holds
+
+
 SHORTCUT_UNDER_O = """
 import random
 import sys
@@ -492,9 +526,10 @@ def fraction_flow_network(net, order, s):
     users = g.vertices[1:]
     node_in = {GROUND: 0, **{u: 2 * i + 1 for i, u in enumerate(users)}}
     node_out = {GROUND: 0, **{u: 2 * i + 2 for i, u in enumerate(users)}}
+    v = g.vertices
     arcs = [
-        (node_out[e.tail], node_in[e.head], e.length.numerator * (den // e.length.denominator))
-        for e in g.edges
+        (node_out[v[t]], node_in[v[h]], int(Fraction(c, g.den) * den))
+        for t, h, c in g.edges
     ]
     arcs += [(node_in[u], node_out[u], 0) for u in users]
     start_potential = [0]
@@ -551,10 +586,10 @@ def _networkx_flow_value(net, order, weights):
         flow.add_node(("out", u), demand=-w)
         flow.add_node(("in", u), demand=w)
         flow.add_edge(("in", u), ("out", u), weight=0)
-    for e in g.edges:
-        tail = "ground" if e.tail == GROUND else ("out", e.tail)
-        head = "ground" if e.head == GROUND else ("in", e.head)
-        flow.add_edge(tail, head, weight=int(e.length * den))
+    for t, h, c in g.edges:
+        tail = "ground" if t == 0 else ("out", g.vertices[t])
+        head = "ground" if h == 0 else ("in", g.vertices[h])
+        flow.add_edge(tail, head, weight=int(Fraction(c, g.den) * den))
     cost, _ = nx.network_simplex(flow)
     return Fraction(cost, den * den_w)
 

@@ -88,6 +88,15 @@ def test_check_bad_usage_exit_code(tmp_path):
     broken = run_cli("check", "--network", str(bad_file))
     assert broken.returncode == 2
     assert "error" in broken.stderr
+    # A JSON boolean is not a number: the record at 1.0 set to true is refused,
+    # not read as level 1.
+    doc = json.loads(EXAMPLE.read_text())
+    doc["alpha"][0]["value"] = True
+    bool_file = tmp_path / "bool.json"
+    bool_file.write_text(json.dumps(doc))
+    boolean = run_cli("check", "--network", str(bool_file))
+    assert boolean.returncode == 2 and boolean.stdout == ""
+    assert "True is not an exact number" in boolean.stderr
 
 
 def test_region_emits_running_example(nonconvex_path):

@@ -459,6 +459,23 @@ CONTRACT = [
     pytest.param(lambda net: GdofTuple({BAD_KEY: 1}), id="GdofTuple-key"),
     pytest.param(lambda net: PowerAllocation({BAD_KEY: 0}, frozenset()), id="PowerAllocation-key"),
     pytest.param(lambda net: PowerAllocation({}, frozenset([BAD_KEY])), id="PowerAllocation-off-key"),
+    pytest.param(lambda net: GdofTuple({(True, 1): 1}), id="GdofTuple-bool-key"),
+    # Arguments of the wrong shape: an order that is not one sequence of
+    # slots per cell, a list for a mapping, no values, a number for a set.
+    pytest.param(lambda net: polyhedral_region(net, DecodingOrder((1, 2))), id="order-of-ints"),
+    pytest.param(
+        lambda net: polyhedral_region(net, DecodingOrder(((1, 2), None))), id="order-None-cell"
+    ),
+    pytest.param(lambda net: GdofTuple([1, 1, 1]), id="GdofTuple-list"),
+    pytest.param(lambda net: PowerAllocation([0, 0, 0], frozenset()), id="PowerAllocation-list"),
+    pytest.param(lambda net: PowerAllocation({}, 5), id="PowerAllocation-off-int"),
+    pytest.param(lambda net: GdofTuple.from_values(net, None), id="GdofTuple.from_values-None"),
+    pytest.param(lambda net: polyhedral_region(net, IDENTITY, 5), id="polyhedral_region-s-int"),
+    pytest.param(lambda net: list(enumerate_orders(net, 5)), id="enumerate_orders-s-int"),
+    pytest.param(
+        lambda net: max_weighted_gdof(polyhedral_region(net, IDENTITY), [1, 1, 1]),
+        id="max_weighted_gdof-list",
+    ),
     *scope_cases("polyhedral_region", polyhedral_region),
     *scope_cases("build_potential_graph", build_potential_graph),
     *scope_cases("bound_indices", lambda net, order, s: list(bound_indices(net, order, s))),
@@ -560,7 +577,8 @@ def test_one_scope_check_per_request(monkeypatch, pimac_optimal):
 # Every entry point turns a bad number into a NetworkSpecError.
 
 NOT_NUMBERS = [math.nan, math.inf, None, "x"]
-NOT_COUNTS = NOT_NUMBERS + [2.5, "3"]
+NOT_EXACT = NOT_NUMBERS + [True]  # a JSON true is not the number 1
+NOT_COUNTS = NOT_EXACT + [False, 2.5, "3"]
 ONE = User(1, 1)
 
 
@@ -633,7 +651,7 @@ REAL_ENTRIES = {
 NUMBER_ENTRIES = [
     (name, call, good, bad)
     for entries, bad in (
-        (EXACT_ENTRIES, NOT_NUMBERS),
+        (EXACT_ENTRIES, NOT_EXACT),
         (COUNT_ENTRIES, NOT_COUNTS),
         (REAL_ENTRIES, NOT_NUMBERS),
     )

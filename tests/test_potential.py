@@ -6,8 +6,10 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from enum import Enum
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from tin_gdof import potential
@@ -23,9 +25,6 @@ from tin_gdof.model import DecodingOrder, NetworkSpec, User, enumerate_orders
 from tin_gdof.potential import (
     GROUND,
     Circuit,
-    Edge,
-    EdgeFamily,
-    PotentialGraph,
     PowerAllocation,
     all_circuits_region_oracle,
     build_potential_graph,
@@ -48,10 +47,30 @@ def single_user_net(alpha):
     return NetworkSpec.from_alpha(1, [1], {(User(1, 1), 1): Fraction(alpha)})
 
 
+class EdgeFamily(Enum):
+    INTRA_FORWARD = "intra_forward"
+    INTRA_BACKWARD = "intra_backward"
+    CROSS = "cross"
+    FROM_GROUND = "from_ground"
+    TO_GROUND = "to_ground"
+
+
+class OracleEdge(NamedTuple):
+    tail: User
+    head: User
+    length: Fraction
+    family: EdgeFamily
+
+
+class OracleGraph(NamedTuple):
+    vertices: tuple
+    edges: tuple
+
+
 def fraction_potential_graph(net, order, s=None, d=None):
     """The potential graph written family by family from ``net.direct`` and
-    ``net.alpha`` in ``Fraction``: the oracle for ``build_potential_graph``,
-    which reads the integer skeleton."""
+    ``net.alpha`` in ``Fraction``, as ``OracleEdge``s: the oracle for
+    ``build_potential_graph``, which reads the integer skeleton."""
     s = order.validate(net, s)
     if d is None:
         d = GdofTuple({u: 0 for u in net.users})
@@ -65,17 +84,17 @@ def fraction_potential_graph(net, order, s=None, d=None):
         for a in range(len(seq)):
             for b in range(a + 1, len(seq)):
                 u, v = User(k, seq[a]), User(k, seq[b])
-                edges.append(Edge(u, v, net.direct(u) - d[u], EdgeFamily.INTRA_FORWARD))
-                edges.append(
-                    Edge(v, u, net.direct(v) - net.direct(u) - d[v], EdgeFamily.INTRA_BACKWARD)
-                )
+                edges.append(OracleEdge(u, v, net.direct(u) - d[u], EdgeFamily.INTRA_FORWARD))
+                backward = net.direct(v) - net.direct(u) - d[v]
+                edges.append(OracleEdge(v, u, backward, EdgeFamily.INTRA_BACKWARD))
     for u, v in itertools.permutations(active, 2):
         if u.cell != v.cell:
-            edges.append(Edge(u, v, net.direct(u) - net.alpha(v, u.cell) - d[u], EdgeFamily.CROSS))
+            cross = net.direct(u) - net.alpha(v, u.cell) - d[u]
+            edges.append(OracleEdge(u, v, cross, EdgeFamily.CROSS))
     for u in active:
-        edges.append(Edge(GROUND, u, Fraction(0), EdgeFamily.FROM_GROUND))
-        edges.append(Edge(u, GROUND, net.direct(u) - d[u], EdgeFamily.TO_GROUND))
-    return PotentialGraph((GROUND, *active), tuple(edges))
+        edges.append(OracleEdge(GROUND, u, Fraction(0), EdgeFamily.FROM_GROUND))
+        edges.append(OracleEdge(u, GROUND, net.direct(u) - d[u], EdgeFamily.TO_GROUND))
+    return OracleGraph((GROUND, *active), tuple(edges))
 
 
 def fraction_bellman_ford(g):
@@ -108,7 +127,26 @@ def fraction_bellman_ford(g):
     return Circuit(tuple(cycle), length)
 
 
-def family_count(g: PotentialGraph, family: EdgeFamily) -> int:
+def edge_triples(g):
+    """The edges of a library graph as ``(tail, head, length)`` over users,
+    each length a ``Fraction``, in their order."""
+    return [(g.vertices[t], g.vertices[h], Fraction(c, g.den)) for t, h, c in g.edges]
+
+
+def edge_length(g, tail, head):
+    """The length of the edge ``(tail, head)`` of a library graph."""
+    return next(c for t, h, c in edge_triples(g) if (t, h) == (tail, head))
+
+
+def graph_pass(g):
+    """``potential._bellman_ford(g)``, its distances as ``Fraction``s."""
+    result = potential._bellman_ford(g)
+    if isinstance(result, Circuit):
+        return result
+    return {v: Fraction(x, g.den) for v, x in result.items()}
+
+
+def family_count(g: OracleGraph, family: EdgeFamily) -> int:
     return sum(1 for e in g.edges if e.family is family)
 
 
@@ -120,12 +158,14 @@ def test_graph_shape_two_cells_two_users():
             alpha[(User(k, l), 3 - k)] = Fraction(1, 10)
     net = NetworkSpec.from_alpha(2, [2, 2], alpha)
     g = build_potential_graph(net, DecodingOrder.identity(net))
-    assert len(g.vertices) == 5
-    assert family_count(g, EdgeFamily.INTRA_FORWARD) == 2
-    assert family_count(g, EdgeFamily.INTRA_BACKWARD) == 2
-    assert family_count(g, EdgeFamily.CROSS) == 8
-    assert family_count(g, EdgeFamily.FROM_GROUND) == 4
-    assert family_count(g, EdgeFamily.TO_GROUND) == 4
+    oracle = fraction_potential_graph(net, DecodingOrder.identity(net))
+    assert len(g.vertices) == 5 and g.vertices == oracle.vertices
+    assert edge_triples(g) == [(e.tail, e.head, e.length) for e in oracle.edges]
+    assert family_count(oracle, EdgeFamily.INTRA_FORWARD) == 2
+    assert family_count(oracle, EdgeFamily.INTRA_BACKWARD) == 2
+    assert family_count(oracle, EdgeFamily.CROSS) == 8
+    assert family_count(oracle, EdgeFamily.FROM_GROUND) == 4
+    assert family_count(oracle, EdgeFamily.TO_GROUND) == 4
     assert len(g.edges) == 20
 
 
@@ -135,8 +175,8 @@ def test_single_user_graph_lengths():
     g = build_potential_graph(net, DecodingOrder.identity(net), None, d)
     assert len(g.vertices) == 2
     assert len(g.edges) == 2
-    assert g.length(GROUND, User(1, 1)) == 0
-    assert g.length(User(1, 1), GROUND) == Fraction(4, 5) - Fraction(1, 4)
+    assert edge_length(g, GROUND, User(1, 1)) == 0
+    assert edge_length(g, User(1, 1), GROUND) == Fraction(4, 5) - Fraction(1, 4)
 
 
 def test_ground_out_edges_always_zero():
@@ -145,9 +185,9 @@ def test_ground_out_edges_always_zero():
         net = random_network(rng)
         d = random_gdof_tuple(rng, net)
         g = build_potential_graph(net, random_order(rng, net), None, d)
-        for e in g.edges:
-            if e.family is EdgeFamily.FROM_GROUND:
-                assert e.length == 0
+        for tail, _, length in g.edges:
+            if tail == 0:
+                assert length == 0
 
 
 def test_single_user_boundary_feasibility():
@@ -171,7 +211,7 @@ def test_pimac_witness_and_recovery(pimac_nonconvex):
     # witness is a genuine negative circuit of the graph
     verts = res.witness.vertices
     resummed = sum(
-        (g_id.length(verts[i - 1], verts[i]) for i in range(len(verts))), Fraction(0)
+        (edge_length(g_id, verts[i - 1], verts[i]) for i in range(len(verts))), Fraction(0)
     )
     assert resummed == res.witness.length < 0
     assert len(set(verts)) == len(verts)
@@ -184,8 +224,8 @@ def test_pimac_witness_and_recovery(pimac_nonconvex):
     # every difference constraint encoded by the graph holds at the potentials
     pot = dict(alloc.exponents)
     pot[GROUND] = Fraction(0)
-    for e in g_bar.edges:
-        assert pot[e.head] - pot[e.tail] <= e.length
+    for tail, head, length in edge_triples(g_bar):
+        assert pot[head] - pot[tail] <= length
 
 
 def test_recover_on_infeasible_graph_raises():
@@ -235,7 +275,7 @@ def test_negative_cycle_agrees_with_inequalities():
             verts = res.witness.vertices
             assert len(set(verts)) == len(verts)
             resummed = sum(
-                (g.length(verts[i - 1], verts[i]) for i in range(len(verts))),
+                (edge_length(g, verts[i - 1], verts[i]) for i in range(len(verts))),
                 Fraction(0),
             )
             assert resummed == res.witness.length < 0
@@ -271,7 +311,7 @@ def test_negative_cycle_extraction_with_heavy_ties():
             verts = res.witness.vertices
             assert len(set(verts)) == len(verts)
             total = sum(
-                (g.length(verts[i - 1], verts[i]) for i in range(len(verts))),
+                (edge_length(g, verts[i - 1], verts[i]) for i in range(len(verts))),
                 Fraction(0),
             )
             assert total == res.witness.length < 0
@@ -302,9 +342,7 @@ def test_skeleton_pass_matches_fraction_pass():
         oracle = fraction_potential_graph(net, order, s, d)
         g = build_potential_graph(net, order, s, d)
         assert g.vertices == oracle.vertices
-        assert [(e.tail, e.head, e.length, e.family) for e in g.edges] == [
-            (e.tail, e.head, e.length, e.family) for e in oracle.edges
-        ]
+        assert edge_triples(g) == [(e.tail, e.head, e.length) for e in oracle.edges]
         sk = potential_skeleton(net, order, s)
         assert sk.vertices == oracle.vertices
         assert [
@@ -312,7 +350,7 @@ def test_skeleton_pass_matches_fraction_pass():
             for t, h, c in sk.edges
         ] == [(e.tail, e.head, e.length) for e in oracle.edges]
         expected = fraction_bellman_ford(oracle)
-        assert potential._bellman_ford(g) == expected
+        assert graph_pass(g) == expected
         got = skeleton_distances(sk, d)
         if isinstance(expected, Circuit):
             infeasible += 1
@@ -391,7 +429,9 @@ def test_simple_circuits_each_once_with_their_lengths():
                     for c in circuits}) == len(circuits)
         for c in circuits:
             cycle = c.vertices
-            assert c.length == sum(g.length(cycle[i - 1], cycle[i]) for i in range(len(cycle)))
+            assert c.length == sum(
+                edge_length(g, cycle[i - 1], cycle[i]) for i in range(len(cycle))
+            )
 
 
 def test_circuit_enumeration_guard():
@@ -416,7 +456,9 @@ HEAVY_TIE_WITNESSES = """
 import itertools
 import random
 import sys
+from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from tin_gdof import potential
 from tin_gdof.errors import InfeasibleAllocationError, NetworkSpecError, TinGdofError
@@ -424,9 +466,6 @@ from tin_gdof.model import User
 from tin_gdof.potential import (
     GROUND,
     Circuit,
-    Edge,
-    EdgeFamily,
-    PotentialGraph,
     build_potential_graph,
     feasible_by_negative_cycle,
     potential_skeleton,
@@ -436,7 +475,10 @@ from tin_gdof.potential import (
 from tin_gdof.regions import GdofTuple
 from tin_gdof.sampling import random_gdof_tuple, random_network, random_order
 
-""" + inspect.getsource(fraction_potential_graph) + inspect.getsource(fraction_bellman_ford) + """
+""" + "".join(
+    map(inspect.getsource, (EdgeFamily, OracleEdge, OracleGraph, fraction_potential_graph,
+                            fraction_bellman_ford, edge_triples, edge_length, graph_pass))
+) + """
 
 if __debug__:
     sys.exit("expected python -O")
@@ -449,10 +491,12 @@ for _ in range(400):
     d = random_gdof_tuple(rng, net, denom=2, max_level=1)
     g = build_potential_graph(net, order, None, d)
     oracle = fraction_potential_graph(net, order, None, d)
-    if g != oracle:
+    if g.vertices != oracle.vertices or edge_triples(g) != [
+        (e.tail, e.head, e.length) for e in oracle.edges
+    ]:
         sys.exit(f"graph of {d} differs from the oracle construction")
     expected = fraction_bellman_ford(oracle)
-    if potential._bellman_ford(g) != expected:
+    if graph_pass(g) != expected:
         sys.exit(f"pass on {d} differs from the oracle pass")
     witness = feasible_by_negative_cycle(g).witness
     if witness is None:
@@ -463,7 +507,7 @@ for _ in range(400):
     verts = witness.vertices
     if len(set(verts)) != len(verts):
         sys.exit(f"witness {verts} repeats a vertex")
-    total = sum((g.length(verts[i - 1], verts[i]) for i in range(len(verts))), Fraction(0))
+    total = sum((edge_length(g, verts[i - 1], verts[i]) for i in range(len(verts))), Fraction(0))
     if not total == witness.length < 0:
         sys.exit(f"witness {verts} sums to {total}, reports {witness.length}")
     try:

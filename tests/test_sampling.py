@@ -3,10 +3,12 @@ keeps its networks when the generators are refactored."""
 
 import hashlib
 import random
+import time
 
 import pytest
 
 from tin_gdof import sampling
+from tin_gdof.model import enumerate_orders
 
 CASES = {
     "default": {},
@@ -61,3 +63,28 @@ def test_seeded_samplers_draw_pinned_networks(sampler, case, seed):
     rng = random.Random(seed)
     nets = [getattr(sampling, sampler)(rng, **CASES[case]) for _ in range(5)]
     assert digest(nets, rng) == EXPECTED[(sampler, case, seed)]
+
+
+def test_random_order_is_the_drawn_index_of_the_enumeration():
+    # One ``randrange`` over the order count, unranked in the order of
+    # ``enumerate_orders``: the same order and the same generator state as
+    # indexing the full list.
+    rng = random.Random(21)
+    for _ in range(40):
+        net = sampling.random_network(rng, max_cells=3, max_users=4)
+        s = frozenset(u for u in net.users if rng.random() < 0.8)
+        for scope in (None, s):
+            seed = rng.random()
+            drawn, listed = random.Random(seed), random.Random(seed)
+            orders = list(enumerate_orders(net, scope))
+            assert sampling.random_order(drawn, net, scope) == orders[listed.randrange(len(orders))]
+            assert drawn.getstate() == listed.getstate()
+
+
+def test_random_order_does_not_list_the_orders():
+    # 4 cells of 5 users have 120**4, about 2e8, orders.
+    net = sampling.random_network(random.Random(5), cells=4, users_per_cell=[5] * 4)
+    start = time.perf_counter()
+    order = sampling.random_order(random.Random(6), net)
+    assert time.perf_counter() - start < 1.0
+    assert order.validate(net) == net.full_subnetwork
