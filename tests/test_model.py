@@ -576,9 +576,8 @@ def test_one_scope_check_per_request(monkeypatch, pimac_optimal):
 # user-key integer rule, real parameters through one finite-float check.
 # Every entry point turns a bad number into a NetworkSpecError.
 
-NOT_NUMBERS = [math.nan, math.inf, None, "x"]
-NOT_EXACT = NOT_NUMBERS + [True]  # a JSON true is not the number 1
-NOT_COUNTS = NOT_EXACT + [False, 2.5, "3"]
+NOT_NUMBERS = [math.nan, math.inf, None, "x", True]  # a JSON true is not the number 1
+NOT_COUNTS = NOT_NUMBERS + [False, 2.5, "3"]
 ONE = User(1, 1)
 
 
@@ -651,7 +650,7 @@ REAL_ENTRIES = {
 NUMBER_ENTRIES = [
     (name, call, good, bad)
     for entries, bad in (
-        (EXACT_ENTRIES, NOT_EXACT),
+        (EXACT_ENTRIES, NOT_NUMBERS),
         (COUNT_ENTRIES, NOT_COUNTS),
         (REAL_ENTRIES, NOT_NUMBERS),
     )
@@ -701,6 +700,28 @@ def test_a_float_exact_value_means_its_nine_digit_rounding(pimac_optimal):
     assert max_weighted_gdof(region, {**weights, ONE: 0.1}) == max_weighted_gdof(
         region, {**weights, ONE: tenth}
     )
+
+
+@pytest.mark.parametrize(
+    "edit, names",
+    [
+        pytest.param(lambda b: b["gains"][0].update(value=True), r"gain of link", id="gain"),
+        pytest.param(lambda b: b["gains"][0].update(value=[1.0, True]), r"gain of link", id="gain-im"),
+        pytest.param(lambda b: b["tx_powers"][0].update(value=True), r"tx_powers\[0\]", id="tx_power"),
+    ],
+)
+def test_finite_snr_booleans_are_not_numbers(edit, names):
+    # Each was read as 1.0 through ``float``.
+    doc = _two_cell_block()
+    edit(doc["finite_snr"])
+    with pytest.raises(NetworkSpecError, match=names + r".*True is a boolean"):
+        finite_snr_from_document(doc)
+
+
+def test_site_radius_boolean_names_the_site_radius():
+    # True was read as 1.0 m and refused only by the exclusion bound.
+    with pytest.raises(NetworkSpecError, match=r"site_radius_m must be a finite number.*True"):
+        _scenario(site_radius_m=True)
 
 
 def test_other_rational_types_convert_exactly():

@@ -25,6 +25,7 @@ from tin_gdof.model import DecodingOrder, NetworkSpec, User, enumerate_orders
 from tin_gdof.potential import (
     GROUND,
     Circuit,
+    PotentialGraph,
     PowerAllocation,
     all_circuits_region_oracle,
     build_potential_graph,
@@ -36,6 +37,7 @@ from tin_gdof.potential import (
 )
 from tin_gdof.regions import GdofTuple, membership, polyhedral_region
 from tin_gdof.sampling import (
+    random_convexity_network,
     random_gdof_tuple,
     random_grid_allocation,
     random_network,
@@ -98,13 +100,19 @@ def fraction_potential_graph(net, order, s=None, d=None):
 
 
 def fraction_bellman_ford(g):
-    """Bellman-Ford over dicts keyed by user, with the library's parent rule
-    and circuit extraction: the oracle for ``potential._relax``."""
+    """Bellman-Ford over dicts keyed by user, with the library's parent rule,
+    stop rule and circuit extraction: the oracle for ``potential._relax``.
+
+    After every round that lowered a distance, walk up the parent edges
+    from each vertex in the order of ``g.vertices``, skipping vertices an
+    earlier walk reached.  The first walk that returns to a vertex of its
+    own path stops the pass; the circuit is that loop of the path, in edge
+    order, ending at the vertex where the walk returned."""
     dist = dict.fromkeys(g.vertices)
     dist[GROUND] = Fraction(0)
     parent = {}
     for _ in range(len(g.vertices)):
-        lowered = None
+        lowered = False
         for e in g.edges:
             du = dist[e.tail]
             if du is None:
@@ -113,18 +121,23 @@ def fraction_bellman_ford(g):
             if dist[e.head] is None or cand < dist[e.head]:
                 dist[e.head] = cand
                 parent[e.head] = e
-                lowered = e.head
-        if lowered is None:
+                lowered = True
+        if not lowered:
             return dist
-    chain, v = [], lowered
-    while v not in chain:
-        chain.append(v)
-        v = parent[v].tail
-    cycle = chain[chain.index(v):][::-1]
-    length = sum((parent[u].length for u in cycle), Fraction(0))
-    if length >= 0:
-        raise TinGdofError(f"parent-graph cycle {tuple(cycle)} has length {length} >= 0")
-    return Circuit(tuple(cycle), length)
+        reached = set()
+        for start in g.vertices:
+            path, v = [], start
+            while v is not None and v not in reached:
+                reached.add(v)
+                path.append(v)
+                v = parent[v].tail if v in parent else None
+            if v in path:
+                cycle = path[path.index(v):][::-1]
+                length = sum((parent[u].length for u in cycle), Fraction(0))
+                if length >= 0:
+                    raise TinGdofError(f"parent-graph cycle {tuple(cycle)} has length {length} >= 0")
+                return Circuit(tuple(cycle), length)
+    raise TinGdofError("round n lowered a distance but the parent graph has no cycle")
 
 
 def edge_triples(g):
@@ -144,6 +157,45 @@ def graph_pass(g):
     if isinstance(result, Circuit):
         return result
     return {v: Fraction(x, g.den) for v, x in result.items()}
+
+
+class CountingEdges(tuple):
+    """A graph's edges that count the passes made over them: ``_relax``
+    iterates its edges once per round."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def counted_pass(g):
+    """``feasible_by_negative_cycle(g)`` and the number of rounds it ran."""
+    edges = CountingEdges(g.edges)
+    result = feasible_by_negative_cycle(PotentialGraph(g.den, g.vertices, edges))
+    return result, edges.passes
+
+
+def full_round_distances(n, edges):
+    """Ground distances by n full rounds over every edge, with no stop rule:
+    the reference for the distances of a feasible graph."""
+    dist = [None] * n
+    dist[0] = 0
+    for _ in range(n):
+        for t, h, c in edges:
+            if dist[t] is not None and (dist[h] is None or dist[t] + c < dist[h]):
+                dist[h] = dist[t] + c
+    return dist
+
+
+def assert_negative_simple_circuit(g, circuit):
+    """``circuit`` repeats no vertex, and the edges of ``g`` around it sum
+    to its reported length, which is negative."""
+    verts = circuit.vertices
+    assert len(verts) >= 2 and len(set(verts)) == len(verts)
+    total = sum((edge_length(g, verts[i - 1], verts[i]) for i in range(len(verts))), Fraction(0))
+    assert total == circuit.length < 0
 
 
 def family_count(g: OracleGraph, family: EdgeFamily) -> int:
@@ -362,6 +414,108 @@ def test_skeleton_pass_matches_fraction_pass():
     assert feasible > 150 and infeasible > 150
 
 
+def test_pass_stops_at_the_round_that_closes_a_parent_cycle():
+    # The first two edges close the negative circuit ground -> 1.1 -> ground;
+    # the pass ends with the round that closed it, not after n = 5 rounds.
+    users = (User(1, 1), User(1, 2), User(2, 1), User(2, 2))
+    edges = [(0, 1, 0), (1, 0, -1), (0, 2, 0), (0, 3, 0), (0, 4, 0), (2, 3, 1), (3, 4, 1)]
+    result, passes = counted_pass(PotentialGraph(1, (GROUND, *users), tuple(edges)))
+    assert passes == 1
+    assert result.witness == Circuit((User(1, 1), GROUND), Fraction(-1))
+
+
+def test_parent_cycle_is_summed_again_before_it_is_reported():
+    # The witness is summed from its parent edges, not trusted to the proof
+    # that every parent cycle is negative: here the edge 1.1 -> 1.2 changes
+    # its length after the round that closed 1.1 -> 1.2 -> 1.1, so the
+    # cycle sums to 5 and the pass refuses it.
+    class Rewritten(list):
+        def __iter__(self):
+            yield from super().__iter__()
+            edge[2] = 5
+
+    edge = [1, 2, -1]
+    g = PotentialGraph(1, (GROUND, User(1, 1), User(1, 2)), Rewritten([(0, 1, 0), edge, (2, 1, 0)]))
+    with pytest.raises(TinGdofError, match="has length 5 >= 0"):
+        feasible_by_negative_cycle(g)
+
+
+def test_early_decisions_match_the_all_circuits_oracle(monkeypatch):
+    # The seed-16 heavy-tie graphs, members and non-members, and non-members
+    # of shapes 3 x 2, 4 x 2 and 3 x 3: lattice tuples, and tuples just
+    # outside a convexity network's region.  The oracle stops at its first
+    # negative circuit on a non-member, so a 3 x 3 graph (10 vertices) is
+    # enumerated past the guard.
+    monkeypatch.setattr(potential, "CIRCUIT_ENUMERATION_MAX_VERTICES", 10)
+    cases = []
+    rng = random.Random(16)
+    for _ in range(400):
+        net = random_network(rng, denom=2, max_level=1)
+        order = random_order(rng, net)
+        cases.append((net, order, random_gdof_tuple(rng, net, denom=2, max_level=1)))
+    rng = random.Random(25)
+    for shape in ([2, 2, 2], [2, 2, 2, 2], [3, 3, 3]):
+        found = 0
+        while found < 40:
+            if found % 2:
+                net = random_network(rng, cells=len(shape), users_per_cell=shape)
+                order = random_order(rng, net)
+                d = random_gdof_tuple(rng, net)
+            else:
+                net = random_convexity_network(rng, cells=len(shape), users_per_cell=shape)
+                order = random_order(rng, net)
+                achievable = achievable_gdof(net, order, random_grid_allocation(rng, net))
+                d = GdofTuple({u: v * Fraction(101, 100) for u, v in achievable.items()})
+            if not feasible_by_negative_cycle(build_potential_graph(net, order, None, d)):
+                found += 1
+                cases.append((net, order, d))
+    decided = Counter()
+    for net, order, d in cases:
+        g = build_potential_graph(net, order, None, d)
+        result, passes = counted_pass(g)
+        assert result.feasible == all_circuits_region_oracle(net, order, d)
+        if not result.feasible:
+            assert_negative_simple_circuit(g, result.witness)
+        decided[result.feasible, passes < len(g.vertices)] += 1
+    # Most non-members stop before round n; a few close their cycle only in
+    # round n, the old stop.
+    assert decided[False, True] > 300 and decided[False, False] > 0
+    assert decided[True, True] + decided[True, False] > 100
+
+
+def test_feasible_distances_equal_a_full_round_pass():
+    # Bit for bit, in int and in Fraction, on feasible graphs of assorted
+    # shapes, subnetworks and denominators: the stop rule never fires early.
+    rng = random.Random(26)
+    feasible = 0
+    for _ in range(300):
+        shape = rng.choice([None, [2, 2, 2], [2, 2, 2, 2], [3, 3, 3]])
+        cells = None if shape is None else len(shape)
+        draw = rng.choice([random_network, random_convexity_network])
+        net = draw(rng, cells=cells, users_per_cell=shape)
+        s = frozenset(u for u in net.users if rng.random() < 0.8)
+        order = random_order(rng, net, s)
+        achievable = achievable_gdof(net, order, random_grid_allocation(rng, net))
+        scale = Fraction(rng.choice([0, 50, 99]), 100)
+        d = GdofTuple({u: v * scale if u in s else 0 for u, v in achievable.items()})
+        g = build_potential_graph(net, order, s, d)
+        expected = full_round_distances(len(g.vertices), g.edges)
+        got = potential._bellman_ford(g)
+        if isinstance(got, Circuit):
+            continue
+        feasible += 1
+        assert list(got) == list(g.vertices)
+        assert [(type(x), x) for x in got.values()] == [(type(x), x) for x in expected]
+        sk = potential_skeleton(net, order, s)
+        den, dist = skeleton_distances(sk, d)
+        shifted = [(t, h, c * den // sk.den - int(d[sk.vertices[t]] * den)) for t, h, c in sk.edges]
+        reference = full_round_distances(len(sk.vertices), shifted)
+        assert [(type(x), x) for x in dist] == [(type(x), x) for x in reference]
+        alloc = recover_power_allocation(g)
+        assert alloc.exponents == dict(zip(g.vertices[1:], expected[1:]))
+    assert feasible > 100
+
+
 def test_skeleton_rejects_tuples_outside_its_users(pimac_nonconvex):
     net = pimac_nonconvex
     s = frozenset(net.users[1:])
@@ -466,6 +620,7 @@ from tin_gdof.model import User
 from tin_gdof.potential import (
     GROUND,
     Circuit,
+    PotentialGraph,
     build_potential_graph,
     feasible_by_negative_cycle,
     potential_skeleton,
@@ -477,14 +632,15 @@ from tin_gdof.sampling import random_gdof_tuple, random_network, random_order
 
 """ + "".join(
     map(inspect.getsource, (EdgeFamily, OracleEdge, OracleGraph, fraction_potential_graph,
-                            fraction_bellman_ford, edge_triples, edge_length, graph_pass))
+                            fraction_bellman_ford, edge_triples, edge_length, graph_pass,
+                            CountingEdges, counted_pass))
 ) + """
 
 if __debug__:
     sys.exit("expected python -O")
 
 rng = random.Random(16)
-infeasible_seen = 0
+infeasible_seen = early = 0
 for _ in range(400):
     net = random_network(rng, denom=2, max_level=1)
     order = random_order(rng, net)
@@ -498,10 +654,12 @@ for _ in range(400):
     expected = fraction_bellman_ford(oracle)
     if graph_pass(g) != expected:
         sys.exit(f"pass on {d} differs from the oracle pass")
-    witness = feasible_by_negative_cycle(g).witness
+    result, passes = counted_pass(g)
+    witness = result.witness
     if witness is None:
         continue
     infeasible_seen += 1
+    early += passes < len(g.vertices)
     if witness != expected:
         sys.exit(f"witness {witness} differs from the oracle's {expected}")
     verts = witness.vertices
@@ -522,13 +680,16 @@ for _ in range(400):
         sys.exit(f"integer pass gave {integer}, the Fraction pass {witness}")
 if infeasible_seen <= 20:
     sys.exit(f"only {infeasible_seen} infeasible graphs")
+if not early:
+    sys.exit("no infeasible graph was decided before round n")
 """
 
 
 def test_heavy_tie_witnesses_are_negative_simple_circuits_under_python_O():
     # The seed-16 graphs of ``test_negative_cycle_extraction_with_heavy_ties``
     # in a fresh ``python -O`` process, where no ``assert`` of the code runs;
-    # the library's graph and both passes must match the oracle's.
+    # the library's graph and both passes must match the oracle's, and some
+    # infeasible graph must stop before round n.
     src = str(Path(potential.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
