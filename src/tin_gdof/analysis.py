@@ -36,10 +36,11 @@ from .model import (
 from .potential import (
     Circuit,
     PowerAllocation,
+    _bellman_ford,
+    _shifted,
     build_potential_graph,
     potential_skeleton,
     recover_power_allocation,
-    skeleton_distances,
 )
 from .regions import (
     GdofTuple,
@@ -214,21 +215,20 @@ def flow_network(region: PolyRegion) -> FlowNetwork:
 
     The region's ``source`` is a scope that ``polyhedral_region`` has
     checked, so it goes to ``potential_skeleton`` unchecked.  The arcs are
-    the edges of that skeleton, whose
-    lengths at d = 0 are already integers over ``den``, and the start
-    potentials are its ground distances from one integer pass of
-    ``skeleton_distances``; no ``Fraction`` is made.  A negative circuit
-    there means the region is empty.  ``PolyRegion.flow_network`` keeps the
-    result, so repeated solves over one region build it once.
+    the edges of that skeleton, whose lengths at d = 0 are already integers
+    over ``den``, and the start potentials are its ground distances from
+    one ``_bellman_ford`` pass over those integers; no ``Fraction`` is
+    made.  A negative circuit there means the region is empty.
+    ``PolyRegion.flow_network`` keeps the result, so repeated solves over
+    one region build it once.
     """
     sk = potential_skeleton(*region.source)
-    result = skeleton_distances(sk)
-    if isinstance(result, Circuit):
+    dist = _bellman_ford(sk)
+    if isinstance(dist, Circuit):
         raise EmptyRegionError(
-            f"region is empty: no feasible power allocation: circuit {result.vertices} "
-            f"has length {result.length}"
+            f"region is empty: no feasible power allocation: circuit {dist.vertices} "
+            f"has length {dist.length}"
         )
-    _, dist = result
     n = len(sk.vertices)
     # Vertex i > 0 is user i - 1, split into nodes 2i - 1 (in) and 2i (out).
     node_in = [0, *range(1, 2 * n - 1, 2)]
@@ -236,8 +236,8 @@ def flow_network(region: PolyRegion) -> FlowNetwork:
     arcs = [(node_out[t], node_in[h], c) for t, h, c in sk.edges]
     arcs += [(2 * i - 1, 2 * i, 0) for i in range(1, n)]
     potential = [0]
-    for x in dist[1:]:
-        potential += [x, x]
+    for u in sk.vertices[1:]:
+        potential += [dist[u], dist[u]]
     return FlowNetwork(sk.den, sk.vertices[1:], tuple(arcs), tuple(potential))
 
 
@@ -507,33 +507,21 @@ def gap_report(fs: FiniteSnrSpec) -> GapReport:
     Every corner of the fixed-identity-order region is realized through its
     ground-distance power allocation and evaluated at finite SNR; each bound
     is compared against the best corner for its user set.  The region's
-    ``potential_skeleton`` is built once, and each corner costs one integer
-    pass of ``skeleton_distances``, which gives the allocation that
-    ``recover_power_allocation`` gives on the corner's potential graph.  The
-    order's scope is checked once per report, by ``polyhedral_region``, and
-    every corner's allocation powers every user.  All gaps must be
-    nonnegative (up to float rounding) on instances where the outer bound
-    applies.
+    ``potential_skeleton`` is built once, and each corner's allocation is
+    ``recover_power_allocation`` on the skeleton shifted to the corner, one
+    pass over integers.  The order's scope is checked once per report, by
+    ``polyhedral_region``, and every corner's allocation powers every user.
+    All gaps must be nonnegative (up to float rounding) on instances where
+    the outer bound applies.
     """
     bounds = outer_bound_rates(fs)  # also enforces the preconditions
     net, fs_sorted = fs.levels
     order = DecodingOrder.identity(net)
     corner_list = vertices(polyhedral_region(net, order))  # checks the order, once
     skeleton = potential_skeleton(net, order)
-    users = skeleton.vertices[1:]
     corner_rates = []
     for d in corner_list:
-        result = skeleton_distances(skeleton, d)
-        if isinstance(result, Circuit):
-            raise InfeasibleAllocationError(
-                f"region corner has no power allocation: circuit {result.vertices} "
-                f"has length {result.length}",
-                result,
-            )
-        den, dist = result
-        alloc = PowerAllocation(
-            {u: Fraction(x, den) for u, x in zip(users, dist[1:])}, frozenset()
-        )
+        alloc = recover_power_allocation(_shifted(skeleton, d))
         corner_rates.append(_rates(net, fs_sorted, order, alloc, net.full_subnetwork))
     per_bound = []
     for bound in bounds:

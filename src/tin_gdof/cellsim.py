@@ -72,7 +72,9 @@ _LEVEL_SCALE = 10**RATIONALIZE_DIGITS
 
 
 def path_loss_db(d_km: float) -> float:
-    """Path loss PL(d) in dB for a distance in kilometers."""
+    """Path loss PL(d) in dB for a distance in kilometers, which goes
+    through the real-parameter rule (``model._real``) and must be positive."""
+    d_km = _real(d_km, "distance")
     if d_km <= 0:
         raise NetworkSpecError("distance must be positive")
     return PATHLOSS_A_DB + PATHLOSS_B_DB * math.log10(d_km)

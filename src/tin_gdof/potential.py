@@ -21,11 +21,12 @@ levels, so ties in levels cannot change the family.
 One type, ``PotentialGraph``, holds the graph: edges over vertex indices,
 with exact lengths over a denominator.  ``potential_skeleton`` is the one
 writer of the edges, with integer lengths at d = 0.  A tuple d enters as one
-integer shift of the edges out of each user, and one relaxation, ``_relax``,
-serves every length type: region set-up relaxes integers
-(``skeleton_distances``), and ``build_potential_graph`` gives the same edges
-with ``Fraction`` lengths for membership.  ``tests/test_potential.py`` keeps
-an independent construction, labelled by edge family, as the oracle.
+integer shift of the edges out of each user (``_shifted``), and one pass,
+``_bellman_ford``, relaxes every length type: region set-up relaxes the
+integer skeleton and its shifts, and ``build_potential_graph`` gives the
+shifted edges with ``Fraction`` lengths for membership.
+``tests/test_potential.py`` keeps an independent construction, labelled by
+edge family, as the oracle.
 """
 
 from __future__ import annotations
@@ -43,8 +44,9 @@ from .regions import GdofTuple, enumerate_cyclic_sequences
 #: Ground vertex sentinel; cells are 1-based so (0, 0) is never a real user.
 GROUND = User(0, 0)
 
-#: Exhaustive circuit enumeration refuses graphs with more vertices than this.
-CIRCUIT_ENUMERATION_MAX_VERTICES = 9
+#: Exhaustive circuit enumeration stops with ``GuardExceededError`` past this
+#: many circuits: every circuit of the complete digraph on 9 vertices.
+CIRCUIT_ENUMERATION_MAX_CIRCUITS = 125_664
 
 
 class PotentialGraph(NamedTuple):
@@ -115,9 +117,9 @@ def build_potential_graph(
 
     ``d`` must vanish outside ``s``; deactivated users are removed from the
     graph entirely.  The scope is checked here, once, by
-    ``DecodingOrder.validate``.  The edges are those of
-    ``potential_skeleton`` at ``d``, in the same order, each length a
-    ``Fraction`` (``den`` is 1).
+    ``DecodingOrder.validate``.  The graph is ``_shifted`` of the
+    ``potential_skeleton`` at ``d``, its edges in the same order, each
+    length a ``Fraction`` (``den`` is 1).
 
     This is the one place that makes ``Fraction`` lengths.  Its callers,
     ``general_membership``, CLI ``membership --order`` and
@@ -125,25 +127,23 @@ def build_potential_graph(
     bounded (ROADMAP item 1): with integer lengths ``general_membership``
     answered about five times as many queries, and the worker, which keeps
     every latency, grew past the benchmark's memory bound.  The early stop
-    of ``_relax`` already spent most of that bound: it raised the
+    of ``_bellman_ford`` already spent most of that bound: it raised the
     ``membership`` benchmark's throughput about 1.37 times and its peak
     memory 8-9%, against a 10% bound.
     """
-    sk = potential_skeleton(net, order, order.validate(net, s))
-    den, edges = _shifted(sk, d)
-    return PotentialGraph(1, sk.vertices, tuple((t, h, Fraction(c, den)) for t, h, c in edges))
+    g = _shifted(potential_skeleton(net, order, order.validate(net, s)), d)
+    return PotentialGraph(1, g.vertices, tuple((t, h, Fraction(c, g.den)) for t, h, c in g.edges))
 
 
-def _relax(vertices: tuple[User, ...], edges, den: int = 1) -> list | Circuit:
-    """Shortest-path lengths from ground, vertex 0, or a negative simple circuit.
+def _bellman_ford(g: PotentialGraph) -> dict[User, int | Fraction] | Circuit:
+    """Shortest-path lengths from ground, in units of ``1 / g.den``, or a
+    negative simple circuit: the one relaxation pass, for every length type.
 
-    ``edges`` are ``(tail, head, length)`` over indices into ``vertices``,
-    with exact lengths (``int`` or ``Fraction``) in units of ``1 / den``.
-    Rounds of relaxation over every edge; each vertex keeps the edge that
-    last lowered its distance d, its parent.  A parent edge (u, v) keeps
-    d(v) >= d(u) + len(u, v), since d(u) only falls afterwards.  Hence
-    (Cherkassky & Goldberg, "Negative-cycle detection algorithms", Math.
-    Programming 1999):
+    Rounds of relaxation over ``g.edges``, in their order; each vertex
+    keeps the edge that last lowered its distance d, its parent.  A parent
+    edge (u, v) keeps d(v) >= d(u) + len(u, v), since d(u) only falls
+    afterwards.  Hence (Cherkassky & Goldberg, "Negative-cycle detection
+    algorithms", Math. Programming 1999):
 
     * Every cycle of the parent graph is negative: the edge (u, v) that
       closed it lowered d(v), which made the next edge (v, w) strict, and
@@ -164,13 +164,14 @@ def _relax(vertices: tuple[User, ...], edges, den: int = 1) -> list | Circuit:
     cycle by round n at the latest.  The circuit's length is summed again
     from its parent edges and checked negative.
     """
+    vertices = g.vertices
     n = len(vertices)
     dist: list = [None] * n
     dist[0] = 0
     parent: list = [None] * n
     for _ in range(n):
         lowered = False
-        for e in edges:
+        for e in g.edges:
             dt = dist[e[0]]
             if dt is None:
                 continue
@@ -181,10 +182,10 @@ def _relax(vertices: tuple[User, ...], edges, den: int = 1) -> list | Circuit:
                 parent[e[1]] = e
                 lowered = True
         if not lowered:
-            return dist
+            return dict(zip(vertices, dist))
         cycle = _parent_cycle(parent)
         if cycle is not None:
-            length = Fraction(sum(parent[i][2] for i in cycle), den)
+            length = Fraction(sum(parent[i][2] for i in cycle), g.den)
             circuit = tuple(vertices[i] for i in cycle)
             if length >= 0:
                 raise TinGdofError(f"parent-graph cycle {circuit} has length {length} >= 0")
@@ -215,14 +216,6 @@ def _parent_cycle(parent: list) -> list[int] | None:
                 u = parent[u][0]
             return cycle[::-1]
     return None
-
-
-def _bellman_ford(g: PotentialGraph) -> dict[User, int | Fraction] | Circuit:
-    """Shortest-path lengths from ground, in units of ``1 / g.den``, or a
-    negative simple circuit: ``_relax`` over the edges of ``g``, in their
-    order."""
-    result = _relax(g.vertices, g.edges, g.den)
-    return result if isinstance(result, Circuit) else dict(zip(g.vertices, result))
 
 
 def feasible_by_negative_cycle(g: PotentialGraph) -> FeasibilityResult:
@@ -289,13 +282,14 @@ def potential_skeleton(
     return PotentialGraph(den, (GROUND, *active), tuple(edges))
 
 
-def _shifted(sk: PotentialGraph, d: GdofTuple | None) -> tuple[int, list | tuple]:
-    """``(D, edges)``: the skeleton's edges at ``d``, with integer lengths
-    over D, the lcm of ``sk.den`` and the denominators of d.  Each d_u
-    enters as one integer shift of the edges out of u.  ``d`` must vanish
-    outside the skeleton's users; ``None`` is the zero tuple."""
+def _shifted(sk: PotentialGraph, d: GdofTuple | None) -> PotentialGraph:
+    """The ``PotentialGraph`` of the skeleton ``sk`` at ``d``: the same
+    vertices and edges, with integer lengths over D, the lcm of ``sk.den``
+    and the denominators of d.  Each d_u enters as one integer shift of the
+    edges out of u.  ``d`` must vanish outside the skeleton's users;
+    ``None`` is the zero tuple, and gives ``sk`` itself."""
     if d is None:
-        return sk.den, sk.edges
+        return sk
     users = sk.vertices[1:]
     bad = d.support() - set(users)
     if bad:
@@ -304,24 +298,8 @@ def _shifted(sk: PotentialGraph, d: GdofTuple | None) -> tuple[int, list | tuple
     den = math.lcm(sk.den, *(x.denominator for x in values))
     scale = den // sk.den
     shift = [0, *(x.numerator * (den // x.denominator) for x in values)]
-    return den, [(t, h, c * scale - shift[t]) for t, h, c in sk.edges]
-
-
-def skeleton_distances(
-    sk: PotentialGraph, d: GdofTuple | None = None
-) -> tuple[int, list[int]] | Circuit:
-    """Ground distances of the skeleton at ``d``, or a negative simple circuit.
-
-    Distances come back as ``(D, dist)``, where ``dist[i] / D`` is the
-    distance of ``sk.vertices[i]`` and D is the lcm of ``sk.den`` and the
-    denominators of d.  The pass is ``_relax`` on Python ints, over the
-    edges of ``build_potential_graph(..., d)`` in their order, so it finds
-    the distances and the circuit that ``_bellman_ford`` finds there.
-    ``d`` must vanish outside the skeleton's users.
-    """
-    den, edges = _shifted(sk, d)
-    result = _relax(sk.vertices, edges, den)
-    return result if isinstance(result, Circuit) else (den, result)
+    edges = tuple((t, h, c * scale - shift[t]) for t, h, c in sk.edges)
+    return PotentialGraph(den, sk.vertices, edges)
 
 
 def iter_simple_circuits(g: PotentialGraph) -> Iterator[Circuit]:
@@ -336,13 +314,20 @@ def all_circuits_region_oracle(net: NetworkSpec, order: DecodingOrder, d: GdofTu
     """Membership by brute force: check every simple circuit for negative length.
 
     This is the defining condition, prior to any redundancy elimination; it
-    exists as an independent oracle for the fast tests.  Guarded to small
-    graphs (the circuit count grows factorially).
+    exists as an independent oracle for the fast tests.  It stops at the
+    first negative circuit, and is guarded by the work it does: the
+    circuit count grows factorially, so enumerating a circuit past
+    ``CIRCUIT_ENUMERATION_MAX_CIRCUITS`` raises ``GuardExceededError``.
+    Every graph of at most 9 vertices is decided, and a larger one when a
+    negative circuit comes early enough.
     """
     g = build_potential_graph(net, order, None, d)
-    if len(g.vertices) > CIRCUIT_ENUMERATION_MAX_VERTICES:
-        raise GuardExceededError(
-            f"{len(g.vertices)} vertices exceeds the exhaustive-enumeration guard "
-            f"({CIRCUIT_ENUMERATION_MAX_VERTICES})"
-        )
-    return all(c.length >= 0 for c in iter_simple_circuits(g))
+    for count, c in enumerate(iter_simple_circuits(g), 1):
+        if count > CIRCUIT_ENUMERATION_MAX_CIRCUITS:
+            raise GuardExceededError(
+                f"{len(g.vertices)}-vertex graph has more than "
+                f"{CIRCUIT_ENUMERATION_MAX_CIRCUITS} circuits, the exhaustive-enumeration guard"
+            )
+        if c.length < 0:
+            return False
+    return True

@@ -4,10 +4,10 @@ The achievable GDoF region of a fixed decoding order is a polytope: per-cell
 prefix bounds plus one bound per cyclic sequence of cells and per choice of
 decode-depth in each participating cell.  This module enumerates that bound
 index set in one place (``bound_indices``) and maps it to the explicit
-inequality list.  ``set_function_f`` gives the rhs attached to one
-decode-prefix user set: the smallest ``bound_rhs`` over the bounds with
-that user set.  The module also tests membership of GDoF tuples with
-exact rational arithmetic.
+inequality list, and ``set_function_f`` is a map over the same index set:
+the rhs attached to one decode-prefix user set, the smallest ``bound_rhs``
+over the bounds with that user set.  The module also tests membership of
+GDoF tuples with exact rational arithmetic.
 
 Everything here is a pure function over immutable values.
 """
@@ -266,38 +266,23 @@ def set_function_f(net: NetworkSpec, order: DecodingOrder, subset: Iterable[User
     ``subset`` must be, in every participating cell, exactly the first
     ``l_i`` decode positions of ``order``; anything else is a
     ``NetworkSpecError``.  Returns 0 for the empty set, and otherwise the
-    smallest ``bound_rhs`` among the bounds whose user set is ``subset``:
-    the depth user's direct level for one cell, the minimum over full-length
-    cyclic arrangements of the participating cells otherwise.
+    smallest ``bound_rhs`` over the indices of ``bound_indices`` whose user
+    set is ``subset``: those are the decode-prefix sets.
     """
     order.validate(net, order.active_users())
     subset = frozenset(_users(subset, "user set"))
-    depth = {}
-    for k, slots in enumerate(net.active_slots(subset), start=1):
-        if slots:
-            want = tuple(sorted(order.slots(k)[: len(slots)]))
-            if slots != want:
-                raise NetworkSpecError(
-                    f"subset is not a decode prefix in cell {k}: got slots {list(slots)}, "
-                    f"prefix would be {list(want)}"
-                )
-            depth[k] = len(slots)
-    if not depth:
+    net.active_slots(subset)  # refuses unknown users
+    if not subset:
         return Fraction(0)
-    # The bounds with user set ``subset`` take every participating cell at its
-    # full prefix depth, in each cyclic arrangement of those cells.
-    return min(
-        bound_rhs(
-            net,
-            BoundIndex(
-                seq,
-                tuple(depth[k] for k in seq),
-                tuple(order.user_at(k, depth[k]) for k in seq),
-                subset,
-            ),
-        )
-        for seq in enumerate_cyclic_sequences(depth, min_len=len(depth))
+    rhs = min(
+        (bound_rhs(net, index) for index in _bound_indices(net, order) if index.users == subset),
+        default=None,
     )
+    if rhs is None:
+        raise NetworkSpecError(
+            f"subset is not a decode prefix in every cell: got users {sorted(subset)}"
+        )
+    return rhs
 
 
 def membership(region: PolyRegion, d: GdofTuple) -> MembershipResult:

@@ -561,16 +561,31 @@ def test_flow_network_matches_fraction_construction():
 
 
 def test_set_up_runs_no_fraction_relaxation(monkeypatch, pimac_optimal):
+    # Region set-up relaxes only integer lengths: every graph handed to
+    # ``_bellman_ford``, at its binding in ``potential`` (reached through
+    # ``recover_power_allocation``) and in ``analysis`` (``flow_network``),
+    # has int lengths, and no Fraction potential graph is built.
     def refuse(*args):
-        raise AssertionError("a Fraction potential graph was built or relaxed")
+        raise AssertionError("a Fraction potential graph was built")
 
-    monkeypatch.setattr(potential, "_bellman_ford", refuse)
+    relaxed = []
+    original = potential._bellman_ford
+
+    def integer_only(g):
+        relaxed.append(g)
+        assert all(type(c) is int for _, _, c in g.edges), "a Fraction graph was relaxed"
+        return original(g)
+
+    monkeypatch.setattr(potential, "_bellman_ford", integer_only)
+    monkeypatch.setattr(analysis, "_bellman_ford", integer_only)
     monkeypatch.setattr(analysis, "build_potential_graph", refuse)
     net = pimac_optimal
     reg = polyhedral_region(net, DecodingOrder.identity(net))
     assert max_weighted_gdof(reg, {u: 1 for u in net.users}).value == Fraction(19, 10)
+    assert len(relaxed) == 1
     rep = gap_report(finite_snr_from_network(net, 1e4))
     assert rep.corners_used == len(vertices(reg)) > 1
+    assert len(relaxed) == 1 + rep.corners_used
 
 
 def _networkx_flow_value(net, order, weights):

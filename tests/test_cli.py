@@ -1,3 +1,4 @@
+import importlib
 import json
 import random
 import re
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import tin_gdof
 from tin_gdof import cli, potential
 from tin_gdof.analysis import achievable_gdof, max_weighted_gdof
 from tin_gdof.model import DecodingOrder, NetworkSpec, User
@@ -487,6 +489,26 @@ def test_docs_headings_list_every_option():
     for name, synopsis in headings:
         options = {opt for p in cli.cli.commands[name].params for opt in p.opts}
         assert set(re.findall(r"--[\w-]+", synopsis)) == options, name
+
+
+def test_readme_module_bullets_name_only_live_attributes():
+    # Each backticked snake_case name in a module bullet of README's "What
+    # the library computes" is an attribute of that module or of the
+    # package, so a deleted or renamed function fails here.  The ``cli``
+    # bullet's backticks are JSON fields, not attributes.
+    text = (EXAMPLE.parent.parent / "README.md").read_text()
+    section = text.split("\n## What the library computes\n", 1)[1].split("\n## ", 1)[0]
+    bullets = re.findall(r"^\* \*\*`(\w+)`\*\* —(.*?)(?=^\* |\Z)", section, flags=re.M | re.S)
+    assert {name for name, _ in bullets} >= {"model", "regions", "potential", "analysis"}
+    checked = 0
+    for name, body in bullets:
+        if name == "cli":
+            continue
+        module = importlib.import_module(f"tin_gdof.{name}")
+        for attr in re.findall(r"`([a-z][a-z0-9]*(?:_[a-z0-9]+)+)`", body):
+            assert hasattr(module, attr) or hasattr(tin_gdof, attr), (name, attr)
+            checked += 1
+    assert checked >= 10
 
 
 def readme_block(section: str, lang: str) -> str:

@@ -646,6 +646,7 @@ REAL_ENTRIES = {
         lambda net, v: finite_snr_from_document(_two_cell_block(nominal_power=v)),
         100.0,
     ),
+    "path_loss_db": (lambda net, v: path_loss_db(v), 1.0),
 }
 NUMBER_ENTRIES = [
     (name, call, good, bad)

@@ -33,7 +33,6 @@ from tin_gdof.potential import (
     iter_simple_circuits,
     potential_skeleton,
     recover_power_allocation,
-    skeleton_distances,
 )
 from tin_gdof.regions import GdofTuple, membership, polyhedral_region
 from tin_gdof.sampling import (
@@ -101,7 +100,7 @@ def fraction_potential_graph(net, order, s=None, d=None):
 
 def fraction_bellman_ford(g):
     """Bellman-Ford over dicts keyed by user, with the library's parent rule,
-    stop rule and circuit extraction: the oracle for ``potential._relax``.
+    stop rule and circuit extraction: the oracle for ``potential._bellman_ford``.
 
     After every round that lowered a distance, walk up the parent edges
     from each vertex in the order of ``g.vertices``, skipping vertices an
@@ -160,8 +159,8 @@ def graph_pass(g):
 
 
 class CountingEdges(tuple):
-    """A graph's edges that count the passes made over them: ``_relax``
-    iterates its edges once per round."""
+    """A graph's edges that count the passes made over them:
+    ``_bellman_ford`` iterates its edges once per round."""
 
     passes = 0
 
@@ -403,14 +402,16 @@ def test_skeleton_pass_matches_fraction_pass():
         ] == [(e.tail, e.head, e.length) for e in oracle.edges]
         expected = fraction_bellman_ford(oracle)
         assert graph_pass(g) == expected
-        got = skeleton_distances(sk, d)
+        shifted = potential._shifted(sk, d)
+        assert all(type(c) is int for _, _, c in shifted.edges)
+        got = potential._bellman_ford(shifted)
         if isinstance(expected, Circuit):
             infeasible += 1
             assert got == expected
         else:
             feasible += 1
-            den, dist = got
-            assert dict(zip(sk.vertices, (Fraction(x, den) for x in dist))) == expected
+            assert all(type(x) is int for x in got.values())
+            assert {v: Fraction(x, shifted.den) for v, x in got.items()} == expected
     assert feasible > 150 and infeasible > 150
 
 
@@ -440,13 +441,12 @@ def test_parent_cycle_is_summed_again_before_it_is_reported():
         feasible_by_negative_cycle(g)
 
 
-def test_early_decisions_match_the_all_circuits_oracle(monkeypatch):
+def test_early_decisions_match_the_all_circuits_oracle():
     # The seed-16 heavy-tie graphs, members and non-members, and non-members
     # of shapes 3 x 2, 4 x 2 and 3 x 3: lattice tuples, and tuples just
     # outside a convexity network's region.  The oracle stops at its first
-    # negative circuit on a non-member, so a 3 x 3 graph (10 vertices) is
-    # enumerated past the guard.
-    monkeypatch.setattr(potential, "CIRCUIT_ENUMERATION_MAX_VERTICES", 10)
+    # negative circuit on a non-member, so a 3 x 3 graph (10 vertices)
+    # is decided within its guard on circuits enumerated.
     cases = []
     rng = random.Random(16)
     for _ in range(400):
@@ -507,10 +507,13 @@ def test_feasible_distances_equal_a_full_round_pass():
         assert list(got) == list(g.vertices)
         assert [(type(x), x) for x in got.values()] == [(type(x), x) for x in expected]
         sk = potential_skeleton(net, order, s)
-        den, dist = skeleton_distances(sk, d)
-        shifted = [(t, h, c * den // sk.den - int(d[sk.vertices[t]] * den)) for t, h, c in sk.edges]
-        reference = full_round_distances(len(sk.vertices), shifted)
-        assert [(type(x), x) for x in dist] == [(type(x), x) for x in reference]
+        shifted = potential._shifted(sk, d)
+        den = shifted.den
+        edges = [(t, h, c * den // sk.den - int(d[sk.vertices[t]] * den)) for t, h, c in sk.edges]
+        reference = full_round_distances(len(sk.vertices), edges)
+        dist = potential._bellman_ford(shifted)
+        assert list(dist) == list(sk.vertices)
+        assert [(type(x), x) for x in dist.values()] == [(type(x), x) for x in reference]
         alloc = recover_power_allocation(g)
         assert alloc.exponents == dict(zip(g.vertices[1:], expected[1:]))
     assert feasible > 100
@@ -521,7 +524,7 @@ def test_skeleton_rejects_tuples_outside_its_users(pimac_nonconvex):
     s = frozenset(net.users[1:])
     sk = potential_skeleton(net, next(enumerate_orders(net, s)), s)
     with pytest.raises(NetworkSpecError):
-        skeleton_distances(sk, GdofTuple({net.users[0]: Fraction(1, 2)}))
+        potential._shifted(sk, GdofTuple({net.users[0]: Fraction(1, 2)}))
 
 
 def test_all_circuits_oracle_agrees():
@@ -599,6 +602,23 @@ def test_circuit_enumeration_guard():
         )
 
 
+def test_circuit_guard_counts_circuits(monkeypatch, pimac_nonconvex):
+    # The default cap is every circuit of a 9-vertex graph, so each graph
+    # the old 9-vertex guard accepted is still accepted.  A member has no
+    # negative circuit to stop at: its 4-vertex graph enumerates all 20
+    # circuits, decided at a cap of 20 and refused at the 20th under 19.
+    assert potential.CIRCUIT_ENUMERATION_MAX_CIRCUITS == sum(
+        math.comb(9, m) * math.factorial(m - 1) for m in range(2, 10)
+    )
+    net = pimac_nonconvex
+    order = DecodingOrder.identity(net)
+    monkeypatch.setattr(potential, "CIRCUIT_ENUMERATION_MAX_CIRCUITS", 20)
+    assert all_circuits_region_oracle(net, order, GdofTuple.zero(net))
+    monkeypatch.setattr(potential, "CIRCUIT_ENUMERATION_MAX_CIRCUITS", 19)
+    with pytest.raises(GuardExceededError, match="more than 19 circuits"):
+        all_circuits_region_oracle(net, order, GdofTuple.zero(net))
+
+
 def test_power_allocation_validation():
     with pytest.raises(ValueError):
         PowerAllocation({User(1, 1): Fraction(1, 2)}, frozenset())
@@ -625,7 +645,6 @@ from tin_gdof.potential import (
     feasible_by_negative_cycle,
     potential_skeleton,
     recover_power_allocation,
-    skeleton_distances,
 )
 from tin_gdof.regions import GdofTuple
 from tin_gdof.sampling import random_gdof_tuple, random_network, random_order
@@ -675,7 +694,7 @@ for _ in range(400):
             sys.exit(f"recovery witness {exc.circuit} differs from {witness}")
     else:
         sys.exit("recovery on an infeasible graph did not raise")
-    integer = skeleton_distances(potential_skeleton(net, order), d)
+    integer = potential._bellman_ford(potential._shifted(potential_skeleton(net, order), d))
     if integer != witness:
         sys.exit(f"integer pass gave {integer}, the Fraction pass {witness}")
 if infeasible_seen <= 20:

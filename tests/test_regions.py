@@ -265,6 +265,8 @@ def test_set_function_with_general_order_on_subnetwork(pimac_nonconvex):
         (((1, 2), (1,), (1,)), {User(1, 1)}, "unknown users"),
         (((1, 1), (1,)), {User(1, 1)}, "permutation"),
         (((1, 3), (1,)), {User(1, 1)}, "unknown users"),
+        # a decode prefix in cell 2, not in cell 1
+        (None, {User(1, 2), User(2, 1)}, "prefix"),
     ],
 )
 def test_set_function_validates_subset_and_order(pimac_nonconvex, order, subset, message):
