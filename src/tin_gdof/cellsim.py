@@ -33,11 +33,11 @@ sampler on one trial and returns the network, equal to the one
 What depends only on a block's shape is built once and kept, read-only, in
 two small caches bounded by ``_SHAPES``: the Philox lane constants of
 ``count`` trials of ``blocks`` counters (``_lanes``), and the ring's index
-arrays and the masks of both condition checks for ``cells`` cells of
-``users`` users (``_layout``).  A block holds at most ``TRIAL_BLOCK``
-trials, and fewer on large rings, so that its arrays stay within
-``BLOCK_ENTRIES`` entries; a scenario one of whose trials alone exceeds
-that budget is refused with ``GuardExceededError``.
+arrays, its own-cell mask and the slot pairs of the optimality check for
+``cells`` cells of ``users`` users (``_layout``).  A block holds at most
+``TRIAL_BLOCK`` trials, and fewer on large rings, so that its arrays stay
+within ``BLOCK_ENTRIES`` entries; a scenario one of whose trials alone
+exceeds that budget is refused with ``GuardExceededError``.
 """
 
 from __future__ import annotations
@@ -141,31 +141,32 @@ TRIAL_BLOCK = 256
 #: ``TRIAL_BLOCK``, and no more than keep its largest array, ``_trial_entries``
 #: per trial, within ``BLOCK_ENTRIES`` int64 entries (512 KiB).  A block peaks
 #: at about three such arrays whatever the ring; ``tracemalloc`` reads these
-#: peaks for one call at any trial count: 0.15 MiB on the line with 2 users,
+#: peaks for one call at any trial count: 0.14 MiB on the line with 2 users,
 #: 0.8 MiB on the 4-cell ring with 3 users (the largest scenario of
-#: acceptance test 10, in blocks of 256 as before), 1.3 MiB with 5 users
-#: (2.0 MiB in blocks of 256), 0.8 MiB on 10 cells with 5 users (11.3 MiB)
-#: and 0.5 MiB on 20 cells with 5 users (44.0 MiB).  ``ScenarioParams``
-#: refuses with ``GuardExceededError`` a scenario one of whose trials
-#: exceeds the budget, such as 41 cells of 1 user or 24 cells of 5 users,
-#: before any array is allocated.
+#: acceptance test 10, in blocks of 256 as before), 1.1 MiB with 5 users
+#: (2.0 MiB in blocks of 256), 0.8 MiB on 10 cells with 5 users (11.3 MiB),
+#: 0.5 MiB on 20 cells with 5 users (44.0 MiB) and 1.0 MiB on 40 cells of 1
+#: user.  ``ScenarioParams`` refuses with ``GuardExceededError`` a scenario
+#: one of whose trials exceeds the budget, such as 41 cells of 1 user or 24
+#: cells of 5 users, before any array is allocated.
 BLOCK_ENTRIES = 2**16
 
 #: Shapes whose constants ``_lanes`` and ``_layout`` each keep, least
 #: recently used first out.  Within the budget a block has at most 2,048
 #: Philox lanes, and ``_lanes`` keeps six ints a shape, about 103 bytes a
 #: lane (Python stores 30 bits in 4 bytes), so at most 1.7 MiB; a
-#: ``_layout`` is below 96 KiB (its slot-pair mask has at most
-#: ``BLOCK_ENTRIES`` bools, and a ring at most 40 cells), so at most
-#: 0.75 MiB.  The 30 points of acceptance test 10 use 6 shapes of at most
-#: 120 lanes.
+#: ``_layout`` is below 96 KiB (its arrays hold at most 17 KB: a ring has at
+#: most 40 cells, and its slot pairs at most 128 * 127 one-byte slots), so
+#: at most 0.75 MiB.  The 30 points of acceptance test 10 use 6 shapes of
+#: at most 120 lanes.
 _SHAPES = 8
 
 
 def _trial_entries(cells: int, users: int) -> int:
-    """Entries per trial of a block's largest array: ``users**2 * cells**2``
-    for the optimality pair's slot pairs, ``users * cells**3`` for the
-    convexity pair's cross-cell terms."""
+    """Entries per trial of a block's largest array, at most: ``users**2 *
+    cells**2`` for the optimality pair's slot pairs (both slots of each of
+    ``users * (users - 1) / 2`` pairs, per cell and receiver),
+    ``users * cells**3`` for the convexity pair's cross-cell terms."""
     return cells * cells * users * max(cells, users)
 
 
@@ -254,7 +255,10 @@ class _Layout(NamedTuple):
     step: np.ndarray  # step[k, i] = i - k
     own: np.ndarray  # own[k, i]: k == i
     links: tuple[np.ndarray, np.ndarray]  # (k, i) of every link that carries signal on the ring
-    skip: np.ndarray  # skip[i, s, w, j]: j == i or s <= w, unchecked by the optimality MAC
+    # pairs[:, p] = (s, w), the p-th slot pair with s > w, that is, a stronger
+    # slot and a weaker one once slots ascend by direct level; the smallest
+    # unsigned type that holds a slot
+    pairs: np.ndarray
 
 
 @functools.lru_cache(maxsize=_SHAPES)
@@ -264,10 +268,9 @@ def _layout(cells: int, users: int) -> _Layout:
     # Receivers a cell's users reach: its own and the adjacent ones on the ring.
     reach = np.minimum(np.abs(step), cells - np.abs(step)) <= 1
     own = np.eye(cells, dtype=bool)
-    slots = np.arange(users)
-    skip = own[:, None, None] | (slots[:, None] <= slots)[:, :, None]
-    layout = _Layout(ids, step, own, np.nonzero(reach), skip)
-    for a in (ids, step, own, *layout.links, skip):
+    pairs = np.array(np.tril_indices(users, -1), dtype=np.min_scalar_type(users))
+    layout = _Layout(ids, step, own, np.nonzero(reach), pairs)
+    for a in (ids, step, own, *layout.links, pairs):
         a.flags.writeable = False
     return layout
 
@@ -310,6 +313,44 @@ def _distances(p: ScenarioParams, first: int, count: int):
     return dist
 
 
+#: Half-width of the window around a rounding tie (a scaled level ``v`` with
+#: ``|v - rint(v)| > 1/2 - _TIE_WINDOW``) inside which ``_sample`` takes the
+#: logarithm from ``math.log10`` instead of ``np.log10``.  Outside it both
+#: logarithms round to the same integer level, since their scaled levels
+#: differ by less than 3e-6:
+#:
+#: * Both levels are 0 unless one margin is positive, which needs a path
+#:   loss below 125 dB, so log10(km) < -0.6; users keep ``EXCLUSION_M`` from
+#:   their site, so log10(km) >= log10(0.035) > -1.5, and an ulp of the
+#:   logarithm is at most 2**-52.
+#: * numpy's float64 ``log10`` is within 1 ulp of the correctly rounded
+#:   result (tolerance 1 in its accuracy table
+#:   ``umath-validation-set-log10.csv``), so within 1.5 ulp of log10;
+#:   glibc's, which ``math.log10`` calls, is within 2 ulp ("Errors in Math
+#:   Functions", glibc manual).  The two differ by at most 3.5 * 2**-52,
+#:   and the exact map from the logarithm to the scaled level has slope
+#:   ``PATHLOSS_B_DB / LEVEL_REFERENCE_DB * _LEVEL_SCALE`` < 6.3e8, which
+#:   makes at most 4.9e-7.
+#: * Per logarithm, the four dB operations of ``_scaled_levels`` (the
+#:   product, the sum and two differences) give results below 256 in
+#:   magnitude, each rounded by at most 2**-46, and scaled by 10**9 / 60:
+#:   at most 9.5e-7; the quotient by 60 (below 1) rounds by at most 2**-54,
+#:   5.6e-8 once scaled; the product by 10**9 (below 2**30) by at most
+#:   2**-23, 1.2e-7.  That is 1.13e-6 per logarithm, 2.26e-6 for both.
+#:
+#: The window is the sum, 2.75e-6, rounded up to the next power of ten; the
+#: products of two rounding errors that the sum leaves out are below
+#: 1e-12.  The test reads ``v - rint(v)``, which is exact.
+_TIE_WINDOW = 1e-5
+
+
+def _scaled_levels(log10: np.ndarray) -> np.ndarray:
+    """``max(margin, 0) / LEVEL_REFERENCE_DB * _LEVEL_SCALE`` from the
+    logarithms of link lengths in km, in the order of ``path_loss_db``."""
+    margin_db = TX_POWER_DBM - (PATHLOSS_A_DB + PATHLOSS_B_DB * log10) - NOISE_FLOOR_DBM
+    return np.maximum(margin_db, 0.0) / LEVEL_REFERENCE_DB * _LEVEL_SCALE
+
+
 def _sample(p: ScenarioParams, first: int, count: int):
     """Levels of ``count`` random user placements, from trial ``first``.
 
@@ -320,19 +361,24 @@ def _sample(p: ScenarioParams, first: int, count: int):
     stable-sorted by direct level; ``order[t, k, s]`` is the drawn slot
     stored as slot ``s + 1``, counted from 0.
 
-    ``np.log10`` may differ from ``math.log10`` in the last place, so the
-    logarithms are ``math.log10``'s; the rest is elementwise IEEE arithmetic
-    in the order of ``path_loss_db``, and ``np.rint`` rounds half to even
-    like ``round``.
+    The levels are those of ``math.log10``, as in ``path_loss_db``: one
+    ``np.log10`` pass gives the scaled levels, and the entries within
+    ``_TIE_WINDOW`` of a rounding tie, where ``np.log10``'s last place could
+    change the integer, are computed again from ``math.log10``.  The rest is
+    elementwise IEEE arithmetic in the order of ``path_loss_db``, and
+    ``np.rint`` rounds half to even like ``round``.
     """
     dist = _distances(p, first, count)
     k, i = _layout(p.cells, p.users_per_cell).links
     km = dist[:, k, :, i] / 1000.0  # km[link, t, l]
-    log10 = np.fromiter(map(math.log10, km.ravel().tolist()), dtype=np.float64, count=km.size)
-    margin_db = TX_POWER_DBM - (PATHLOSS_A_DB + PATHLOSS_B_DB * log10) - NOISE_FLOOR_DBM
+    scaled = _scaled_levels(np.log10(km))
+    levels = np.rint(scaled)
+    near = np.abs(scaled - levels) > 0.5 - _TIE_WINDOW
+    if near.any():
+        log10 = np.array([math.log10(x) for x in km[near].tolist()])
+        levels[near] = np.rint(_scaled_levels(log10))
     lv = np.zeros(dist.shape, dtype=np.int64)
-    levels = np.rint(np.maximum(margin_db, 0.0) / LEVEL_REFERENCE_DB * _LEVEL_SCALE)
-    lv[:, k, :, i] = levels.reshape(km.shape)
+    lv[:, k, :, i] = levels
     direct = np.diagonal(lv, axis1=1, axis2=3)  # direct[t, l, k]
     order = np.argsort(direct, axis=1, kind="stable").transpose(0, 2, 1)
     return lv[np.arange(count)[:, None, None], np.arange(lv.shape[1])[:, None], order], order
@@ -360,10 +406,14 @@ def _optimality_flags(lv: np.ndarray, direct: np.ndarray) -> np.ndarray:
     """Whether the optimality pair holds, per trial; see ``_condition_flags``."""
     count, cells, users, _ = lv.shape
     layout = _layout(cells, users)
-    # per cell: every stronger slot s against every weaker slot w
-    strong, weak = lv[:, :, :, None], lv[:, :, None]  # [t, i, s, w, j]
-    gap = (direct[:, :, :, None] - direct[:, :, None])[..., None]
-    mac = ((gap >= np.minimum(strong, 2 * strong - weak)) | layout.skip).reshape(count, -1).all(1)
+    # per cell: every stronger slot s against every weaker slot w, toward
+    # every other cell's receiver
+    paired = lv.take(layout.pairs, axis=2)  # [t, i, 0 or 1, p, j]: slot s or w of pair p
+    strong, weak = paired[:, :, 0], paired[:, :, 1]
+    paired_direct = direct.take(layout.pairs, axis=2)  # [t, i, 0 or 1, p]
+    gap = (paired_direct[:, :, 0] - paired_direct[:, :, 1])[..., None]
+    held = (gap >= np.minimum(strong, 2 * strong - weak)) | layout.own[:, None]
+    mac = held.reshape(count, -1).all(1)
     # cross-cell: caused toward any other cell plus the largest level
     # received from any other cell's user
     received = np.where(layout.own, _LEAST, lv.max(axis=2)).max(axis=1)  # [t, i]
@@ -382,6 +432,10 @@ def _condition_flags(lv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     condition of slot s against every weaker slot w then says that
     ``direct - lv[..., j]`` does not fall from w to s, so it is checked on
     neighbouring slots only.
+
+    The per-cell optimality condition of a stronger slot s against a
+    weaker slot w toward receiver j is checked once per slot pair s > w,
+    gathered by ``_Layout.pairs``, at every receiver but the own cell's.
 
     Every side is a sum or difference of at most three levels, or
     ``2 * strong - weak``.  A link is at least 5e-324 km long, so a level is

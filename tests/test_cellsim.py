@@ -355,6 +355,83 @@ def test_library_never_imports_numpy_random():
     assert proc.returncode == 0, proc.stderr or "numpy.random was imported"
 
 
+# -- levels from np.log10, with math.log10 next to a rounding tie ------------------
+
+
+def math_levels(km: np.ndarray) -> np.ndarray:
+    """Integer levels over 10**9 of link lengths in km, each logarithm from
+    ``math.log10`` and the rest elementwise in the order of ``path_loss_db``."""
+    log10 = np.array([math.log10(x) for x in km.ravel().tolist()]).reshape(km.shape)
+    loss = cellsim.PATHLOSS_A_DB + cellsim.PATHLOSS_B_DB * log10
+    margin = TX_POWER_DBM - loss - NOISE_FLOOR_DBM
+    return np.rint(np.maximum(margin, 0.0) / LEVEL_REFERENCE_DB * 10**9).astype(np.int64)
+
+
+def sample_distances(monkeypatch, dist: np.ndarray) -> np.ndarray:
+    """The levels ``_sample`` makes of the linear link lengths ``dist[t, k, l, i]``
+    in meters, in drawn-slot order."""
+    count, _, users, _ = dist.shape
+    monkeypatch.setattr(cellsim, "_distances", lambda p, first, n: dist)
+    lv, order = cellsim._sample(params(users_per_cell=users, trials=count), 0, count)
+    drawn = np.empty_like(lv)
+    np.put_along_axis(drawn, np.broadcast_to(order[..., None], lv.shape), lv, axis=2)
+    return drawn
+
+
+def test_fast_levels_equal_math_log10_levels(monkeypatch):
+    # 10**6 link lengths from the exclusion radius to 3r at r = 243 m, the
+    # longest link on a ring of the largest radius of acceptance test 10
+    rng = np.random.default_rng(27)
+    dist = rng.uniform(EXCLUSION_M, 3 * 243.0, size=(50_000, 2, 5, 2))
+    assert np.array_equal(sample_distances(monkeypatch, dist), math_levels(dist / 1000.0))
+    # the window covers every difference between the two scaled levels
+    km = dist.ravel() / 1000.0
+    exact = np.array([math.log10(x) for x in km.tolist()])
+    gap = np.abs(cellsim._scaled_levels(np.log10(km)) - cellsim._scaled_levels(exact))
+    assert 0 < gap.max() < cellsim._TIE_WINDOW, gap.max()
+
+
+def scaled_level(distance_m: float, log10=math.log10) -> float:
+    return float(cellsim._scaled_levels(np.float64(log10(distance_m / 1000.0))))
+
+
+def tie_distances(rng: random.Random, ties: int, width: int) -> list[float]:
+    """The ``2 * width`` distances around each of ``ties`` distances where the
+    ``math.log10`` level drops from ``n + 1`` to ``n``, for random ``n``."""
+    out = []
+    for _ in range(ties):
+        n = rng.randrange(1, 5 * 10**8)  # levels of 35 m to 243 m
+        lo, hi = EXCLUSION_M, 250.0  # level 0 at 250 m
+        while True:  # bisection to adjacent floats
+            mid = (lo + hi) / 2
+            if mid in (lo, hi):
+                break
+            lo, hi = (mid, hi) if round(scaled_level(mid)) > n else (lo, mid)
+        d = lo
+        for _ in range(width):
+            d = math.nextafter(d, 0.0)
+        for _ in range(2 * width):
+            out.append(d)
+            d = math.nextafter(d, math.inf)
+    return out
+
+
+def test_levels_at_rounding_ties_are_those_of_the_reference(monkeypatch):
+    distances = tie_distances(random.Random(28), ties=40, width=16)
+    split = [
+        d for d in distances
+        if round(scaled_level(d)) != round(scaled_level(d, lambda x: float(np.log10(x))))
+    ]
+    assert split, "no tie where np.log10 and math.log10 round apart"
+    dist = np.array(distances).reshape(-1, 2, 4, 2)
+    got = sample_distances(monkeypatch, dist)
+    p = params()
+    want = [[[[_level(p, d) for d in row] for row in cell] for cell in t] for t in dist.tolist()]
+    assert (got == np.array(want, dtype=object) * 10**9).all()
+    near = [d for d in distances if abs(scaled_level(d) % 1 - 0.5) < cellsim._TIE_WINDOW]
+    assert set(split) <= set(near)
+
+
 # -- the batched condition pass ----------------------------------------------------
 
 
@@ -422,6 +499,22 @@ def test_block_flags_match_condition_flags_on_sampled_tables():
         assert list(zip(convexity.tolist(), optimality.tolist())) == want, p
         outcomes.update(want)
     assert set(outcomes) == {(True, True), (True, False), (False, False)}
+
+
+@pytest.mark.parametrize("cells, users", [(2, 1), (3, 1), (6, 1), (2, 6), (3, 4)])
+def test_optimality_slot_pairs_match_condition_flags(cells, users):
+    # One user per cell has no slot pair; more users than cells have more
+    # slot pairs than receivers.
+    rng = random.Random(54 + 10 * cells + users)
+    tables = [lattice_table(rng, cells, users).integer_levels[1] for _ in range(120)]
+    for r, seed in ((90.0, 1), (170.0, 2), (240.0, 3)):
+        geometry = "linear" if cells == 2 else "circular"
+        p = ScenarioParams(geometry, r, users, 60, seed, cells=cells)
+        tables += cellsim._sample(p, 0, p.trials)[0].tolist()
+    want = [condition_flags(table) for table in tables]
+    convexity, optimality = cellsim._condition_flags(np.array(tables, dtype=np.int64))
+    assert list(zip(convexity.tolist(), optimality.tolist())) == want
+    assert {opt for _, opt in want} == {True, False}
 
 
 def test_estimate_probabilities_across_block_boundaries():
@@ -508,8 +601,11 @@ def test_sample_across_interleaved_rings():
 
 
 def test_cached_arrays_are_read_only():
-    layout = cellsim._layout(5, 2)
-    for a in (layout.ids, layout.step, layout.own, *layout.links, layout.skip):
+    layout = cellsim._layout(5, 3)
+    arrays = [a for field in layout for a in (field if isinstance(field, tuple) else (field,))]
+    assert len(arrays) == len(cellsim._Layout._fields) + 1  # links is an index pair
+    for a in arrays:
+        assert isinstance(a, np.ndarray) and a.size
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = a[(0,) * a.ndim]
     # the per-shape Philox constants are Python ints, immutable as such
@@ -546,6 +642,21 @@ def test_shape_caches_stay_within_their_bound():
     assert cellsim._lanes.cache_info().currsize == cellsim._SHAPES
     assert cellsim._layout.cache_info().currsize == cellsim._SHAPES
     assert 0 < held <= bound, (held, bound)
+
+
+def test_every_layout_within_the_budget_is_small():
+    # The arrays of a cached layout stay within the 17 KB that the _SHAPES
+    # comment states for every shape within the budget, up to 128 users on
+    # 2 cells, the most slot pairs.
+    largest = 0
+    for cells in range(2, 41):
+        for users in range(1, 129):
+            if cellsim._trial_entries(cells, users) <= cellsim.BLOCK_ENTRIES:
+                layout = cellsim._layout.__wrapped__(cells, users)
+                arrays = (layout.ids, layout.step, layout.own, *layout.links, layout.pairs)
+                largest = max(largest, sum(a.nbytes for a in arrays))
+    assert cellsim._trial_entries(2, 128) == cellsim.BLOCK_ENTRIES
+    assert 0 < largest <= 17_000, largest
 
 
 def test_scenario_beyond_the_block_budget_is_refused_before_any_allocation():
