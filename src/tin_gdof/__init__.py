@@ -17,11 +17,9 @@ from .regions import (
     LinearInequality,
     PolyRegion,
     bound_indices,
-    bound_rhs,
     enumerate_cyclic_sequences,
     membership,
     polyhedral_region,
-    set_function_f,
 )
 from .potential import (
     PotentialGraph,
@@ -35,7 +33,6 @@ from .conditions import (
     ConditionReport,
     classify_pimac,
     evaluate_conditions,
-    outer_bound_user_partition,
 )
 from .analysis import (
     achievable_gdof,

@@ -13,6 +13,7 @@ import functools
 import json
 import random
 import sys
+from decimal import Context
 from fractions import Fraction
 
 import click
@@ -39,6 +40,12 @@ def _emit(status: str, payload, code: int = 0):
     sys.exit(code)
 
 
+def _emit_csv(rows: list):
+    """Write a CSV document, every row built beforehand, and exit 0."""
+    csv.writer(sys.stdout).writerows(rows)
+    sys.exit(0)
+
+
 def _load(network_path) -> tuple[NetworkSpec, FiniteSnrSpec | None]:
     """The file's network and its finite-SNR block (None without one), from one
     read; every subcommand loads both, so a malformed block fails each of them."""
@@ -58,8 +65,17 @@ def _rate_model(net: NetworkSpec, fs: FiniteSnrSpec | None, snr: float) -> Finit
     return fs
 
 
+def _float(x: Fraction) -> float:
+    """``x`` for a float field; beyond the float range, a ``TinGdofError`` (exit 2)."""
+    try:
+        return float(x)
+    except OverflowError:
+        value = Context(prec=3).divide(x.numerator, x.denominator).normalize()
+        raise TinGdofError(f"exact value {value:e} is beyond the float range of output") from None
+
+
 def _frac(x: Fraction) -> dict:
-    return {"exact": str(x), "float": float(x)}
+    return {"exact": str(x), "float": _float(x)}
 
 
 def _user_str(u: User) -> str:
@@ -204,13 +220,11 @@ def check(network_path, pimac_regime):
 def region(net, reg, fmt):
     """Emit the inequality list of a fixed-order achievable region."""
     if fmt == "csv":
-        w = csv.writer(sys.stdout)
-        w.writerow(["users", "rhs", "rhs_float"])
-        for q in reg.inequalities:
-            w.writerow(
-                ["+".join(_user_str(u) for u in sorted(q.users)), str(q.rhs), float(q.rhs)]
-            )
-        sys.exit(0)
+        _emit_csv([
+            ["users", "rhs", "rhs_float"],
+            *(["+".join(_user_str(u) for u in sorted(q.users)), str(q.rhs), _float(q.rhs)]
+              for q in reg.inequalities),
+        ])
     _emit(
         "ok",
         {
@@ -297,11 +311,7 @@ def vertices_cmd(net, reg, fmt):
     verts = analysis.vertices(reg)
     users = list(net.users)
     if fmt == "csv":
-        w = csv.writer(sys.stdout)
-        w.writerow([_user_str(u) for u in users])
-        for v in verts:
-            w.writerow([float(v[u]) for u in users])
-        sys.exit(0)
+        _emit_csv([[_user_str(u) for u in users], *([_float(v[u]) for u in users] for v in verts)])
     _emit(
         "ok",
         {
@@ -364,15 +374,11 @@ def simulate(geometry, r_sweep, users, trials, seed, cells):
         seed=seed,
         cells=cells,
     )
-    curve = cellsim.sweep(base, radii)
-    w = csv.writer(sys.stdout)
-    w.writerow(["r_m", "L", "p_convexity", "p_optimality", "trials", "ci95"])
-    for pt in curve.points:
-        w.writerow(
-            [pt.r_m, pt.users_per_cell, pt.p_convexity, pt.p_optimality, pt.trials,
-             pt.ci95_halfwidth]
-        )
-    sys.exit(0)
+    _emit_csv([
+        ["r_m", "L", "p_convexity", "p_optimality", "trials", "ci95"],
+        *([pt.r_m, pt.users_per_cell, pt.p_convexity, pt.p_optimality, pt.trials, pt.ci95_halfwidth]
+          for pt in cellsim.sweep(base, radii).points),
+    ])
 
 
 @cli.command(name="oracle-verify")

@@ -171,44 +171,6 @@ def condition_flags(lv) -> tuple[bool, bool]:
     return conv, opt
 
 
-# -- user partition used by the rate outer bound ------------------------------
-
-
-@dataclass(frozen=True)
-class UserPartition:
-    double_primed: frozenset  # slots whose direct level the attenuated top user clears
-    primed: frozenset
-
-
-def outer_bound_user_partition(net: NetworkSpec, i: int, j: int, l_i: int) -> UserPartition:
-    """Split slots 1..l_i of cell i by the attenuated top-user level toward cell j.
-
-    A slot s < l_i is double-primed when the top user's direct level minus
-    its cross level toward cell j still reaches slot s's direct level.  When
-    the optimality conditions hold, the primed slots (top user excluded)
-    satisfy the chain inequality the outer-bound derivation relies on; this
-    is checked here, and a failure raises ``TinGdofError``.
-    """
-    if i == j:
-        raise TopologyError("partition needs two distinct cells")
-    top = User(i, l_i)
-    margin = net.direct(top) - net.alpha(top, j)
-    double_primed = frozenset(
-        s for s in range(1, l_i) if margin >= net.direct(User(i, s))
-    )
-    primed = frozenset(range(1, l_i + 1)) - double_primed
-    if net.optimality_holds:
-        chain = sorted(primed - {l_i})
-        for s_prime, l_prime in itertools.combinations(chain, 2):
-            s_u, l_u = User(i, s_prime), User(i, l_prime)
-            if margin < net.direct(s_u) - net.alpha(s_u, j) + net.alpha(l_u, j):
-                raise TinGdofError(
-                    f"partition chain inequality failed for cell {i} slots "
-                    f"({s_prime},{l_prime}) toward cell {j}"
-                )
-    return UserPartition(double_primed, primed)
-
-
 # -- two-cell three-user regime classification --------------------------------
 
 

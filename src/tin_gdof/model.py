@@ -123,8 +123,7 @@ def _real(value, what: str) -> float:
 
 def rationalize(x) -> Fraction:
     """``x`` as an exact rational: the one rule for exact values (levels,
-    GDoF values, power exponents, weights, scale factors, inequality
-    right-hand sides).
+    GDoF values, power exponents, weights, inequality right-hand sides).
 
     Ints, ``Fraction``s and other rationals (numpy ints), decimal strings
     such as ``"0.1"`` or ``"1/3"`` and ``Decimal``s convert exactly.  A
@@ -305,14 +304,6 @@ class NetworkSpec:
     @cached_property
     def full_subnetwork(self) -> Subnetwork:
         return frozenset(self.users)
-
-    def scaled(self, c: Rational) -> "NetworkSpec":
-        """Network with every strength level multiplied by ``c`` (c > 0)."""
-        c = rationalize(c)
-        if c <= 0:
-            raise NetworkSpecError("scale factor must be positive")
-        scaled = {key: c * v for key, v in self.alpha_map.items()}
-        return NetworkSpec(self.users_per_cell, scaled, self.slot_provenance)
 
     def active_slots(self, s: Iterable[User] | None = None) -> tuple[tuple[int, ...], ...]:
         """Per cell, the ascending slots of the users of ``s`` (of every user

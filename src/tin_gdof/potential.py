@@ -100,9 +100,6 @@ class PowerAllocation:
         if exps.keys() & self.off:
             raise NetworkSpecError("a user cannot be both powered and off")
 
-    def is_off(self, user: User) -> bool:
-        return user in self.off
-
     def __getitem__(self, user: User) -> Fraction:
         return self.exponents[user]
 

@@ -4,10 +4,8 @@ The achievable GDoF region of a fixed decoding order is a polytope: per-cell
 prefix bounds plus one bound per cyclic sequence of cells and per choice of
 decode-depth in each participating cell.  This module enumerates that bound
 index set in one place (``bound_indices``) and maps it to the explicit
-inequality list, and ``set_function_f`` is a map over the same index set:
-the rhs attached to one decode-prefix user set, the smallest ``bound_rhs``
-over the bounds with that user set.  The module also tests membership of
-GDoF tuples with exact rational arithmetic.
+inequality list.  The module also tests membership of GDoF tuples with
+exact rational arithmetic.
 
 Everything here is a pure function over immutable values.
 """
@@ -22,7 +20,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import NetworkSpecError
 from .model import (
-    DecodingOrder, NetworkSpec, Rational, Subnetwork, User, _per_user, _users, rationalize,
+    DecodingOrder, NetworkSpec, Rational, Subnetwork, User, _per_user, rationalize,
 )
 
 
@@ -81,10 +79,6 @@ class GdofTuple:
         object.__setattr__(self, "d", frozen)
 
     @classmethod
-    def zero(cls, net: NetworkSpec) -> "GdofTuple":
-        return cls({u: Fraction(0) for u in net.users})
-
-    @classmethod
     def from_values(cls, net: NetworkSpec, values: Sequence[Rational]) -> "GdofTuple":
         """Build from one value per user in canonical (cell, slot) order."""
         try:
@@ -98,10 +92,6 @@ class GdofTuple:
 
     def support(self) -> Subnetwork:
         return frozenset(u for u, v in self.d.items() if v > 0)
-
-    def scaled(self, c: Rational) -> "GdofTuple":
-        c = rationalize(c)
-        return GdofTuple({u: c * v for u, v in self.d.items()})
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,8 +212,10 @@ def _bound_indices(net: NetworkSpec, order: DecodingOrder) -> Iterator[BoundInde
 
 
 def _rhs(lv, tops: tuple[User, ...]) -> int:
-    """``bound_rhs`` of the bound with these top users, as an integer over
-    the denominator of ``lv``, the levels of ``net.integer_levels``."""
+    """The rhs of the bound with these top users: the top user's direct
+    level for one cell, else sum_j (alpha_{i_j i_j} - alpha_{i_j -> i_{j-1}})
+    at the top users, with the predecessor taken around the cycle.  An
+    integer over the denominator of ``lv``, the levels of ``net.integer_levels``."""
     if len(tops) == 1:
         k, l = tops[0]
         return lv[k - 1][l - 1][k - 1]
@@ -235,21 +227,12 @@ def _rhs(lv, tops: tuple[User, ...]) -> int:
     return total
 
 
-def bound_rhs(net: NetworkSpec, index: BoundIndex) -> Fraction:
-    """Exact rhs of a bound: the top user's direct level for one cell, else
-    sum_j (alpha_{i_j i_j} - alpha_{i_j -> i_{j-1}}) at the top users, with
-    the predecessor taken around the cycle, summed over the integers of
-    ``net.integer_levels`` into one ``Fraction``."""
-    den, lv = net.integer_levels
-    return Fraction(_rhs(lv, index.tops), den)
-
-
 def polyhedral_region(
     net: NetworkSpec, order: DecodingOrder, s: Subnetwork | None = None
 ) -> PolyRegion:
     """Inequality description of the fixed-order achievable region.
 
-    One inequality  sum of d over the index's users <= ``bound_rhs``  per
+    One inequality  sum of d over the index's users <= ``_rhs``  per
     index of ``bound_indices``, in its emission order, built on first access
     to ``inequalities``.  Users outside ``s`` are forced to zero.  The
     scope, ``s`` and ``order``, is checked here, once, by
@@ -257,32 +240,6 @@ def polyhedral_region(
     """
     s = order.validate(net, s)
     return PolyRegion((net, order, s))
-
-
-def set_function_f(net: NetworkSpec, order: DecodingOrder, subset: Iterable[User]) -> Fraction:
-    """Right-hand side of the region bound attached to a decode-prefix user set.
-
-    ``order`` must be a decoding order of ``net`` (of any subnetwork), and
-    ``subset`` must be, in every participating cell, exactly the first
-    ``l_i`` decode positions of ``order``; anything else is a
-    ``NetworkSpecError``.  Returns 0 for the empty set, and otherwise the
-    smallest ``bound_rhs`` over the indices of ``bound_indices`` whose user
-    set is ``subset``: those are the decode-prefix sets.
-    """
-    order.validate(net, order.active_users())
-    subset = frozenset(_users(subset, "user set"))
-    net.active_slots(subset)  # refuses unknown users
-    if not subset:
-        return Fraction(0)
-    rhs = min(
-        (bound_rhs(net, index) for index in _bound_indices(net, order) if index.users == subset),
-        default=None,
-    )
-    if rhs is None:
-        raise NetworkSpecError(
-            f"subset is not a decode prefix in every cell: got users {sorted(subset)}"
-        )
-    return rhs
 
 
 def membership(region: PolyRegion, d: GdofTuple) -> MembershipResult:

@@ -11,7 +11,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import pimac
+from conftest import pimac, scaled_network, scaled_tuple
 from tin_gdof.analysis import (
     achievable_gdof,
     achievable_rates,
@@ -317,7 +317,7 @@ def test_11_homogeneity():
         for _ in range(1_000):
             net = random_network(rng, max_cells=3, max_users=2)
             c = Fraction(rng.randint(1, 60), 20)
-            scaled = net.scaled(c)
+            scaled = scaled_network(net, c)
             before = evaluate_conditions(net)
             after = evaluate_conditions(scaled)
             assert before.convexity_holds == after.convexity_holds
@@ -326,5 +326,5 @@ def test_11_homogeneity():
             d = random_gdof_tuple(rng, net)
             assert (
                 membership(polyhedral_region(net, order), d).member
-                == membership(polyhedral_region(scaled, order), d.scaled(c)).member
+                == membership(polyhedral_region(scaled, order), scaled_tuple(d, c)).member
             )

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import pimac
+from conftest import outer_bound_user_partition, pimac
 from tin_gdof import _lp, analysis, conditions, potential, regions
 from tin_gdof.analysis import (
     FlowNetwork,
@@ -69,7 +69,7 @@ RATE_TOL_BITS = 1e-9
 
 
 def test_general_membership_zero_tuple(pimac_nonconvex):
-    res = general_membership(pimac_nonconvex, GdofTuple.zero(pimac_nonconvex))
+    res = general_membership(pimac_nonconvex, GdofTuple({}))
     assert res.member
     assert res.witness.subnetwork == frozenset()
     assert res.witness.allocation.off == frozenset(pimac_nonconvex.users)
@@ -217,7 +217,7 @@ def test_optimality_is_read_from_the_one_flag_pass(monkeypatch, pimac_optimal, p
         fs = finite_snr_from_network(net, 1e4)
         for _ in range(2):
             assert net.optimality_holds is holds
-            conditions.outer_bound_user_partition(net, 1, 2, 2)
+            outer_bound_user_partition(net, 1, 2, 2)
             for bound in (lambda: gdof_outer_bound(net), lambda: outer_bound_rates(fs)):
                 if holds:
                     bound()
@@ -947,7 +947,7 @@ def per_use_achievable_rates(fs, order, alloc):
     def power(user: User, rx: int) -> float:
         return p ** float(alloc[user]) * fs.clipped_link_power(user, rx)
 
-    active = [u for u in order.active_users() if not alloc.is_off(u)]
+    active = [u for u in order.active_users() if u not in alloc.off]
     if set(active) != set(order.active_users()):
         raise NetworkSpecError("decoding order lists a user that the allocation turns off")
     rates: dict[User, float] = {u: 0.0 for u in net.users}

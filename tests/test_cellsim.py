@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import scaled_network
 from tin_gdof import cellsim, conditions
 from tin_gdof.cellsim import (
     EXCLUSION_M,
@@ -140,7 +141,7 @@ def test_sweep_shapes_and_reference_invariance():
     # sampled network and re-check)
     net = sample_network(params(), 0)
     base = evaluate_conditions(net)
-    scaled = evaluate_conditions(net.scaled(Fraction(7, 3)))
+    scaled = evaluate_conditions(scaled_network(net, Fraction(7, 3)))
     assert base.convexity_holds == scaled.convexity_holds
     assert base.optimality_holds == scaled.optimality_holds
 

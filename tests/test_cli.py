@@ -14,6 +14,7 @@ from click.testing import CliRunner
 import tin_gdof
 from tin_gdof import cli, potential
 from tin_gdof.analysis import achievable_gdof, max_weighted_gdof
+from tin_gdof.errors import TinGdofError
 from tin_gdof.model import DecodingOrder, NetworkSpec, User
 from tin_gdof.regions import GdofTuple, polyhedral_region
 from tin_gdof.sampling import (
@@ -427,6 +428,48 @@ def test_link_power_overflow_is_one_line_error(tmp_path, command):
     assert run_cli(command, "--network", str(path), "--snr", "1e200").returncode == 0
 
 
+def _huge_level_file(tmp_path):
+    # 1e400 is an exact level; only its float in the output is out of range.
+    text = EXAMPLE.read_text()
+    assert text.count('"value": 1.5') == 1
+    path = tmp_path / "huge.json"
+    path.write_text(text.replace('"value": 1.5', '"value": 1e400'))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "huge_file, args",
+    [
+        (False, ["sumgdof", "--weights", "1e400,1,1"]),
+        (True, ["sumgdof", "--weights", "1,1,1"]),
+        (True, ["region"]),
+        (True, ["region", "--format", "csv"]),
+        (True, ["vertices", "--format", "csv"]),
+        (True, ["outer-bound"]),
+    ],
+    ids=["sumgdof-weights", "sumgdof", "region", "region-csv", "vertices-csv", "outer-bound"],
+)
+def test_value_beyond_float_range_is_one_line_error(tmp_path, huge_file, args):
+    # Each printed an OverflowError traceback and exited 1, the code of a
+    # negative result; the CSV writers had already written their header.
+    path = _huge_level_file(tmp_path) if huge_file else str(EXAMPLE)
+    proc = run_cli(args[0], "--network", path, *args[1:])
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: exact value 1e+400 is beyond the float range of output"
+    ]
+
+
+def test_exact_output_of_a_value_beyond_float_range(tmp_path):
+    # Fields without a float keep the exact value.
+    path = _huge_level_file(tmp_path)
+    proc = run_cli("vertices", "--network", path)
+    assert proc.returncode == 0, proc.stderr
+    assert str(10**400) in {x for v in payload(proc)["vertices"] for x in v}
+    with pytest.raises(TinGdofError, match=r"^exact value -1\.5e\+500 is beyond"):
+        cli._float(Fraction(-3 * 10**500, 2))
+
+
 def test_simulate_csv():
     proc = run_cli(
         "simulate",
@@ -509,6 +552,38 @@ def test_readme_module_bullets_name_only_live_attributes():
             assert hasattr(module, attr) or hasattr(tin_gdof, attr), (name, attr)
             checked += 1
     assert checked >= 10
+
+
+PUBLIC_NAMES = [
+    "BoundIndex", "ConditionReport", "DecodingOrder", "FiniteSnrSpec", "GdofTuple",
+    "LinearInequality", "NetworkSpec", "PolyRegion", "PotentialGraph", "PowerAllocation",
+    "Subnetwork", "User", "achievable_gdof", "achievable_rates", "all_circuits_region_oracle",
+    "analysis", "bound_indices", "build_potential_graph", "classify_pimac", "conditions",
+    "enumerate_cyclic_sequences", "enumerate_orders", "errors", "evaluate_conditions",
+    "feasible_by_negative_cycle", "gap_report", "gdof_outer_bound", "general_membership",
+    "load_network", "max_weighted_gdof", "membership", "model", "outer_bound_rates",
+    "polyhedral_region", "potential", "recover_power_allocation", "region_includes",
+    "regions", "strength_levels", "vertices",
+]
+# Definitions that only the tests used; they live in tests/conftest.py.
+TEST_ONLY = {
+    "regions": ["set_function_f", "bound_rhs"],
+    "conditions": ["outer_bound_user_partition", "UserPartition"],
+}
+TEST_ONLY_METHODS = [
+    (GdofTuple, "zero"), (GdofTuple, "scaled"), (NetworkSpec, "scaled"),
+    (potential.PowerAllocation, "is_off"),
+]
+
+
+def test_package_surface():
+    assert sorted(tin_gdof.__all__) == PUBLIC_NAMES
+    for module, names in TEST_ONLY.items():
+        for name in names:
+            assert not hasattr(tin_gdof, name), name
+            assert not hasattr(importlib.import_module(f"tin_gdof.{module}"), name), name
+    for cls, name in TEST_ONLY_METHODS:
+        assert not hasattr(cls, name), (cls, name)
 
 
 def readme_block(section: str, lang: str) -> str:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import pimac
+from conftest import outer_bound_user_partition, pimac, scaled_network
 from tin_gdof.cellsim import ScenarioParams, sample_network
 from tin_gdof.conditions import (
     ConditionKind,
@@ -21,7 +21,6 @@ from tin_gdof.conditions import (
     classify_pimac,
     condition_flags,
     evaluate_conditions,
-    outer_bound_user_partition,
 )
 from tin_gdof import conditions
 from tin_gdof.errors import TinGdofError, TopologyError
@@ -255,7 +254,7 @@ def test_condition_booleans_scale_invariant(c_num):
     rng = random.Random(c_num)
     net = random_network(rng)
     before = evaluate_conditions(net)
-    after = evaluate_conditions(net.scaled(c))
+    after = evaluate_conditions(scaled_network(net, c))
     assert before.convexity_holds == after.convexity_holds
     assert before.optimality_holds == after.optimality_holds
 
@@ -380,7 +379,7 @@ def test_conditions_match_fraction_oracle_on_lattice_networks():
         checked += 1
         if rng.random() < 0.2:
             c = Fraction(rng.randint(1, 30), rng.choice((1, 3, 7, 11)))
-            assert_matches_oracle(net.scaled(c))
+            assert_matches_oracle(scaled_network(net, c))
             checked += 1
     assert min(cells[k] for k in range(1, 6)) >= 300
     # all three outcomes occur: optimal, convex only, neither

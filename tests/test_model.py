@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import scaled_network, scaled_tuple, set_function_f
 from tin_gdof.analysis import (
     achievable_gdof,
     achievable_rates,
@@ -26,7 +27,6 @@ from tin_gdof.regions import (
     enumerate_cyclic_sequences,
     membership,
     polyhedral_region,
-    set_function_f,
 )
 from tin_gdof.sampling import finite_snr_from_network
 from tin_gdof.model import (
@@ -485,7 +485,7 @@ CONTRACT = [
     *evaluator_cases("achievable_gdof", achievable_gdof),
     *evaluator_cases(
         "gdof_dominates",
-        lambda net, order, alloc: gdof_dominates(net, order, alloc, GdofTuple.zero(net)),
+        lambda net, order, alloc: gdof_dominates(net, order, alloc, GdofTuple({})),
     ),
     *evaluator_cases(
         "achievable_rates",
@@ -534,7 +534,7 @@ BAD_VALUES = [
         lambda net: max_weighted_gdof(polyhedral_region(net, IDENTITY), {User(1, 1): -1}),
         id="max_weighted_gdof-negative",
     ),
-    pytest.param(lambda net: net.scaled(0), id="NetworkSpec.scaled-zero"),
+    pytest.param(lambda net: scaled_network(net, 0), id="NetworkSpec.scaled-zero"),
 ]
 
 
@@ -609,10 +609,10 @@ def _region_of(net):
 EXACT_ENTRIES = {
     "GdofTuple": (lambda net, v: GdofTuple({ONE: v}), 1),
     "GdofTuple.from_values": (lambda net, v: GdofTuple.from_values(net, [v, 0, 0]), 1),
-    "GdofTuple.scaled": (lambda net, v: GdofTuple.zero(net).scaled(v), 1),
+    "GdofTuple.scaled": (lambda net, v: scaled_tuple(GdofTuple({}), v), 1),
     "PowerAllocation": (lambda net, v: PowerAllocation({ONE: v}, frozenset()), -1),
     "max_weighted_gdof": (lambda net, v: max_weighted_gdof(_region_of(net), {ONE: v}), 1),
-    "NetworkSpec.scaled": (lambda net, v: net.scaled(v), 1),
+    "NetworkSpec.scaled": (lambda net, v: scaled_network(net, v), 1),
     "LinearInequality": (lambda net, v: LinearInequality(frozenset([ONE]), v), 1),
     "from_alpha-level": (lambda net, v: _one_link(value=v), 1),
 }
@@ -692,10 +692,10 @@ def test_a_float_exact_value_means_its_nine_digit_rounding(pimac_optimal):
     net, tenth = pimac_optimal, Fraction(1, 10)
     assert GdofTuple({ONE: 0.1})[ONE] == tenth
     assert GdofTuple.from_values(net, [0.1, 0, 0])[ONE] == tenth
-    assert GdofTuple({ONE: 1}).scaled(0.1)[ONE] == tenth
+    assert scaled_tuple(GdofTuple({ONE: 1}), 0.1)[ONE] == tenth
     assert PowerAllocation({ONE: -0.1}, frozenset())[ONE] == -tenth
     assert LinearInequality(frozenset([ONE]), 0.1).rhs == tenth
-    assert net.scaled(0.1).alpha_map == net.scaled(tenth).alpha_map
+    assert scaled_network(net, 0.1).alpha_map == scaled_network(net, tenth).alpha_map
     region = _region_of(net)
     weights = dict.fromkeys(net.users, 1)
     assert max_weighted_gdof(region, {**weights, ONE: 0.1}) == max_weighted_gdof(

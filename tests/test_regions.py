@@ -6,17 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import pimac
+from conftest import bound_rhs, pimac, scaled_network, scaled_tuple, set_function_f
 from tin_gdof.errors import NetworkSpecError
 from tin_gdof.model import DecodingOrder, NetworkSpec, User
 from tin_gdof.regions import (
     GdofTuple,
     bound_indices,
-    bound_rhs,
     enumerate_cyclic_sequences,
     membership,
     polyhedral_region,
-    set_function_f,
 )
 from tin_gdof.sampling import random_network
 
@@ -305,7 +303,7 @@ def test_set_function_matches_region_rhs():
 
 def test_membership_zero_tuple(pimac_nonconvex):
     reg = polyhedral_region(pimac_nonconvex, DecodingOrder.identity(pimac_nonconvex))
-    assert membership(reg, GdofTuple.zero(pimac_nonconvex)).member
+    assert membership(reg, GdofTuple({})).member
 
 
 def test_membership_pimac_examples(pimac_nonconvex):
@@ -325,7 +323,7 @@ def test_membership_negative_rhs_means_empty_region():
     net = pimac("0.2", "0.3", "0.2", "1.0", "1.0", "1.0")
     reg = polyhedral_region(net, DecodingOrder.identity(net))
     assert any(q.rhs < 0 for q in reg.inequalities)
-    assert not membership(reg, GdofTuple.zero(net)).member
+    assert not membership(reg, GdofTuple({})).member
 
 
 @given(st.integers(1, 60), st.integers(0, 10), st.integers(0, 10), st.integers(0, 10))
@@ -336,5 +334,5 @@ def test_membership_homogeneity(c_num, d1, d2, d3):
     order = DecodingOrder.identity(net)
     d = GdofTuple.from_values(net, [Fraction(d1, 10), Fraction(d2, 10), Fraction(d3, 10)])
     base = membership(polyhedral_region(net, order), d).member
-    scaled = membership(polyhedral_region(net.scaled(c), order), d.scaled(c)).member
+    scaled = membership(polyhedral_region(scaled_network(net, c), order), scaled_tuple(d, c)).member
     assert base == scaled
