@@ -46,5 +46,40 @@ from .analysis import (
     vertices,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "DecodingOrder",
+    "FiniteSnrSpec",
+    "NetworkSpec",
+    "Subnetwork",
+    "User",
+    "enumerate_orders",
+    "load_network",
+    "strength_levels",
+    "BoundIndex",
+    "GdofTuple",
+    "LinearInequality",
+    "PolyRegion",
+    "bound_indices",
+    "enumerate_cyclic_sequences",
+    "membership",
+    "polyhedral_region",
+    "PotentialGraph",
+    "PowerAllocation",
+    "all_circuits_region_oracle",
+    "build_potential_graph",
+    "feasible_by_negative_cycle",
+    "recover_power_allocation",
+    "ConditionReport",
+    "classify_pimac",
+    "evaluate_conditions",
+    "achievable_gdof",
+    "achievable_rates",
+    "gap_report",
+    "gdof_outer_bound",
+    "general_membership",
+    "max_weighted_gdof",
+    "outer_bound_rates",
+    "region_includes",
+    "vertices",
+]
 __version__ = "0.1.0"

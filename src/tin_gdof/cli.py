@@ -26,6 +26,7 @@ from .model import (
     FiniteSnrSpec,
     NetworkSpec,
     User,
+    _nominal_power,
     _read_document,
     finite_snr_from_document,
     network_from_document,
@@ -54,7 +55,10 @@ def _load(network_path) -> tuple[NetworkSpec, FiniteSnrSpec | None]:
 
 
 def _rate_model(net: NetworkSpec, fs: FiniteSnrSpec | None, snr: float) -> FiniteSnrSpec:
-    """The file's finite-SNR block, else unit-power gains synthesized at ``snr``."""
+    """The file's finite-SNR block, else unit-power gains synthesized at ``snr``.
+    ``snr`` must be a valid nominal power either way, although the block's
+    own nominal power replaces it."""
+    snr = _nominal_power(snr)
     if fs is None:
         return sampling.finite_snr_from_network(net, snr)
     click.echo(

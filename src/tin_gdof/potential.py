@@ -121,12 +121,12 @@ def build_potential_graph(
     This is the one place that makes ``Fraction`` lengths.  Its callers,
     ``general_membership``, CLI ``membership --order`` and
     ``oracle-verify``, stay on them until the benchmark worker's memory is
-    bounded (ROADMAP item 1): with integer lengths ``general_membership``
-    answered about five times as many queries, and the worker, which keeps
-    every latency, grew past the benchmark's memory bound.  The early stop
-    of ``_bellman_ford`` already spent most of that bound: it raised the
-    ``membership`` benchmark's throughput about 1.37 times and its peak
-    memory 8-9%, against a 10% bound.
+    bounded (ROADMAP item 1): with integer lengths the ``membership``
+    benchmark's ``work_per_s`` rose 2.7 times, but its ``peak_rss_mb`` rose
+    20-26%, past the benchmark's 10% memory bound, since the worker keeps
+    every latency.  The early stop of ``_bellman_ford`` already spent most
+    of that bound: it raised the ``membership`` benchmark's throughput
+    about 1.37 times and its peak memory 8-9%.
     """
     g = _shifted(potential_skeleton(net, order, order.validate(net, s)), d)
     return PotentialGraph(1, g.vertices, tuple((t, h, Fraction(c, g.den)) for t, h, c in g.edges))
@@ -160,23 +160,38 @@ def _bellman_ford(g: PotentialGraph) -> dict[User, int | Fraction] | Circuit:
     nothing.  By the second, a graph with a negative circuit has a parent
     cycle by round n at the latest.  The circuit's length is summed again
     from its parent edges and checked negative.
+
+    Steps number the edge scans of all rounds from 0, so the scans of one
+    edge lie m = |edges| steps apart.  An edge (t, h, c) is relaxed only if
+    d(t) was set or fell since its previous scan, m steps earlier
+    (Cherkassky & Goldberg's scanning rule).  The skip is exact: the
+    previous scan left d(h) <= d(t) + c; since then d(t) has not moved and
+    d(h) has only fallen, so the plain relaxation would find
+    d(t) + c < d(h) false and change nothing.  Every lowering, parent,
+    round, distance and witness is therefore the plain pass's, bit for
+    bit, for ``int`` and ``Fraction`` lengths alike.  A vertex lowered at
+    step s counts as fallen for the steps up to s + m, which ``fresh``
+    records; ground counts as set at step -1, an unreached vertex as never.
     """
     vertices = g.vertices
     n = len(vertices)
+    m = len(g.edges)
     dist: list = [None] * n
     dist[0] = 0
     parent: list = [None] * n
-    for _ in range(n):
+    fresh = [-1] * n
+    fresh[0] = m - 1
+    for r in range(n):
         lowered = False
-        for e in g.edges:
-            dt = dist[e[0]]
-            if dt is None:
+        for step, e in enumerate(g.edges, r * m):
+            if fresh[e[0]] < step:
                 continue
-            cand = dt + e[2]
+            cand = dist[e[0]] + e[2]
             dh = dist[e[1]]
             if dh is None or cand < dh:
                 dist[e[1]] = cand
                 parent[e[1]] = e
+                fresh[e[1]] = step + m
                 lowered = True
         if not lowered:
             return dict(zip(vertices, dist))

@@ -1,5 +1,6 @@
 import importlib
 import json
+import os
 import random
 import re
 import shlex
@@ -27,9 +28,14 @@ CLI = [sys.executable, "-m", "tin_gdof.cli"]
 EXAMPLE = Path(__file__).resolve().parent.parent / "docs" / "example-network.json"
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=300):
+    """``python -m tin_gdof.cli`` with ``args``, this checkout's ``src`` first
+    on ``PYTHONPATH``."""
+    src = str(Path(tin_gdof.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, timeout=300
+        CLI + list(args), capture_output=True, text=True, timeout=timeout,
+        env=dict(os.environ, PYTHONPATH=path),
     )
 
 
@@ -252,9 +258,8 @@ def test_sumgdof_ten_cells(tmp_path):
     net = random_optimality_network(rng, cells=10, users_per_cell=[2] * 10)
     weights = [Fraction(rng.randint(0, 12), 4) for _ in net.users]
     path = network_file(tmp_path, net)
-    proc = subprocess.run(
-        CLI + ["sumgdof", "--network", path, "--weights", ",".join(map(str, weights))],
-        capture_output=True, text=True, timeout=60,
+    proc = run_cli(
+        "sumgdof", "--network", path, "--weights", ",".join(map(str, weights)), timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     region = polyhedral_region(net, DecodingOrder.identity(net))
@@ -343,6 +348,24 @@ def test_snr_ignored_for_file_block_is_noted(optimal_path):
         ]
     # without a block, --snr is used and nothing is noted
     assert run_cli("outer-bound", "--network", optimal_path, "--snr", "999").stderr == ""
+
+
+@pytest.mark.parametrize("snr", ["nan", "-1", "inf", "1"])
+def test_invalid_snr_is_refused_with_a_file_block(tmp_path, snr):
+    # The example file's finite_snr block replaces --snr, but an invalid
+    # value is refused as it is without the block: one error line, exit 2.
+    doc = json.loads(EXAMPLE.read_text())
+    del doc["finite_snr"]
+    without_block = tmp_path / "no-block.json"
+    without_block.write_text(json.dumps(doc))
+    for cmd in ("outer-bound", "gap-report"):
+        refused = [
+            run_cli(cmd, "--network", str(path), "--snr", snr) for path in (EXAMPLE, without_block)
+        ]
+        for proc in refused:
+            assert proc.returncode == 2 and proc.stdout == ""
+            assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+        assert refused[0].stderr == refused[1].stderr
 
 
 def _set_first(records, value):
@@ -558,12 +581,11 @@ PUBLIC_NAMES = [
     "BoundIndex", "ConditionReport", "DecodingOrder", "FiniteSnrSpec", "GdofTuple",
     "LinearInequality", "NetworkSpec", "PolyRegion", "PotentialGraph", "PowerAllocation",
     "Subnetwork", "User", "achievable_gdof", "achievable_rates", "all_circuits_region_oracle",
-    "analysis", "bound_indices", "build_potential_graph", "classify_pimac", "conditions",
-    "enumerate_cyclic_sequences", "enumerate_orders", "errors", "evaluate_conditions",
-    "feasible_by_negative_cycle", "gap_report", "gdof_outer_bound", "general_membership",
-    "load_network", "max_weighted_gdof", "membership", "model", "outer_bound_rates",
-    "polyhedral_region", "potential", "recover_power_allocation", "region_includes",
-    "regions", "strength_levels", "vertices",
+    "bound_indices", "build_potential_graph", "classify_pimac", "enumerate_cyclic_sequences",
+    "enumerate_orders", "evaluate_conditions", "feasible_by_negative_cycle", "gap_report",
+    "gdof_outer_bound", "general_membership", "load_network", "max_weighted_gdof", "membership",
+    "outer_bound_rates", "polyhedral_region", "recover_power_allocation", "region_includes",
+    "strength_levels", "vertices",
 ]
 # Definitions that only the tests used; they live in tests/conftest.py.
 TEST_ONLY = {

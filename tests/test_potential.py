@@ -188,6 +188,47 @@ def full_round_distances(n, edges):
     return dist
 
 
+def counted_additions(g):
+    """``graph_pass(g)``, the length additions it made and its rounds.  Each
+    length is replaced by an equal one of a subclass of its type whose
+    ``x + length`` adds one to the tally and returns the plain sum."""
+    tally = [0]
+
+    def counting(base):
+        def radd(self, other):
+            tally[0] += 1
+            return base.__radd__(self, other)
+
+        return type(f"Counted{base.__name__}", (base,), {"__radd__": radd})
+
+    kinds = {base: counting(base) for base in (int, Fraction)}
+    edges = CountingEdges((t, h, kinds[type(c)](c)) for t, h, c in g.edges)
+    result = graph_pass(PotentialGraph(g.den, g.vertices, edges))
+    return result, tally[0], edges.passes
+
+
+def skip_rule_scans(n, edges, rounds):
+    """The scans of ``rounds`` plain rounds over ``edges`` whose tail is set:
+    all of them, and those whose tail fell at or after the edge's previous
+    scan, ``len(edges)`` steps earlier, a tail's first value counting as a
+    fall and ground's as one just before step 0."""
+    m = len(edges)
+    dist = [None] * n
+    dist[0] = 0
+    fell = [None] * n
+    fell[0] = -1
+    plain = kept = 0
+    for step, (t, h, c) in enumerate(edges * rounds):
+        if dist[t] is None:
+            continue
+        plain += 1
+        kept += fell[t] >= step - m
+        if dist[h] is None or dist[t] + c < dist[h]:
+            dist[h] = dist[t] + c
+            fell[h] = step
+    return plain, kept
+
+
 def assert_negative_simple_circuit(g, circuit):
     """``circuit`` repeats no vertex, and the edges of ``g`` around it sum
     to its reported length, which is negative."""
@@ -517,6 +558,46 @@ def test_feasible_distances_equal_a_full_round_pass():
         alloc = recover_power_allocation(g)
         assert alloc.exponents == dict(zip(g.vertices[1:], expected[1:]))
     assert feasible > 100
+
+
+def test_pass_relaxes_an_edge_only_when_its_tail_fell_since_its_last_scan():
+    # The length additions of the pass, in int and in Fraction, against a
+    # recount on the plain pass's trajectory, which the skip leaves
+    # unchanged: its rounds are the library's, and its scans that the rule
+    # keeps are the library's relaxations.  A witness adds one addition per
+    # edge when it is summed again.  Feasible graphs of convexity networks,
+    # tuples just outside their regions, and the seed-16 heavy-tie graphs.
+    cases = []
+    rng = random.Random(16)
+    for _ in range(150):
+        net = random_network(rng, denom=2, max_level=1)
+        order = random_order(rng, net)
+        cases.append((net, order, random_gdof_tuple(rng, net, denom=2, max_level=1)))
+    rng = random.Random(29)
+    for _ in range(60):
+        shape = rng.choice([[2, 2, 2], [2, 2, 2, 2], [3, 3]])
+        net = random_convexity_network(rng, cells=len(shape), users_per_cell=shape)
+        order = random_order(rng, net)
+        achievable = achievable_gdof(net, order, random_grid_allocation(rng, net))
+        scale = Fraction(rng.choice([50, 99, 101]), 100)
+        cases.append((net, order, GdofTuple({u: v * scale for u, v in achievable.items()})))
+    plain = kept = 0
+    decided = Counter()
+    for net, order, d in cases:
+        expected = fraction_bellman_ford(fraction_potential_graph(net, order, None, d))
+        for g in (build_potential_graph(net, order, None, d),
+                  potential._shifted(potential_skeleton(net, order), d)):
+            result, additions, rounds = counted_additions(g)
+            assert result == expected
+            resum = len(result.vertices) if isinstance(result, Circuit) else 0
+            scans, relaxed = skip_rule_scans(len(g.vertices), g.edges, rounds)
+            assert additions == relaxed + resum
+            assert relaxed < scans or rounds == 1
+            plain += scans
+            kept += relaxed
+            decided[type(g.edges[0][2]), isinstance(result, Circuit)] += 1
+    assert kept < plain
+    assert min(decided[kind, found] for kind in (int, Fraction) for found in (False, True)) > 50
 
 
 def test_skeleton_rejects_tuples_outside_its_users(pimac_nonconvex):
