@@ -27,7 +27,6 @@ from .potential import (
     all_circuits_region_oracle,
     build_potential_graph,
     feasible_by_negative_cycle,
-    recover_power_allocation,
 )
 from .conditions import (
     ConditionReport,
@@ -68,7 +67,6 @@ __all__ = [
     "all_circuits_region_oracle",
     "build_potential_graph",
     "feasible_by_negative_cycle",
-    "recover_power_allocation",
     "ConditionReport",
     "classify_pimac",
     "evaluate_conditions",

@@ -20,7 +20,6 @@ from .errors import (
     ConditionsNotMetError,
     EmptyRegionError,
     GuardExceededError,
-    InfeasibleAllocationError,
     NetworkSpecError,
     TinGdofError,
 )
@@ -39,8 +38,8 @@ from .potential import (
     _bellman_ford,
     _shifted,
     build_potential_graph,
+    feasible_by_negative_cycle,
     potential_skeleton,
-    recover_power_allocation,
 )
 from .regions import (
     GdofTuple,
@@ -135,7 +134,10 @@ def general_membership(net: NetworkSpec, d: GdofTuple) -> GeneralMembership:
     It suffices to activate exactly the support of ``d`` and scan the decode
     orders of that subnetwork; a tuple achievable with any strategy is also
     achievable with its zero users switched off.  The all-zero tuple has one
-    such order, the empty one, and every user off.
+    such order, the empty one, and every user off.  Each order costs one
+    ``feasible_by_negative_cycle`` pass over the potential graph of the
+    support, and the first feasible one's allocation, with the other users
+    off, is the witness.
 
     When the network meets the convexity conditions, the first order, the
     identity order of the support S, decides alone.  By the paper's
@@ -151,14 +153,11 @@ def general_membership(net: NetworkSpec, d: GdofTuple) -> GeneralMembership:
     support = d.support()
     off = net.full_subnetwork - support
     for order in enumerate_orders(net, support):  # raises on an unknown user
-        g = build_potential_graph(net, order, support, d)
-        try:
-            alloc = recover_power_allocation(g, off)
-        except InfeasibleAllocationError:
-            if net.convexity_holds:
-                break
-            continue
-        return GeneralMembership(True, MembershipWitness(order, support, alloc))
+        result = feasible_by_negative_cycle(build_potential_graph(net, order, support, d), off)
+        if result.feasible:
+            return GeneralMembership(True, MembershipWitness(order, support, result.allocation))
+        if net.convexity_holds:
+            break
     return GeneralMembership(False)
 
 
@@ -508,9 +507,11 @@ def gap_report(fs: FiniteSnrSpec) -> GapReport:
     ground-distance power allocation and evaluated at finite SNR; each bound
     is compared against the best corner for its user set.  The region's
     ``potential_skeleton`` is built once, and each corner's allocation is
-    ``recover_power_allocation`` on the skeleton shifted to the corner, one
-    pass over integers.  The order's scope is checked once per report, by
-    ``polyhedral_region``, and every corner's allocation powers every user.
+    the one ``feasible_by_negative_cycle`` gives on the skeleton shifted to
+    the corner, one pass over integers.  A corner lies in the region, so it
+    has an allocation; one without is a ``TinGdofError``.  The order's
+    scope is checked once per report, by ``polyhedral_region``, and every
+    corner's allocation powers every user.
     All gaps must be nonnegative (up to float rounding) on instances where
     the outer bound applies.
     """
@@ -521,7 +522,9 @@ def gap_report(fs: FiniteSnrSpec) -> GapReport:
     skeleton = potential_skeleton(net, order)
     corner_rates = []
     for d in corner_list:
-        alloc = recover_power_allocation(_shifted(skeleton, d))
+        alloc = feasible_by_negative_cycle(_shifted(skeleton, d)).allocation
+        if alloc is None:
+            raise TinGdofError(f"region corner {d} has no power allocation")
         corner_rates.append(_rates(net, fs_sorted, order, alloc, net.full_subnetwork))
     per_bound = []
     for bound in bounds:

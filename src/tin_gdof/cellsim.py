@@ -454,7 +454,7 @@ def _condition_flags(lv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def sample_network(p: ScenarioParams, trial_index: int) -> NetworkSpec:
     """Draw one random user placement and return its strength-level network."""
-    lv, order = _sample(p, trial_index, 1)
+    lv, order = _sample(p, _index(trial_index, "trial_index"), 1)
     cells = lv.shape[1]
     alpha = {
         (User(k, l), i): Fraction(level, _LEVEL_SCALE)

@@ -20,7 +20,7 @@ import click
 
 from . import analysis, cellsim, potential, regions, sampling
 from .conditions import classify_pimac, evaluate_conditions
-from .errors import InfeasibleAllocationError, TinGdofError
+from .errors import TinGdofError
 from .model import (
     DecodingOrder,
     FiniteSnrSpec,
@@ -87,9 +87,15 @@ def _user_str(u: User) -> str:
 
 
 def _parse_list(option: str, spec: str, item) -> list:
-    """The comma-separated items of ``spec``; a malformed one is a one-line error (exit 2)."""
+    """The comma-separated items of ``spec``, none for an empty ``spec``; an
+    empty or malformed item is a one-line error (exit 2)."""
+    if not spec:
+        return []
+    tokens = spec.split(",")
     try:
-        return [item(tok) for tok in spec.split(",") if tok]
+        if "" in tokens:
+            raise ValueError("empty item")
+        return [item(tok) for tok in tokens]
     except (ValueError, ZeroDivisionError) as exc:
         raise click.ClickException(f"invalid {option} value {spec!r}: {exc}") from None
 
@@ -267,17 +273,15 @@ def membership(network_path, d_spec, order_spec, sub_spec):
             },
         )
     s, order = _parse_scope(net, order_spec, sub_spec)
-    g = potential.build_potential_graph(net, order, s, d)
-    try:
-        alloc = potential.recover_power_allocation(g)
-    except InfeasibleAllocationError as exc:
+    result = potential.feasible_by_negative_cycle(potential.build_potential_graph(net, order, s, d))
+    if not result.feasible:
         _emit(
             "violation",
             {
                 "member": False,
                 "witness_circuit": {
-                    "vertices": [_user_str(v) for v in exc.circuit.vertices],
-                    "length": _frac(exc.circuit.length),
+                    "vertices": [_user_str(v) for v in result.witness.vertices],
+                    "length": _frac(result.witness.length),
                 },
             },
             1,
@@ -286,7 +290,7 @@ def membership(network_path, d_spec, order_spec, sub_spec):
         "ok",
         {
             "member": True,
-            "power_exponents": _exponents(alloc),
+            "power_exponents": _exponents(result.allocation),
         },
     )
 

@@ -21,13 +21,5 @@ class ConditionsNotMetError(TinGdofError):
     """Operation is only valid when the TIN sufficient conditions hold."""
 
 
-class InfeasibleAllocationError(TinGdofError):
-    """No feasible power allocation exists; ``circuit`` is a negative circuit proving it."""
-
-    def __init__(self, message: str, circuit=None):
-        super().__init__(message)
-        self.circuit = circuit
-
-
 class EmptyRegionError(TinGdofError):
     """The inequality system has no feasible point at all."""

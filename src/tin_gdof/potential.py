@@ -1,4 +1,4 @@
-"""Potential-graph membership test and power-allocation recovery.
+"""Potential-graph membership test with its power allocation or witness.
 
 A candidate GDoF tuple is achievable under a fixed decoding order iff a
 weighted digraph built from the network levels and the tuple has no directed
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple
 
-from .errors import GuardExceededError, InfeasibleAllocationError, NetworkSpecError, TinGdofError
+from .errors import GuardExceededError, NetworkSpecError, TinGdofError
 from .model import DecodingOrder, NetworkSpec, Subnetwork, User, _per_user, _users
 from .regions import GdofTuple, enumerate_cyclic_sequences
 
@@ -76,8 +76,12 @@ class Circuit:
 
 @dataclass(frozen=True)
 class FeasibilityResult:
+    """The answer of one pass: a feasible graph's power allocation, or an
+    infeasible graph's negative circuit; the other field is None."""
+
     feasible: bool
     witness: Circuit | None = None
+    allocation: PowerAllocation | None = None
 
     def __bool__(self) -> bool:
         return self.feasible
@@ -121,12 +125,12 @@ def build_potential_graph(
     This is the one place that makes ``Fraction`` lengths.  Its callers,
     ``general_membership``, CLI ``membership --order`` and
     ``oracle-verify``, stay on them until the benchmark worker's memory is
-    bounded (ROADMAP item 1): with integer lengths the ``membership``
-    benchmark's ``work_per_s`` rose 2.7 times, but its ``peak_rss_mb`` rose
-    20-26%, past the benchmark's 10% memory bound, since the worker keeps
-    every latency.  The early stop of ``_bellman_ford`` already spent most
-    of that bound: it raised the ``membership`` benchmark's throughput
-    about 1.37 times and its peak memory 8-9%.
+    bounded (ROADMAP item 1).  With integer lengths, on top of the skip of
+    ``_bellman_ford``, the ``membership`` benchmark's ``work_per_s`` rose
+    2.08 times (2,942 to 6,125 queries/s, medians of 2 alternating pairs,
+    2-CPU x86_64, Python 3.11), but its ``peak_rss_mb`` rose 22% (44.8 to
+    54.7 MiB), past the benchmark's 10% memory bound, since the worker
+    keeps every latency.
     """
     g = _shifted(potential_skeleton(net, order, order.validate(net, s)), d)
     return PotentialGraph(1, g.vertices, tuple((t, h, Fraction(c, g.den)) for t, h, c in g.edges))
@@ -230,33 +234,23 @@ def _parent_cycle(parent: list) -> list[int] | None:
     return None
 
 
-def feasible_by_negative_cycle(g: PotentialGraph) -> FeasibilityResult:
-    """Feasible iff no directed circuit of ``g`` has negative total length.
+def feasible_by_negative_cycle(g: PotentialGraph, off: frozenset = frozenset()) -> FeasibilityResult:
+    """Feasible iff no directed circuit of ``g`` has negative total length,
+    decided by one Bellman-Ford pass from ground.
 
-    Decided by one Bellman-Ford pass from ground; on failure the witness is
-    a concrete simple circuit with strictly negative length.
-    """
-    result = _bellman_ford(g)
-    witness = result if isinstance(result, Circuit) else None
-    return FeasibilityResult(witness is None, witness)
-
-
-def recover_power_allocation(g: PotentialGraph, off: frozenset = frozenset()) -> PowerAllocation:
-    """Ground-shortest-path potentials as transmit power exponents.
-
-    The returned exponents are <= 0 (the zero-length ground edges cap them)
-    and satisfy every difference constraint the graph encodes, so the
-    achievable-GDoF evaluator dominates the tuple the graph was built for.
-    ``off`` marks the deactivated users.  On an infeasible graph it raises
-    ``InfeasibleAllocationError`` whose ``circuit`` is a negative circuit.
+    On a feasible graph the ``allocation`` holds the ground distances over
+    ``g.den`` as transmit power exponents.  They are <= 0 (the zero-length
+    ground edges cap them) and satisfy every difference constraint the
+    graph encodes, so the achievable-GDoF evaluator dominates the tuple the
+    graph was built for; ``off`` marks the deactivated users.  On an
+    infeasible graph the ``witness`` is a simple circuit of strictly
+    negative length.
     """
     result = _bellman_ford(g)
     if isinstance(result, Circuit):
-        raise InfeasibleAllocationError(
-            f"no feasible power allocation: circuit {result.vertices} has length {result.length}",
-            result,
-        )
-    return PowerAllocation({v: Fraction(result[v], g.den) for v in g.vertices[1:]}, off)
+        return FeasibilityResult(False, result)
+    exponents = {v: Fraction(result[v], g.den) for v in g.vertices[1:]}
+    return FeasibilityResult(True, None, PowerAllocation(exponents, off))
 
 
 def potential_skeleton(

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import NetworkSpecError
 from .model import (
-    DecodingOrder, NetworkSpec, Rational, Subnetwork, User, _per_user, rationalize,
+    DecodingOrder, NetworkSpec, Rational, Subnetwork, User, _index, _per_user, rationalize,
 )
 
 
@@ -36,6 +36,7 @@ def enumerate_cyclic_sequences(cells: Iterable[int], min_len: int = 1) -> Iterat
     cells = sorted(set(cells))
     if not cells:
         raise NetworkSpecError("cell set must be nonempty")
+    min_len = _index(min_len, "min_len")
     if min_len < 1:
         raise NetworkSpecError("min_len must be >= 1")
     for m in range(min_len, len(cells) + 1):

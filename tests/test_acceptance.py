@@ -29,7 +29,6 @@ from tin_gdof.potential import (
     all_circuits_region_oracle,
     build_potential_graph,
     feasible_by_negative_cycle,
-    recover_power_allocation,
 )
 from tin_gdof.regions import (
     GdofTuple,
@@ -154,8 +153,9 @@ def test_03_membership_and_recovery():
         rbar = polyhedral_region(net, idbar)
         assert membership(rbar, d).member
         g = build_potential_graph(net, idbar, None, d)
-        assert feasible_by_negative_cycle(g).feasible
-        alloc = recover_power_allocation(g)
+        res = feasible_by_negative_cycle(g)
+        assert res.feasible
+        alloc = res.allocation
         assert all(r <= 0 for r in alloc.exponents.values())
         ceil = achievable_gdof(net, idbar, alloc)
         assert all(ceil[u] >= d[u] for u in net.users)
@@ -251,7 +251,7 @@ def test_09_finite_snr_consistency():
                 per_corner = []
                 for d in corners:
                     g = build_potential_graph(net, order, None, d)
-                    alloc = recover_power_allocation(g)
+                    alloc = feasible_by_negative_cycle(g).allocation
                     per_corner.append(achievable_rates(fs, order, alloc))
                 max_gap = 0.0
                 for bound in bounds:

@@ -32,7 +32,6 @@ from tin_gdof.errors import (
     ConditionsNotMetError,
     EmptyRegionError,
     GuardExceededError,
-    InfeasibleAllocationError,
     NetworkSpecError,
     TinGdofError,
 )
@@ -50,7 +49,6 @@ from tin_gdof.potential import (
     PowerAllocation,
     build_potential_graph,
     feasible_by_negative_cycle,
-    recover_power_allocation,
 )
 from tin_gdof.regions import GdofTuple, membership, polyhedral_region
 from tin_gdof.sampling import (
@@ -135,10 +133,9 @@ def full_scan_membership(net, d):
     support = d.support()
     off = frozenset(net.full_subnetwork - support)
     for order in enumerate_orders(net, support):
-        g = build_potential_graph(net, order, support, d)
-        if feasible_by_negative_cycle(g):
-            alloc = recover_power_allocation(g, off)
-            return GeneralMembership(True, MembershipWitness(order, support, alloc))
+        res = feasible_by_negative_cycle(build_potential_graph(net, order, support, d), off)
+        if res:
+            return GeneralMembership(True, MembershipWitness(order, support, res.allocation))
     return GeneralMembership(False)
 
 
@@ -518,10 +515,13 @@ def fraction_flow_network(net, order, s):
     """``analysis.flow_network`` built from the ``Fraction`` potential graph
     and its ``Fraction`` Bellman-Ford pass: the oracle for the skeleton."""
     g = build_potential_graph(net, order, s)
-    try:
-        start = recover_power_allocation(g)
-    except InfeasibleAllocationError as exc:
-        raise EmptyRegionError(f"region is empty: {exc}") from None
+    res = feasible_by_negative_cycle(g)
+    if not res:
+        raise EmptyRegionError(
+            f"region is empty: no feasible power allocation: circuit {res.witness.vertices} "
+            f"has length {res.witness.length}"
+        )
+    start = res.allocation
     den = net.integer_levels[0]
     users = g.vertices[1:]
     node_in = {GROUND: 0, **{u: 2 * i + 1 for i, u in enumerate(users)}}
@@ -563,7 +563,7 @@ def test_flow_network_matches_fraction_construction():
 def test_set_up_runs_no_fraction_relaxation(monkeypatch, pimac_optimal):
     # Region set-up relaxes only integer lengths: every graph handed to
     # ``_bellman_ford``, at its binding in ``potential`` (reached through
-    # ``recover_power_allocation``) and in ``analysis`` (``flow_network``),
+    # ``feasible_by_negative_cycle``) and in ``analysis`` (``flow_network``),
     # has int lengths, and no Fraction potential graph is built.
     def refuse(*args):
         raise AssertionError("a Fraction potential graph was built")
@@ -1009,7 +1009,9 @@ def test_gap_report_uses_every_corner():
     corners = vertices(polyhedral_region(net, order))
     assert len(corners) > 16
     corner_rates = [
-        achievable_rates(fs, order, recover_power_allocation(build_potential_graph(net, order, None, d)))
+        achievable_rates(
+            fs, order, feasible_by_negative_cycle(build_potential_graph(net, order, None, d)).allocation
+        )
         for d in corners
     ]
     expected = max(

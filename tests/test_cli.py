@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import tin_gdof
-from tin_gdof import cli, potential
+from tin_gdof import cli, errors, potential
 from tin_gdof.analysis import achievable_gdof, max_weighted_gdof
 from tin_gdof.errors import TinGdofError
 from tin_gdof.model import DecodingOrder, NetworkSpec, User
@@ -584,7 +585,7 @@ PUBLIC_NAMES = [
     "bound_indices", "build_potential_graph", "classify_pimac", "enumerate_cyclic_sequences",
     "enumerate_orders", "evaluate_conditions", "feasible_by_negative_cycle", "gap_report",
     "gdof_outer_bound", "general_membership", "load_network", "max_weighted_gdof", "membership",
-    "outer_bound_rates", "polyhedral_region", "recover_power_allocation", "region_includes",
+    "outer_bound_rates", "polyhedral_region", "region_includes",
     "strength_levels", "vertices",
 ]
 # Definitions that only the tests used; they live in tests/conftest.py.
@@ -606,6 +607,23 @@ def test_package_surface():
             assert not hasattr(importlib.import_module(f"tin_gdof.{module}"), name), name
     for cls, name in TEST_ONLY_METHODS:
         assert not hasattr(cls, name), (cls, name)
+
+
+def test_every_error_type_is_raised_in_src():
+    # An exception type that no module of the package raises is surface no
+    # caller can meet.
+    raised = set()
+    for path in Path(errors.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    defined = {
+        name for name, cls in vars(errors).items()
+        if isinstance(cls, type) and issubclass(cls, TinGdofError)
+    }
+    assert len(defined) > 1 and defined <= raised, defined - raised
 
 
 def readme_block(section: str, lang: str) -> str:
@@ -665,6 +683,11 @@ BAD_ARGUMENTS = {
     "simulate-linear-cells": [
         "simulate", "--geometry", "linear", "--r-sweep", "100", "--L", "1", "--cells", "3"
     ],
+    "d-empty-item": ["membership", "--d", "0.2,,0.5,1.0"],
+    "weights-trailing-comma": ["sumgdof", "--weights", "1,1,1,"],
+    "order-empty-item": ["region", "--order", "1,,2|1"],
+    "subnetwork-empty-item": ["region", "--subnetwork", "1.1,,2.1"],
+    "r-sweep-empty-item": ["simulate", "--geometry", "linear", "--L", "1", "--r-sweep", "80,,120"],
 }
 
 

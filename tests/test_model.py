@@ -17,7 +17,7 @@ from tin_gdof.analysis import (
     max_weighted_gdof,
     region_includes,
 )
-from tin_gdof.cellsim import ScenarioParams, path_loss_db
+from tin_gdof.cellsim import ScenarioParams, path_loss_db, sample_network
 from tin_gdof.errors import NetworkSpecError, TinGdofError
 from tin_gdof.potential import PowerAllocation, build_potential_graph
 from tin_gdof.regions import (
@@ -634,6 +634,8 @@ COUNT_ENTRIES = {
     "ScenarioParams-trials": (lambda net, v: _scenario(trials=v), 1),
     "ScenarioParams-seed": (lambda net, v: _scenario(seed=v), 1),
     "ScenarioParams-cells": (lambda net, v: _scenario(cells=v), 2),
+    "cyclic-min_len": (lambda net, v: list(enumerate_cyclic_sequences([1], v)), 1),
+    "sample_network-trial_index": (lambda net, v: sample_network(_scenario(), v), 0),
 }
 REAL_ENTRIES = {
     "ScenarioParams-site_radius_m": (lambda net, v: _scenario(site_radius_m=v), 150.0),

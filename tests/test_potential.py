@@ -17,7 +17,6 @@ from tin_gdof.analysis import achievable_gdof, general_membership
 from tin_gdof.conditions import evaluate_conditions
 from tin_gdof.errors import (
     GuardExceededError,
-    InfeasibleAllocationError,
     NetworkSpecError,
     TinGdofError,
 )
@@ -32,7 +31,6 @@ from tin_gdof.potential import (
     feasible_by_negative_cycle,
     iter_simple_circuits,
     potential_skeleton,
-    recover_power_allocation,
 )
 from tin_gdof.regions import GdofTuple, membership, polyhedral_region
 from tin_gdof.sampling import (
@@ -310,8 +308,9 @@ def test_pimac_witness_and_recovery(pimac_nonconvex):
 
     idbar = DecodingOrder(((2, 1), (1,)))
     g_bar = build_potential_graph(net, idbar, None, d)
-    assert feasible_by_negative_cycle(g_bar).feasible
-    alloc = recover_power_allocation(g_bar)
+    res = feasible_by_negative_cycle(g_bar)
+    assert res.feasible and res.witness is None
+    alloc = res.allocation
     assert all(v <= 0 for v in alloc.exponents.values())
     # every difference constraint encoded by the graph holds at the potentials
     pot = dict(alloc.exponents)
@@ -320,19 +319,20 @@ def test_pimac_witness_and_recovery(pimac_nonconvex):
         assert pot[head] - pot[tail] <= length
 
 
-def test_recover_on_infeasible_graph_raises():
+def test_infeasible_graph_has_no_allocation():
     net = single_user_net("0.5")
     d = GdofTuple({User(1, 1): Fraction(1)})
     g = build_potential_graph(net, DecodingOrder.identity(net), None, d)
-    with pytest.raises(InfeasibleAllocationError):
-        recover_power_allocation(g)
+    res = feasible_by_negative_cycle(g)
+    assert not res.feasible and res.allocation is None
+    assert res.witness == Circuit((User(1, 1), GROUND), Fraction(-1, 2))
 
 
 def test_single_user_recovery_at_capacity():
     net = single_user_net("0.8")
     d = GdofTuple({User(1, 1): Fraction(4, 5)})
     g = build_potential_graph(net, DecodingOrder.identity(net), None, d)
-    alloc = recover_power_allocation(g)
+    alloc = feasible_by_negative_cycle(g).allocation
     assert alloc[User(1, 1)] == 0  # tight bound forces full power
 
 
@@ -345,11 +345,11 @@ def test_zero_tuple_recovery_contract():
         net = random_network(rng)
         order = random_order(rng, net)
         g = build_potential_graph(net, order, None, GdofTuple({}))
-        if not feasible_by_negative_cycle(g).feasible:
+        res = feasible_by_negative_cycle(g)
+        if not res.feasible:
             continue
         feasible_seen += 1
-        alloc = recover_power_allocation(g)
-        assert all(v <= 0 for v in alloc.exponents.values())
+        assert all(v <= 0 for v in res.allocation.exponents.values())
     assert feasible_seen > 0
 
 
@@ -555,9 +555,53 @@ def test_feasible_distances_equal_a_full_round_pass():
         dist = potential._bellman_ford(shifted)
         assert list(dist) == list(sk.vertices)
         assert [(type(x), x) for x in dist.values()] == [(type(x), x) for x in reference]
-        alloc = recover_power_allocation(g)
+        alloc = feasible_by_negative_cycle(g).allocation
         assert alloc.exponents == dict(zip(g.vertices[1:], expected[1:]))
     assert feasible > 100
+
+
+def test_one_pass_gives_the_allocation_or_the_witness():
+    # The seed-16 heavy-tie graphs, and subnetworks of convexity networks at
+    # 1/2 and 99/100 of an achievable tuple (feasible) and at 101/100
+    # (mostly not), each in Fraction and in int: exactly one of the
+    # allocation and the witness is set.  The exponents are the oracle
+    # pass's distances, which the int graph holds in units of 1 / g.den;
+    # ``off`` is carried through; the witness is the oracle's, re-summed
+    # from the graph's edges.
+    cases = []
+    rng = random.Random(16)
+    for _ in range(150):
+        net = random_network(rng, denom=2, max_level=1)
+        order = random_order(rng, net)
+        cases.append((net, order, None, random_gdof_tuple(rng, net, denom=2, max_level=1)))
+    rng = random.Random(30)
+    for _ in range(90):
+        shape = rng.choice([[2, 2, 2], [2, 2, 2, 2], [3, 3]])
+        net = random_convexity_network(rng, cells=len(shape), users_per_cell=shape)
+        s = frozenset(u for u in net.users if rng.random() < 0.8) or None
+        order = random_order(rng, net, s)
+        achievable = achievable_gdof(net, order, random_grid_allocation(rng, net))
+        scale = Fraction(rng.choice([50, 99, 101]), 100)
+        d = {u: v * scale if s is None or u in s else 0 for u, v in achievable.items()}
+        cases.append((net, order, s, GdofTuple(d)))
+    decided = Counter()
+    for net, order, s, d in cases:
+        off = frozenset() if s is None else net.full_subnetwork - s
+        expected = fraction_bellman_ford(fraction_potential_graph(net, order, s, d))
+        for kind, g in (("Fraction", build_potential_graph(net, order, s, d)),
+                        ("int", potential._shifted(potential_skeleton(net, order, s), d))):
+            res = feasible_by_negative_cycle(g, off)
+            assert res.feasible == (res.allocation is not None) == (res.witness is None)
+            if res.feasible:
+                assert res.allocation.exponents == {v: expected[v] for v in g.vertices[1:]}
+                assert res.allocation.off == off
+            else:
+                assert res.witness == expected
+                assert_negative_simple_circuit(g, res.witness)
+            decided[kind, res.feasible, bool(off), g.den > 1] += 1
+    assert decided["int", True, True, True] > 20 and decided["Fraction", True, True, False] > 20
+    for kind in ("Fraction", "int"):
+        assert sum(n for (k, found, _, _), n in decided.items() if (k, found) == (kind, False)) > 50
 
 
 def test_pass_relaxes_an_edge_only_when_its_tail_fell_since_its_last_scan():
@@ -716,7 +760,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from tin_gdof import potential
-from tin_gdof.errors import InfeasibleAllocationError, NetworkSpecError, TinGdofError
+from tin_gdof.errors import NetworkSpecError, TinGdofError
 from tin_gdof.model import User
 from tin_gdof.potential import (
     GROUND,
@@ -725,7 +769,6 @@ from tin_gdof.potential import (
     build_potential_graph,
     feasible_by_negative_cycle,
     potential_skeleton,
-    recover_power_allocation,
 )
 from tin_gdof.regions import GdofTuple
 from tin_gdof.sampling import random_gdof_tuple, random_network, random_order
@@ -756,6 +799,8 @@ for _ in range(400):
         sys.exit(f"pass on {d} differs from the oracle pass")
     result, passes = counted_pass(g)
     witness = result.witness
+    if (result.allocation is None) == (witness is None):
+        sys.exit(f"pass on {d} gave allocation {result.allocation} and witness {witness}")
     if witness is None:
         continue
     infeasible_seen += 1
@@ -768,13 +813,6 @@ for _ in range(400):
     total = sum((edge_length(g, verts[i - 1], verts[i]) for i in range(len(verts))), Fraction(0))
     if not total == witness.length < 0:
         sys.exit(f"witness {verts} sums to {total}, reports {witness.length}")
-    try:
-        recover_power_allocation(g)
-    except InfeasibleAllocationError as exc:
-        if exc.circuit != witness:
-            sys.exit(f"recovery witness {exc.circuit} differs from {witness}")
-    else:
-        sys.exit("recovery on an infeasible graph did not raise")
     integer = potential._bellman_ford(potential._shifted(potential_skeleton(net, order), d))
     if integer != witness:
         sys.exit(f"integer pass gave {integer}, the Fraction pass {witness}")
@@ -819,17 +857,12 @@ def test_one_relaxation_pass_per_decision(monkeypatch, pimac_nonconvex):
     feasible = build_potential_graph(net, order)
     infeasible = build_potential_graph(net, order, None, GdofTuple.from_values(net, [2, 2, 2]))
     passes = count_passes(monkeypatch)
+    results = []
     for g in (feasible, infeasible):
-        feasible_by_negative_cycle(g)
+        results.append(feasible_by_negative_cycle(g))
         assert passes == [g]
         passes.clear()
-    recover_power_allocation(feasible)
-    assert passes == [feasible]
-    passes.clear()
-    with pytest.raises(InfeasibleAllocationError) as info:
-        recover_power_allocation(infeasible)
-    assert passes == [infeasible]
-    assert info.value.circuit == feasible_by_negative_cycle(infeasible).witness
+    assert results[0].allocation is not None and results[1].witness is not None
 
 
 def test_general_membership_runs_one_pass_per_order(monkeypatch):
