@@ -36,8 +36,8 @@ from .potential import (
     Circuit,
     PowerAllocation,
     _bellman_ford,
+    _fraction_graph,
     _shifted,
-    build_potential_graph,
     feasible_by_negative_cycle,
     potential_skeleton,
 )
@@ -152,8 +152,9 @@ def general_membership(net: NetworkSpec, d: GdofTuple) -> GeneralMembership:
     """
     support = d.support()
     off = net.full_subnetwork - support
-    for order in enumerate_orders(net, support):  # raises on an unknown user
-        result = feasible_by_negative_cycle(build_potential_graph(net, order, support, d), off)
+    # enumerate_orders checks the support, once, and yields only its orders.
+    for order in enumerate_orders(net, support):
+        result = feasible_by_negative_cycle(_fraction_graph(net, order, support, d), off)
         if result.feasible:
             return GeneralMembership(True, MembershipWitness(order, support, result.allocation))
         if net.convexity_holds:
@@ -266,7 +267,8 @@ def max_weighted_gdof(region: PolyRegion, weights: Mapping) -> WeightedOptimum:
     if any(w < 0 for w in weights.values()):
         raise NetworkSpecError("weights must be nonnegative")
     den, users, arcs, potential = region.flow_network
-    w = [weights.get(u, Fraction(0)) for u in users]
+    zero = Fraction(0)
+    w = [weights.get(u, zero) for u in users]
     den_w = math.lcm(*(x.denominator for x in w))
     supply = [0] * len(potential)
     for i, x in enumerate(w):
@@ -279,7 +281,7 @@ def max_weighted_gdof(region: PolyRegion, weights: Mapping) -> WeightedOptimum:
     # checked on the integers over den * den_w.
     if any(g < 0 for g in gaps) or sum(map(operator.mul, supply[2::2], gaps)) != cost:
         raise TinGdofError("min-cost flow potentials do not attain the flow cost")
-    d = {u: Fraction(0) for u in region.dim_users}
+    d = dict.fromkeys(region.dim_users, zero)
     d.update((u, Fraction(g, den)) for u, g in zip(users, gaps))
     return WeightedOptimum(Fraction(cost, den * den_w), GdofTuple(d))
 

@@ -51,7 +51,10 @@ Subnetwork = frozenset
 def _user(key) -> User:
     """The ``User`` that a user key names: a pair of ints, or of values that
     ``operator.index`` accepts, bools excluded.  The one rule for user keys;
-    any other key is a ``NetworkSpecError``."""
+    any other key is a ``NetworkSpecError``.  A ``User`` of two ints, such
+    as every key that already passed the rule, is its own answer."""
+    if type(key) is User and type(key[0]) is int and type(key[1]) is int:
+        return key
     try:
         k, l = key
         return User(_index(k, "cell"), _index(l, "slot"))

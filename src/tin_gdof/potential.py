@@ -23,8 +23,9 @@ with exact lengths over a denominator.  ``potential_skeleton`` is the one
 writer of the edges, with integer lengths at d = 0.  A tuple d enters as one
 integer shift of the edges out of each user (``_shifted``), and one pass,
 ``_bellman_ford``, relaxes every length type: region set-up relaxes the
-integer skeleton and its shifts, and ``build_potential_graph`` gives the
-shifted edges with ``Fraction`` lengths for membership.
+integer skeleton and its shifts, and ``_fraction_graph``, behind the
+checked entry ``build_potential_graph``, gives the shifted edges with
+``Fraction`` lengths for membership.
 ``tests/test_potential.py`` keeps an independent construction, labelled by
 edge family, as the oracle.
 """
@@ -118,13 +119,14 @@ def build_potential_graph(
 
     ``d`` must vanish outside ``s``; deactivated users are removed from the
     graph entirely.  The scope is checked here, once, by
-    ``DecodingOrder.validate``.  The graph is ``_shifted`` of the
-    ``potential_skeleton`` at ``d``, its edges in the same order, each
-    length a ``Fraction`` (``den`` is 1).
+    ``DecodingOrder.validate``.  The graph is ``_fraction_graph`` of that
+    scope: ``_shifted`` of the ``potential_skeleton`` at ``d``, its edges
+    in the same order, each length a ``Fraction`` (``den`` is 1).
 
-    This is the one place that makes ``Fraction`` lengths.  Its callers,
-    ``general_membership``, CLI ``membership --order`` and
-    ``oracle-verify``, stay on them until the benchmark worker's memory is
+    ``_fraction_graph`` is the one place that makes ``Fraction`` lengths.
+    Its callers, ``general_membership`` (directly, after one support check
+    per query), CLI ``membership --order`` and ``oracle-verify`` (through
+    this entry), stay on them until the benchmark worker's memory is
     bounded (ROADMAP item 1).  With integer lengths, on top of the skip of
     ``_bellman_ford``, the ``membership`` benchmark's ``work_per_s`` rose
     2.08 times (2,942 to 6,125 queries/s, medians of 2 alternating pairs,
@@ -132,7 +134,16 @@ def build_potential_graph(
     54.7 MiB), past the benchmark's 10% memory bound, since the worker
     keeps every latency.
     """
-    g = _shifted(potential_skeleton(net, order, order.validate(net, s)), d)
+    return _fraction_graph(net, order, order.validate(net, s), d)
+
+
+def _fraction_graph(
+    net: NetworkSpec, order: DecodingOrder, s: Subnetwork, d: GdofTuple | None
+) -> PotentialGraph:
+    """``build_potential_graph`` on a checked scope: ``s`` and ``order`` as
+    ``DecodingOrder.validate`` returns and checks them.  ``general_membership``
+    checks its support once and calls this for each of its orders."""
+    g = _shifted(potential_skeleton(net, order, s), d)
     return PotentialGraph(1, g.vertices, tuple((t, h, Fraction(c, g.den)) for t, h, c in g.edges))
 
 
@@ -262,7 +273,8 @@ def potential_skeleton(
 
     Takes a checked scope and checks nothing: ``s`` (None for every user)
     and ``order`` as ``DecodingOrder.validate`` returns and checks them.
-    Its callers are ``build_potential_graph`` after its check, the flow
+    Its callers are ``_fraction_graph``, after the check of
+    ``build_potential_graph`` or ``general_membership``, the flow
     network of a region, which ``polyhedral_region`` checked, and
     ``gap_report``'s identity order.
     """

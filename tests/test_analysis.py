@@ -578,7 +578,7 @@ def test_set_up_runs_no_fraction_relaxation(monkeypatch, pimac_optimal):
 
     monkeypatch.setattr(potential, "_bellman_ford", integer_only)
     monkeypatch.setattr(analysis, "_bellman_ford", integer_only)
-    monkeypatch.setattr(analysis, "build_potential_graph", refuse)
+    monkeypatch.setattr(analysis, "_fraction_graph", refuse)
     net = pimac_optimal
     reg = polyhedral_region(net, DecodingOrder.identity(net))
     assert max_weighted_gdof(reg, {u: 1 for u in net.users}).value == Fraction(19, 10)

@@ -29,14 +29,14 @@ CLI = [sys.executable, "-m", "tin_gdof.cli"]
 EXAMPLE = Path(__file__).resolve().parent.parent / "docs" / "example-network.json"
 
 
-def run_cli(*args, timeout=300):
+def run_cli(*args, timeout=300, **env):
     """``python -m tin_gdof.cli`` with ``args``, this checkout's ``src`` first
-    on ``PYTHONPATH``."""
+    on ``PYTHONPATH`` and ``env`` added to the environment."""
     src = str(Path(tin_gdof.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         CLI + list(args), capture_output=True, text=True, timeout=timeout,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=dict(os.environ, PYTHONPATH=path, **env),
     )
 
 
@@ -545,6 +545,30 @@ def test_simulate_refuses_a_ring_beyond_the_block_budget():
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "block budget" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("sumgdof", "--weights", "1,1,1"),
+        ("sumgdof", "--weights", "3,1,2"),
+        ("membership", "--d", "0.2,0.5,1.0"),
+        ("membership", "--d", "0,0.5,1.0"),
+        ("membership", "--d", "1,1,1", "--order", "id"),
+    ],
+)
+def test_output_does_not_depend_on_the_hash_seed(args):
+    # docs/cli.md promises that one input always prints the same value,
+    # argmax, witness or circuit; no set or dict order of hashed keys may
+    # reach the output.
+    first, second = (
+        run_cli(args[0], "--network", str(EXAMPLE), *args[1:], PYTHONHASHSEED=seed)
+        for seed in ("0", "1")
+    )
+    assert first.stdout
+    assert (first.returncode, first.stdout, first.stderr) == (
+        second.returncode, second.stdout, second.stderr
+    )
 
 
 def test_docs_headings_list_every_option():
