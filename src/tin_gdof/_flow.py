@@ -18,7 +18,9 @@ Residual steps.  Every arc is a forward step, always open.  Its backward
 step is open only while the arc carries flow, so each node keeps the
 backward steps that are open: a step is added when its arc's flow becomes
 positive and removed when the flow returns to 0.  Closed steps are never
-tested.
+tested.  No backward step leads to a deficit: a path ends at the first
+deficit node that its round settles, and no excess crosses 0, so no
+deficit node is ever the tail of an arc that carries flow.
 
 Potentials.  The textbook update for a single source moves every node v
 by ``min(dist(v), reach)``.  Here only the settled nodes move, each by
@@ -120,8 +122,6 @@ def min_cost_flow(
                     dist[w] = nd
                     pred[w] = (v, a, -1)
                     heappush(heap, (nd, w))
-                    if excess[w] < 0:
-                        best = nd
         else:
             raise TinGdofError("an excess cannot reach any deficit")
 

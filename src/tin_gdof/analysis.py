@@ -372,21 +372,18 @@ class RateBound:
 def _require_link_assumption(fs: FiniteSnrSpec) -> None:
     """Refuse a link whose power ``|h|^2 * P_tx`` is below the noise floor, 1.
 
-    The floor allows for rounding and no more.  With eps =
-    ``sys.float_info.epsilon`` = 2^-52, the power as written in the input
-    reaches ``link_power`` through these relative errors: eps / 2 in each
-    gain part and in P_tx, read from decimal, which move the product by
-    eps + eps / 2; eps in ``abs(h)``, a hypot within 1 ulp, which the square
-    doubles; and eps / 2 in each of the two products.  That is 4.5 eps +
-    O(eps^2).  Floats below 1 are eps / 2 apart, so a link written at the
-    floor computes to at least 1 - 4.5 eps, and only a smaller value shows
-    a link below it.  The slack is needed: the gain (0.5480426514161516,
-    0.8364503883846037), the cosine and sine of one angle, computes to
-    1 - eps.
+    The floor allows for rounding and no more.  A power read from a file
+    is within a relative 4.5 eps + O(eps^2) of the power as written, with
+    eps = ``sys.float_info.epsilon`` = 2^-52 (``model._link_power``).
+    Floats below 1 are eps / 2 apart, so a link written at the floor
+    computes to at least 1 - 4.5 eps, and only a smaller value shows a link
+    below it.  The slack is needed: a unit gain written as the cosine and
+    sine of one angle, (0.5480426514161516, 0.8364503883846037), computes
+    to 1 - eps.
     """
     floor = 1.0 - 4.5 * sys.float_info.epsilon
-    for (user, rx) in fs.gains:
-        if fs.link_power(user, rx) < floor:
+    for (user, rx), power in fs.link_powers.items():
+        if power < floor:
             raise NetworkSpecError(
                 f"link {user}->rx{rx} has power below the noise floor; "
                 "the rate outer bound requires every link at or above it"

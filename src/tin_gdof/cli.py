@@ -55,7 +55,7 @@ def _load(network_path) -> tuple[NetworkSpec, FiniteSnrSpec | None]:
 
 
 def _rate_model(net: NetworkSpec, fs: FiniteSnrSpec | None, snr: float) -> FiniteSnrSpec:
-    """The file's finite-SNR block, else unit-power gains synthesized at ``snr``.
+    """The file's finite-SNR block, else link powers synthesized at ``snr``.
     ``snr`` must be a valid nominal power either way, although the block's
     own nominal power replaces it."""
     snr = _nominal_power(snr)

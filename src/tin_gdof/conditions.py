@@ -22,10 +22,9 @@ loop over ``NetworkSpec.integer_levels`` and turns each failure into a
 ``Violation`` witness; ``condition_flags`` takes only the two booleans of
 any integer table, stopping at the first failure, for the flags that
 ``NetworkSpec`` caches.  The cellular Monte Carlo checks whole blocks of
-trials at once in ``cellsim``, against these two as its oracle.
-The cross-cell maxima are separable, so the interferer part is maximized
-once per cell pair rather than once per user.  The plain ``Fraction``
-triple loops that this replaces are kept in the tests as the oracle.
+trials at once in ``cellsim``, against these two as its oracle.  Each
+kernel is the paper's condition written as a direct loop over integers;
+the plain ``Fraction`` loops are kept in the tests as the oracle.
 """
 
 from __future__ import annotations
@@ -92,34 +91,25 @@ def _cross_cell_failures(lv, optimality: bool):
     For user u of cell i the condition compares its direct level with the
     maximum over cells j != i and interferers v = (k, l_k), k != i, of
     caused(u, j) + received(v, i), less alpha(v, j) when k != j for the
-    convexity pair.  The part that depends on v is maximized once per (i, j),
-    so each user only takes a maximum over j.  Every maximum keeps its first
-    maximizer in (j, k, l_k) order, which is the witness of the plain triple
-    loop.  Yields failures as ``_mac_order_failures`` does.
+    convexity pair.  The witness is the first maximizer in (j, k, l_k)
+    order.  Yields failures as ``_mac_order_failures`` does.
     """
     cells = len(lv)
     for i, cell in enumerate(lv):
         others = [j for j in range(cells) if j != i]
         if not others:
             continue
-        interferers = [(k, l_k, v) for k in others for l_k, v in enumerate(lv[k])]
-        # best[j]: (largest v-term toward cell j, index of its first interferer)
-        if optimality:
-            received = [v[i] for _, _, v in interferers]
-            top = max(received)
-            best = dict.fromkeys(others, (top, received.index(top)))
-        else:
-            best = {}
-            for j in others:
-                terms = [v[i] - v[j] if k != j else v[i] for k, _, v in interferers]
-                top = max(terms)
-                best[j] = (top, terms.index(top))
         for l, u in enumerate(cell):
-            totals = [u[j] + best[j][0] for j in others]
-            rhs = max(totals)
+            rhs, j, k, l_k = max(
+                (
+                    (u[j] + v[i] - (v[j] if k != j and not optimality else 0), j, k, l_k)
+                    for j in others
+                    for k in others
+                    for l_k, v in enumerate(lv[k])
+                ),
+                key=lambda term: term[0],
+            )
             if u[i] < rhs:
-                j = others[totals.index(rhs)]
-                k, l_k, _ = interferers[best[j][1]]
                 yield (i + 1, j + 1, k + 1, l + 1, l_k + 1), u[i], rhs
 
 

@@ -86,6 +86,17 @@ def _per_user(mapping, what: str) -> dict[User, Fraction]:
     return {_user(u): rationalize(v) for u, v in _items(mapping, what)}
 
 
+def _link(key, what: str) -> tuple[User, int]:
+    """The ``(user, receiver cell)`` that a link key names, through the
+    user-key and count rules; a key that is not such a pair is a
+    ``NetworkSpecError`` naming ``what``."""
+    try:
+        user, rx = key
+    except (TypeError, ValueError):
+        raise NetworkSpecError(f"{what} key {key!r} is not a (user, receiver cell) pair") from None
+    return _user(user), _index(rx, "receiver cell")
+
+
 def _index(value, what: str) -> int:
     """``value`` as an int under ``operator.index``, bools excluded (a JSON
     ``true`` is not the number 1): the one rule for counts and indices, and
@@ -201,14 +212,8 @@ class NetworkSpec:
         cell_ids = range(1, cells + 1)
         filled = 0  # distinct keys of a mapping name distinct links
         for key, value in _items(alpha, "alpha"):
-            try:
-                user, rx = key
-            except (TypeError, ValueError):
-                raise NetworkSpecError(
-                    f"alpha key {key!r} is not a (user, receiver cell) pair"
-                ) from None
-            k, l = user = _user(user)
-            rx = _index(rx, "receiver cell")
+            user, rx = _link(key, "alpha")
+            k, l = user
             if not (
                 k in cell_ids
                 and rx in cell_ids
@@ -402,20 +407,30 @@ def enumerate_orders(net: NetworkSpec, s: Subnetwork | None = None) -> Iterator[
 
 @dataclass(frozen=True)
 class FiniteSnrSpec:
-    """Finite-SNR channel description: nominal power, gains and power budgets.
+    """Finite-SNR channel description: a nominal power and one power per link.
 
-    ``gains[(user, rx_cell)]`` is the complex (or magnitude) channel
-    coefficient; ``tx_powers[user]`` the transmit power budget in linear
-    scale.  ``nominal_power`` must be finite and exceed 1 so the level
-    normalization is well defined.
+    ``link_powers[(user, rx_cell)]`` is the power ``|h|^2 * P_tx`` of a link,
+    all that its level, rates and rate bounds read of it.  Keys go through
+    the user-key and count rules; there is at least one power, and each is
+    a finite number >= 0.  ``nominal_power`` is finite and exceeds 1.
     """
 
     nominal_power: float
-    gains: Mapping[tuple[User, int], complex]
-    tx_powers: Mapping[User, float]
+    link_powers: Mapping[tuple[User, int], float]
 
     def __post_init__(self):
         object.__setattr__(self, "nominal_power", _nominal_power(self.nominal_power))
+        powers = {}
+        for key, value in _items(self.link_powers, "link_powers"):
+            user, rx = link = _link(key, "link_powers")
+            what = f"power of link {user}->rx{rx}"
+            power = _real(value, what)
+            if power < 0:
+                raise NetworkSpecError(f"{what} must be >= 0, got {value!r}")
+            powers[link] = power
+        if not powers:
+            raise NetworkSpecError("finite-SNR description has no link powers")
+        object.__setattr__(self, "link_powers", powers)
 
     @cached_property
     def levels(self) -> tuple[NetworkSpec, "FiniteSnrSpec"]:
@@ -424,28 +439,39 @@ class FiniteSnrSpec:
         description built from a network (``sampling.finite_snr_from_network``)
         keeps that exact network instead."""
         net = strength_levels(self)
-        old = {
-            User(k, new): User(k, slot)
+        powers = {
+            (User(k, new), i): self.link_powers[(User(k, slot), i)]
             for k, slots in enumerate(net.slot_provenance, start=1)
             for new, slot in enumerate(slots, start=1)
+            for i in range(1, net.cells + 1)
         }
-        gains = {(u, i): self.gains[(old[u], i)] for u in net.users for i in range(1, net.cells + 1)}
-        powers = {u: self.tx_powers[old[u]] for u in net.users}
-        return net, _with_levels(FiniteSnrSpec(self.nominal_power, gains, powers), net)
+        return net, _with_levels(FiniteSnrSpec(self.nominal_power, powers), net)
 
     def link_power(self, user: User, rx_cell: int) -> float:
         """|h|^2 * P_tx of a link, the quantity whose exponent is the level."""
-        h = self.gains[(user, rx_cell)]
-        try:
-            power = abs(h) ** 2 * self.tx_powers[user]
-        except OverflowError:
-            power = math.inf
-        if power == math.inf:
-            raise NetworkSpecError(f"link {user}->rx{rx_cell} has a power beyond the float range")
-        return power
+        return self.link_powers[(user, rx_cell)]
 
     def clipped_link_power(self, user: User, rx_cell: int) -> float:
         return max(1.0, self.link_power(user, rx_cell))
+
+
+def _link_power(user: User, rx_cell: int, h, p_tx: float) -> float:
+    """``|h|^2 * p_tx``, the power of a link of gain ``h`` at power budget
+    ``p_tx``: the one place where a gain and a budget become a link power.
+    Beyond the float range, a ``NetworkSpecError`` that names the link.
+
+    With eps = 2^-52, the result is within a relative 4.5 eps + O(eps^2) of
+    the power as written in a file: eps / 2 in each gain part and in
+    ``p_tx``, read from decimal (1.5 eps in all); eps in ``abs(h)``, a hypot
+    within 1 ulp, which the square doubles; eps / 2 in each product.
+    """
+    try:
+        power = abs(h) ** 2 * p_tx
+    except OverflowError:
+        power = math.inf
+    if power == math.inf:
+        raise NetworkSpecError(f"link {user}->rx{rx_cell} has a power beyond the float range")
+    return power
 
 
 def _nominal_power(p) -> float:
@@ -468,22 +494,15 @@ def strength_levels(fs: FiniteSnrSpec) -> NetworkSpec:
     """Strength-level network of a finite-SNR description.
 
     Level of each link: log(max(1, |h|^2 P_tx)) / log(P), rationalized and
-    slot-sorted.  ``FiniteSnrSpec`` has checked that 1 < P < inf.
+    slot-sorted.  ``FiniteSnrSpec`` has checked the powers and P.
     """
-    if not fs.gains:
-        raise NetworkSpecError("finite-SNR description has no gains")
-    missing = {u for (u, _) in fs.gains} - set(fs.tx_powers)
-    if missing:
-        raise NetworkSpecError(f"no power budget for users {sorted(missing)}")
-    cells = max(rx for (_, rx) in fs.gains)
+    links = fs.link_powers
+    cells = max(rx for (_, rx) in links)
     users_per_cell = [
-        max((u.slot for u in fs.tx_powers if u.cell == k), default=0) for k in range(1, cells + 1)
+        max((u.slot for (u, _) in links if u.cell == k), default=0) for k in range(1, cells + 1)
     ]
     log_p = math.log(fs.nominal_power)
-    alpha = {
-        (user, rx): rationalize(math.log(fs.clipped_link_power(user, rx)) / log_p)
-        for (user, rx) in fs.gains
-    }
+    alpha = {link: rationalize(math.log(fs.clipped_link_power(*link)) / log_p) for link in links}
     return NetworkSpec.from_alpha(cells, users_per_cell, alpha)
 
 
@@ -555,33 +574,19 @@ def finite_snr_from_document(doc: Mapping, where: str = "<document>") -> FiniteS
     except (KeyError, TypeError) as exc:
         raise NetworkSpecError(f"{where}: malformed finite_snr block ({exc})") from exc
 
-    def as_gain(v):
-        if isinstance(v, (list, tuple)) and len(v) == 2:
-            return complex(_float(v[0]), _float(v[1]))
-        return complex(_float(v), 0.0)
-
-    gains = {}
-    for (user, rx), v in _parse_link_records(gains_rec, f"{where}: gains").items():
-        try:
-            gains[(user, rx)] = as_gain(v)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise NetworkSpecError(
-                f"{where}: gain of link {user}->rx{rx} is not a number ({exc})"
-            ) from exc
-        if cmath.isnan(gains[(user, rx)]):
-            raise NetworkSpecError(f"{where}: gain of link {user}->rx{rx} is NaN")
+    gains = _parse_link_records(gains_rec, f"{where}: gains")
     if not gains:
         raise NetworkSpecError(f"{where}: finite_snr block has no gains")
     if not isinstance(power_rec, list):
         raise NetworkSpecError(f"{where}: tx_powers must be a list")
     linked = {u for (u, _) in gains}
-    powers = {}
+    budgets = {}
     for idx, rec in enumerate(power_rec):
         try:
             user, p_tx = _user((rec["cell"], rec["slot"])), _float(rec["value"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise NetworkSpecError(f"{where}: tx_powers[{idx}] malformed ({exc})") from exc
-        if user in powers:
+        if user in budgets:
             raise NetworkSpecError(f"{where}: tx_powers[{idx}]: duplicate entry for {user}")
         if not p_tx > 0:
             raise NetworkSpecError(
@@ -589,5 +594,20 @@ def finite_snr_from_document(doc: Mapping, where: str = "<document>") -> FiniteS
             )
         if user not in linked:
             raise NetworkSpecError(f"{where}: tx_powers[{idx}]: no gain names user {user}")
-        powers[user] = p_tx
-    return FiniteSnrSpec(p, gains, powers)
+        budgets[user] = p_tx
+    powers = {}
+    # The records are distinct, so the mapping holds them in record order.
+    for idx, ((user, rx), v) in enumerate(gains.items()):
+        parts = v if isinstance(v, (list, tuple)) and len(v) == 2 else (v, 0.0)  # [re, im]
+        try:
+            h = complex(*map(_float, parts))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise NetworkSpecError(
+                f"{where}: gain of link {user}->rx{rx} is not a number ({exc})"
+            ) from exc
+        if cmath.isnan(h):
+            raise NetworkSpecError(f"{where}: gain of link {user}->rx{rx} is NaN")
+        if user not in budgets:
+            raise NetworkSpecError(f"{where}: gains[{idx}]: no power budget for user {user}")
+        powers[(user, rx)] = _link_power(user, rx, h, budgets[user])
+    return FiniteSnrSpec(p, powers)

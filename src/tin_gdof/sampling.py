@@ -16,9 +16,9 @@ import random
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import NetworkSpecError
 from .model import (
-    DecodingOrder, FiniteSnrSpec, NetworkSpec, Subnetwork, User, _nominal_power, _with_levels,
+    DecodingOrder, FiniteSnrSpec, NetworkSpec, Subnetwork, User, _link_power, _nominal_power,
+    _with_levels,
 )
 from .potential import PowerAllocation
 from .regions import GdofTuple
@@ -161,19 +161,17 @@ def random_optimality_network(
 def finite_snr_from_network(net: NetworkSpec, nominal_power: float) -> FiniteSnrSpec:
     """A finite-SNR description whose strength levels reproduce ``net``.
 
-    Unit power budgets; gain magnitudes set to P^(level/2) so every link sits
-    at or above the noise floor.  Its ``levels`` are ``net`` itself, exactly,
-    not re-derived from the float gains.
+    Each link has a gain of magnitude P^(level/2) at a unit power budget,
+    so it sits at or above the noise floor.  Its ``levels`` are ``net``
+    itself, exactly, not re-derived from the float powers.
     """
     nominal_power = _nominal_power(nominal_power)
-    gains = {}
-    powers = {u: 1.0 for u in net.users}
+    powers = {}
     for u in net.users:
         for i in range(1, net.cells + 1):
             try:
-                gains[(u, i)] = complex(nominal_power ** (float(net.alpha(u, i)) / 2.0), 0.0)
+                gain = nominal_power ** (float(net.alpha(u, i)) / 2.0)
             except OverflowError:
-                raise NetworkSpecError(
-                    f"link {u}->rx{i} has a power beyond the float range"
-                ) from None
-    return _with_levels(FiniteSnrSpec(nominal_power, gains, powers), net)
+                gain = math.inf
+            powers[(u, i)] = _link_power(u, i, gain, 1.0)
+    return _with_levels(FiniteSnrSpec(nominal_power, powers), net)

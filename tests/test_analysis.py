@@ -41,6 +41,7 @@ from tin_gdof.model import (
     NetworkSpec,
     User,
     enumerate_orders,
+    finite_snr_from_document,
     load_finite_snr,
     load_network,
 )
@@ -862,9 +863,7 @@ def test_gdof_outer_bound_zero_cross_is_mac_product():
 
 
 def single_link_fs(p, level):
-    return FiniteSnrSpec(
-        p, {(User(1, 1), 1): complex(math.sqrt(p**level))}, {User(1, 1): 1.0}
-    )
+    return FiniteSnrSpec(p, {(User(1, 1), 1): p**level})
 
 
 def test_outer_bound_rates_single_link():
@@ -877,11 +876,11 @@ def test_outer_bound_rates_two_cell_formula():
     # one user per cell, symmetric levels
     p = 100.0
     direct, cross = 1.0, 0.25
-    gains = {}
+    powers = {}
     for k in (1, 2):
-        gains[(User(k, 1), k)] = complex(math.sqrt(p**direct))
-        gains[(User(k, 1), 3 - k)] = complex(math.sqrt(p**cross))
-    fs = FiniteSnrSpec(p, gains, {User(1, 1): 1.0, User(2, 1): 1.0})
+        powers[(User(k, 1), k)] = p**direct
+        powers[(User(k, 1), 3 - k)] = p**cross
+    fs = FiniteSnrSpec(p, powers)
     bounds = outer_bound_rates(fs)
     cyclic = [b for b in bounds if b.kind == "cyclic"]
     assert len(cyclic) == 1
@@ -896,11 +895,20 @@ def test_outer_bound_rates_requires_conditions(pimac_nonconvex):
 
 
 def test_outer_bound_rates_requires_links_above_noise():
-    fs = FiniteSnrSpec(
-        100.0, {(User(1, 1), 1): complex(0.01)}, {User(1, 1): 1.0}
-    )
+    fs = FiniteSnrSpec(100.0, {(User(1, 1), 1): 1e-4})
     with pytest.raises(NetworkSpecError, match="noise floor"):
         outer_bound_rates(fs)
+
+
+def one_link_block(gain, budget):
+    """A network document whose finite-SNR block has one link."""
+    return {
+        "finite_snr": {
+            "nominal_power": 100.0,
+            "gains": [{"tx_cell": 1, "tx_slot": 1, "rx_cell": 1, "value": gain}],
+            "tx_powers": [{"cell": 1, "slot": 1, "value": budget}],
+        }
+    }
 
 
 def test_noise_floor_allows_only_the_rounding_of_the_link_power():
@@ -908,9 +916,9 @@ def test_noise_floor_allows_only_the_rounding_of_the_link_power():
     # magnitude rounds below 1, passes; a link power of 1 - 1e-13 does not.
     unit = complex(0.5480426514161516, 0.8364503883846037)
     assert abs(unit) ** 2 < 1.0
-    fs = FiniteSnrSpec(100.0, {(User(1, 1), 1): unit}, {User(1, 1): 1.0})
+    fs = finite_snr_from_document(one_link_block([unit.real, unit.imag], 1.0))
     assert len(outer_bound_rates(fs)) == 1
-    fs = FiniteSnrSpec(100.0, {(User(1, 1), 1): complex(1.0)}, {User(1, 1): 1 - 1e-13})
+    fs = finite_snr_from_document(one_link_block(1.0, 1 - 1e-13))
     with pytest.raises(NetworkSpecError, match="noise floor"):
         outer_bound_rates(fs)
 
@@ -1258,13 +1266,13 @@ def test_levels_are_derived_once_per_description(monkeypatch):
     outer_bound_rates(exact)
     assert calls == []  # a description built from a network keeps it
 
-    # The same gains without the network: one derivation per call, not one
+    # The same link powers without the network: one derivation per call, not one
     # per corner, and the same report.
-    assert gap_report(FiniteSnrSpec(exact.nominal_power, exact.gains, exact.tx_powers)) == rep
+    assert gap_report(FiniteSnrSpec(exact.nominal_power, exact.link_powers)) == rep
     assert len(calls) == 1
     assert rep.corners_used == 308
     assert rep.max_gap_bits == pytest.approx(17.1125, abs=1e-4)
-    outer_bound_rates(FiniteSnrSpec(exact.nominal_power, exact.gains, exact.tx_powers))
+    outer_bound_rates(FiniteSnrSpec(exact.nominal_power, exact.link_powers))
     assert len(calls) == 2
 
 

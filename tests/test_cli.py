@@ -423,6 +423,33 @@ def test_malformed_file_gives_one_line_error(tmp_path, defect, command):
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
 
+NETWORK_COMMANDS = [
+    ["check"],
+    ["region"],
+    ["membership", "--d", "0,0,0"],
+    ["sumgdof", "--weights", "1,1,1"],
+    ["vertices"],
+    ["outer-bound"],
+    ["outer-bound", "--snr", "100"],
+    ["gap-report", "--snr", "100"],
+]
+
+
+@pytest.mark.parametrize("command", NETWORK_COMMANDS, ids=" ".join)
+def test_gain_without_budget_fails_every_subcommand_at_load(tmp_path, command):
+    # check and region exited 0 on such a file; the rate commands failed
+    # later, with an error that did not name the file.
+    doc = json.loads(EXAMPLE.read_text())
+    doc["finite_snr"]["tx_powers"].pop()  # u(2,1) keeps its two gains
+    path = tmp_path / "no-budget.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli(command[0], "--network", str(path), *command[1:])
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        f"error: {path}: gains[4]: no power budget for user u(2,1)"
+    ]
+
+
 def test_gap_report(optimal_path):
     proc = run_cli("gap-report", "--network", optimal_path, "--snr", "10000")
     assert proc.returncode == 0
@@ -648,6 +675,19 @@ def test_every_error_type_is_raised_in_src():
         if isinstance(cls, type) and issubclass(cls, TinGdofError)
     }
     assert len(defined) > 1 and defined <= raised, defined - raised
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    # Syntax newer than pyproject.toml's requires-python, such as an
+    # except* clause on a 3.10 floor, fails here on any newer interpreter.
+    root = EXAMPLE.parent.parent
+    pyproject = (root / "pyproject.toml").read_text()
+    floor = tuple(map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"', pyproject).groups()))
+    assert floor == (3, 10)
+    sources = sorted((root / "src" / "tin_gdof").glob("*.py"))
+    assert len(sources) > 10
+    for path in sources:
+        ast.parse(path.read_text(), filename=str(path), feature_version=floor)
 
 
 def readme_block(section: str, lang: str) -> str:

@@ -15,6 +15,7 @@ from tin_gdof.analysis import (
     gdof_dominates,
     general_membership,
     max_weighted_gdof,
+    outer_bound_rates,
     region_includes,
 )
 from tin_gdof.cellsim import ScenarioParams, path_loss_db, sample_network
@@ -210,13 +211,18 @@ def _two_cell_block(**edit):
                            {"cell": 2, "slot": 1, "value": 1.0}]},
             r"tx_powers\[0\]: no gain names user u\(1,0\)",
         ),
+        (
+            {"tx_powers": [{"cell": 1, "slot": 1, "value": 1.0}]},
+            r"gains\[1\]: no power budget for user u\(2,1\)",
+        ),
     ],
     ids=["no-gains", "nan-gain", "nan-imaginary-part", "nan-power", "zero-power",
-         "power-of-cell-3", "power-of-slot-0"],
+         "power-of-cell-3", "power-of-slot-0", "gain-without-budget"],
 )
 def test_finite_snr_block_rejects_records_it_cannot_use(edit, message):
     # Each was read before: no gains crashed on max(), a NaN gain or budget
-    # became a link at the noise floor, and an unused budget was dropped.
+    # became a link at the noise floor, an unused budget was dropped, and a
+    # gain without a budget passed every subcommand but the rate commands.
     assert finite_snr_from_document(_two_cell_block()) is not None
     with pytest.raises(NetworkSpecError, match=message):
         finite_snr_from_document(_two_cell_block(**edit))
@@ -224,9 +230,12 @@ def test_finite_snr_block_rejects_records_it_cannot_use(edit, message):
 
 def test_link_power_beyond_float_range_names_the_link():
     for gain, power in ((1e200, 1.0), (1e150, 1e10)):
-        fs = FiniteSnrSpec(100.0, {(User(1, 1), 1): complex(gain)}, {User(1, 1): power})
+        doc = _two_cell_block(
+            gains=alpha_records({(1, 1, 1): gain, (2, 1, 2): 10.0}),
+            tx_powers=[{"cell": 1, "slot": 1, "value": power}, {"cell": 2, "slot": 1, "value": 1.0}],
+        )
         with pytest.raises(NetworkSpecError, match=r"link u\(1,1\)->rx1"):
-            fs.link_power(User(1, 1), 1)
+            finite_snr_from_document(doc)
 
 
 def test_synthesized_gain_beyond_float_range_names_the_link():
@@ -237,9 +246,7 @@ def test_synthesized_gain_beyond_float_range_names_the_link():
 
 
 def single_link_fs(p, link_power):
-    return FiniteSnrSpec(
-        p, {(User(1, 1), 1): complex(math.sqrt(link_power))}, {User(1, 1): 1.0}
-    )
+    return FiniteSnrSpec(p, {(User(1, 1), 1): link_power})
 
 
 @pytest.mark.parametrize(
@@ -347,7 +354,7 @@ def test_load_finite_snr_block(tmp_path):
     }
     path = write_network(tmp_path, doc)
     fs = load_finite_snr(path)
-    assert fs.gains[(User(1, 1), 1)] == complex(6.0, 8.0)
+    assert fs.link_powers == {(User(1, 1), 1): 100.0}  # |6 + 8j|^2 * 1.0
     assert fs.link_power(User(1, 1), 1) == pytest.approx(100.0)
     assert strength_levels(fs).direct(User(1, 1)) == Fraction(1)
 
@@ -376,20 +383,26 @@ def test_levels_relabel_the_description_once():
     fs = FiniteSnrSpec(
         100.0,
         {
-            (User(1, 1), 1): complex(100.0),
-            (User(1, 2), 1): complex(10.0),
-            (User(1, 1), 2): complex(2.0),
-            (User(1, 2), 2): complex(1.0),
-            (User(2, 1), 1): complex(1.0),
-            (User(2, 1), 2): complex(10.0),
+            (User(1, 1), 1): 10000.0,
+            (User(1, 2), 1): 200.0,
+            (User(1, 1), 2): 4.0,
+            (User(1, 2), 2): 2.0,
+            (User(2, 1), 1): 1.0,
+            (User(2, 1), 2): 100.0,
         },
-        {User(1, 1): 1.0, User(1, 2): 2.0, User(2, 1): 1.0},
     )
     net, relabelled = fs.levels
     assert fs.levels is fs.levels
     assert net.slot_provenance == ((2, 1), (1,))
-    assert relabelled.tx_powers == {User(1, 1): 2.0, User(1, 2): 1.0, User(2, 1): 1.0}
-    assert relabelled.gains[(User(1, 2), 2)] == complex(2.0)
+    assert relabelled.link_powers == {
+        (User(1, 1), 1): 200.0,
+        (User(1, 1), 2): 2.0,
+        (User(1, 2), 1): 10000.0,
+        (User(1, 2), 2): 4.0,
+        (User(2, 1), 1): 1.0,
+        (User(2, 1), 2): 100.0,
+    }
+    assert relabelled.link_powers[(User(1, 2), 2)] == 4.0
     assert relabelled.levels == (net, relabelled)
 
 
@@ -401,10 +414,59 @@ def test_strength_levels_rejects_non_finite_or_degenerate_power(p):
 
 def test_finite_snr_without_gains_is_a_spec_error():
     # built in code, not read from a file, so no document check runs first
-    with pytest.raises(NetworkSpecError, match="no gains"):
-        FiniteSnrSpec(100.0, {}, {}).levels
-    with pytest.raises(NetworkSpecError, match="no gains"):
-        strength_levels(FiniteSnrSpec(100.0, {}, {User(1, 1): 1.0}))
+    with pytest.raises(NetworkSpecError, match="no link powers"):
+        FiniteSnrSpec(100.0, {}).levels
+    with pytest.raises(NetworkSpecError, match="no link powers"):
+        strength_levels(FiniteSnrSpec(100.0, {}))
+
+
+def test_link_powers_take_plain_user_keys():
+    fs = FiniteSnrSpec(100.0, {((1, 1), 1): 10.0, ((1, 2), numpy.int64(1)): 100.0})
+    assert fs.link_powers == {(User(1, 1), 1): 10.0, (User(1, 2), 1): 100.0}
+    assert all(type(u) is User and type(rx) is int for u, rx in fs.link_powers)
+    assert fs.link_power(User(1, 2), 1) == 100.0
+    assert strength_levels(fs).direct(User(1, 2)) == 1
+
+
+@pytest.mark.parametrize(
+    "value", [math.nan, math.inf, -math.inf, -1.0, -1e-300, True, False, None, "x", 1j]
+)
+def test_bad_link_power_names_the_link(value):
+    # A NaN or negative budget gave a power that was clipped to the noise
+    # floor; a string or None raised a TypeError.
+    with pytest.raises(NetworkSpecError, match=r"power of link u\(1,2\)->rx2"):
+        FiniteSnrSpec(100.0, {(User(1, 1), 1): 1.0, ((1, 2), 2): value})
+
+
+@pytest.mark.parametrize(
+    "link_powers, message",
+    [
+        ({"x": 1.0}, r"link_powers key 'x' is not a \(user, receiver cell\) pair"),
+        ({(User(1, 1), 1, 1): 1.0}, r"link_powers key .* is not a \(user, receiver cell\) pair"),
+        ({((1.0, 1), 1): 1.0}, r"user key \(1.0, 1\) is not a \(cell, slot\) pair of ints"),
+        ({((True, 1), 1): 1.0}, r"user key \(True, 1\) is not a \(cell, slot\) pair of ints"),
+        ({(User(1, 1), 1.5): 1.0}, r"receiver cell must be an integer, got 1.5"),
+        ({(User(1, 1), "1"): 1.0}, r"receiver cell must be an integer, got '1'"),
+        ([1.0], r"link_powers must be a mapping"),
+    ],
+    ids=["str", "triple", "float-cell", "bool-cell", "float-rx", "str-rx", "list"],
+)
+def test_malformed_link_powers_are_spec_errors(link_powers, message):
+    # A plain (cell, slot) key raised an AttributeError.
+    with pytest.raises(NetworkSpecError, match=message):
+        FiniteSnrSpec(100.0, link_powers)
+
+
+def test_nan_cross_power_is_refused():
+    # Two cells at P = 1e4, directs at level 1 and crosses at 0.3.  With
+    # the cross link of u(1,1) NaN, max(1.0, nan) read it as the noise
+    # floor: the cyclic rate bound came out 24.59 bits instead of 20.61.
+    p = 1e4
+    powers = {((k, 1), i): p ** (1.0 if i == k else 0.3) for k in (1, 2) for i in (1, 2)}
+    cyclic = [b for b in outer_bound_rates(FiniteSnrSpec(p, powers)) if b.kind == "cyclic"]
+    assert [b.rhs_bits for b in cyclic] == [pytest.approx(20.605, abs=1e-3)]
+    with pytest.raises(NetworkSpecError, match=r"power of link u\(1,1\)->rx2 must be a finite"):
+        FiniteSnrSpec(p, {**powers, ((1, 1), 2): math.nan})
 
 
 # -- the input contract ------------------------------------------------------

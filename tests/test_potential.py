@@ -148,6 +148,13 @@ def edge_length(g, tail, head):
     return next(c for t, h, c in edge_triples(g) if (t, h) == (tail, head))
 
 
+def fraction_lengths(g):
+    """``g`` with each length written as ``Fraction(c, g.den)``, over den 1:
+    a ``Fraction`` graph for the pass, whether ``build_potential_graph``
+    gives ``Fraction`` or integer lengths."""
+    return PotentialGraph(1, g.vertices, tuple((t, h, Fraction(c, g.den)) for t, h, c in g.edges))
+
+
 def graph_pass(g):
     """``potential._bellman_ford(g)``, its distances as ``Fraction``s."""
     result = potential._bellman_ford(g)
@@ -539,7 +546,7 @@ def test_feasible_distances_equal_a_full_round_pass():
         achievable = achievable_gdof(net, order, random_grid_allocation(rng, net))
         scale = Fraction(rng.choice([0, 50, 99]), 100)
         d = GdofTuple({u: v * scale if u in s else 0 for u, v in achievable.items()})
-        g = build_potential_graph(net, order, s, d)
+        g = fraction_lengths(build_potential_graph(net, order, s, d))
         expected = full_round_distances(len(g.vertices), g.edges)
         got = potential._bellman_ford(g)
         if isinstance(got, Circuit):
@@ -588,7 +595,7 @@ def test_one_pass_gives_the_allocation_or_the_witness():
     for net, order, s, d in cases:
         off = frozenset() if s is None else net.full_subnetwork - s
         expected = fraction_bellman_ford(fraction_potential_graph(net, order, s, d))
-        for kind, g in (("Fraction", build_potential_graph(net, order, s, d)),
+        for kind, g in (("Fraction", fraction_lengths(build_potential_graph(net, order, s, d))),
                         ("int", potential._shifted(potential_skeleton(net, order, s), d))):
             res = feasible_by_negative_cycle(g, off)
             assert res.feasible == (res.allocation is not None) == (res.witness is None)
@@ -629,7 +636,7 @@ def test_pass_relaxes_an_edge_only_when_its_tail_fell_since_its_last_scan():
     decided = Counter()
     for net, order, d in cases:
         expected = fraction_bellman_ford(fraction_potential_graph(net, order, None, d))
-        for g in (build_potential_graph(net, order, None, d),
+        for g in (fraction_lengths(build_potential_graph(net, order, None, d)),
                   potential._shifted(potential_skeleton(net, order), d)):
             result, additions, rounds = counted_additions(g)
             assert result == expected
