@@ -27,8 +27,8 @@ sorted by direct level, and one integer pass returns both condition flags
 of every trial.  The draws are bit for bit those of numpy's ``Philox``,
 which the library never imports.  ``estimate_probabilities`` builds no
 ``NetworkSpec`` and no ``Fraction``; ``sample_network`` runs the same
-sampler on one trial and returns the network, equal to the one
-``NetworkSpec.from_alpha`` makes of those levels.
+sampler on one trial and hands its table to ``NetworkSpec`` as it is,
+which gives the network ``NetworkSpec.from_alpha`` makes of those levels.
 
 What depends only on a block's shape is built once and kept, read-only, in
 two small caches bounded by ``_SHAPES``: the Philox lane constants of
@@ -45,13 +45,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import GuardExceededError, NetworkSpecError, TinGdofError
-from .model import RATIONALIZE_DIGITS, NetworkSpec, User, _index, _real
+from .model import RATIONALIZE_DIGITS, NetworkSpec, _index, _real
 
 #: Radio setup of every scenario: transmit power and noise floor in dBm, the
 #: path-loss model PL(d) = A + B log10(d_km) in dB, and the radius in meters
@@ -455,15 +454,8 @@ def _condition_flags(lv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def sample_network(p: ScenarioParams, trial_index: int) -> NetworkSpec:
     """Draw one random user placement and return its strength-level network."""
     lv, order = _sample(p, _index(trial_index, "trial_index"), 1)
-    cells = lv.shape[1]
-    alpha = {
-        (User(k, l), i): Fraction(level, _LEVEL_SCALE)
-        for k, rows in enumerate(lv[0].tolist(), start=1)
-        for l, row in enumerate(rows, start=1)
-        for i, level in enumerate(row, start=1)
-    }
-    provenance = tuple(tuple(s + 1 for s in slots) for slots in order[0].tolist())
-    return NetworkSpec((p.users_per_cell,) * cells, alpha, provenance)
+    provenance = [[s + 1 for s in slots] for slots in order[0].tolist()]
+    return NetworkSpec(_LEVEL_SCALE, lv[0].tolist(), provenance)
 
 
 @dataclass(frozen=True)

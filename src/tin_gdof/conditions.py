@@ -18,7 +18,7 @@ a common denominator, and each side of a condition is a sum of at most
 three such integers.  Two kernels, one per condition shape (per-cell and
 cross-cell), yield the failing conditions of such a table for either pair.
 ``evaluate_conditions`` runs the four (condition, kernel, pair) cases in one
-loop over ``NetworkSpec.integer_levels`` and turns each failure into a
+loop over ``NetworkSpec.levels`` and turns each failure into a
 ``Violation`` witness; ``condition_flags`` takes only the two booleans of
 any integer table, stopping at the first failure, for the flags that
 ``NetworkSpec`` caches.  The cellular Monte Carlo checks whole blocks of
@@ -125,7 +125,7 @@ def evaluate_conditions(net: NetworkSpec) -> ConditionReport:
     Violations come per-cell first, then cross-cell, for the convexity pair
     and then for the optimality pair, each kernel in its own yield order.
     """
-    den, lv = net.integer_levels
+    den, lv = net.den, net.levels
     found = {False: [], True: []}
     for kind, failures, optimality in (
         (ConditionKind.MAC_ORDER_CONVEXITY, _mac_order_failures, False),

@@ -2,9 +2,9 @@
 
 A network is a set of cells, each with one receiver and several transmitters
 (users).  Every link carries a nonnegative *strength level*: the high-SNR
-exponent of the link power normalized by a nominal power ``P``.  All levels
-are stored as exact rationals so that downstream region computations can use
-exact arithmetic.
+exponent of the link power normalized by a nominal power ``P``.  A network
+stores its levels as integers over one common denominator, so that region
+computations and condition checks run on exact integer sums.
 
 All types in this module are immutable after construction and safe to share
 across threads.
@@ -164,21 +164,67 @@ def rationalize(x) -> Fraction:
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Cell/user topology plus the full strength-level matrix.
+    """Cell/user topology plus the full strength-level matrix, as integers
+    over one common denominator.
 
-    ``alpha[(user, rx_cell)]`` is the level of the link from ``user`` to the
-    receiver of ``rx_cell``.  Invariants enforced at construction:
-
-    * all levels are >= 0 (negative inputs are clipped to 0 with a warning),
-    * within each cell, users are labelled so direct levels are ascending
-      (ties keep input order); the applied relabelling is recorded in
-      ``slot_provenance``.
+    ``levels[k-1][l-1][i-1] / den`` is the level of the link from slot ``l``
+    of cell ``k`` to the receiver of cell ``i``.  The constructor is the one
+    check of the table: every level is an int >= 0, every cell has at least
+    one slot and every slot one level per receiver, direct levels ascend
+    within each cell (ties allowed), and each cell's ``slot_provenance`` is
+    a permutation of its slots.  ``den`` is reduced by the gcd of the table,
+    so equal networks compare and hash equal.  ``from_alpha`` builds a
+    network from rational levels in any slot order.
     """
 
-    users_per_cell: tuple[int, ...]
-    alpha_map: Mapping[tuple[User, int], Fraction]
+    den: int
+    levels: tuple[tuple[tuple[int, ...], ...], ...]
     #: per cell, ``slot_provenance[i-1][s-1]`` is the input slot stored as slot ``s``
     slot_provenance: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        den = _index(self.den, "den")
+        if den < 1:
+            raise NetworkSpecError(f"den must be >= 1, got {den}")
+        try:
+            table = [[tuple(row) for row in rows] for rows in self.levels]
+            origins = [
+                tuple(_index(s, "slot_provenance entry") for s in slots)
+                for slots in self.slot_provenance
+            ]
+        except TypeError:
+            raise NetworkSpecError(
+                "levels and slot_provenance must be nested sequences per cell and slot"
+            ) from None
+        cells = len(table)
+        if cells < 1:
+            raise NetworkSpecError("network needs at least one cell")
+        if len(origins) != cells:
+            raise NetworkSpecError(f"slot_provenance has {len(origins)} entries for {cells} cells")
+        for k, (rows, origin) in enumerate(zip(table, origins), start=1):
+            if not rows:
+                raise NetworkSpecError(f"cell {k} has no slots")
+            for l, row in enumerate(rows, start=1):
+                if len(row) != cells:
+                    raise NetworkSpecError(
+                        f"slot {User(k, l)} has {len(row)} receiver levels for {cells} cells"
+                    )
+                for i, v in enumerate(row, start=1):
+                    if type(v) is not int or v < 0:
+                        what = f"level of link {User(k, l)}->rx{i}"
+                        if _index(v, what) < 0:
+                            raise NetworkSpecError(f"{what} must be >= 0, got {v}")
+            if any(a[k - 1] > b[k - 1] for a, b in zip(rows, rows[1:])):
+                raise NetworkSpecError(f"direct levels of cell {k} do not ascend")
+            if sorted(origin) != list(range(1, len(rows) + 1)):
+                raise NetworkSpecError(
+                    f"slot_provenance of cell {k} is not a permutation of its slots: {origin}"
+                )
+        g = math.gcd(den, *(v for rows in table for row in rows for v in row))
+        levels = tuple(tuple(tuple(int(v) // g for v in row) for row in rows) for rows in table)
+        object.__setattr__(self, "den", den // g)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "slot_provenance", tuple(origins))
 
     @classmethod
     def from_alpha(
@@ -246,47 +292,39 @@ class NetworkSpec:
                 f"({missing} missing in total)"
             )
 
-        # Relabel slots so direct levels are ascending in every cell (stable).
-        provenance = []
-        sorted_alpha: dict[tuple[User, int], Fraction] = {}
+        # Every level over the common denominator; slots relabelled so direct
+        # levels ascend in every cell (stable).
+        den = math.lcm(*(v.denominator for rows in levels for row in rows for v in row))
+        table, provenance = [], []
         for k, rows in enumerate(levels, start=1):
             slots = sorted(range(len(rows)), key=lambda l: rows[l][k - 1])
             provenance.append(tuple(l + 1 for l in slots))
-            for new_slot, old in enumerate(slots, start=1):
-                user = User(k, new_slot)
-                for i, v in enumerate(rows[old], start=1):
-                    sorted_alpha[(user, i)] = v
-
-        return cls(users_per_cell, sorted_alpha, tuple(provenance))
+            table.append(
+                tuple(tuple(v.numerator * (den // v.denominator) for v in rows[l]) for l in slots)
+            )
+        return cls(den, tuple(table), tuple(provenance))
 
     # -- accessors ---------------------------------------------------------
 
     def alpha(self, user: User, rx_cell: int) -> Fraction:
-        """Strength level of the link from ``user`` to the receiver of ``rx_cell``."""
-        return self.alpha_map[(user, rx_cell)]
+        """Strength level of the link from ``user`` to the receiver of ``rx_cell``;
+        a link the network does not have is a ``NetworkSpecError``."""
+        k, l = user
+        if k > 0 and l > 0 and rx_cell > 0:
+            try:
+                return Fraction(self.levels[k - 1][l - 1][rx_cell - 1], self.den)
+            except IndexError:
+                pass
+        raise NetworkSpecError(f"unknown link {user}->rx{rx_cell}")
 
     def direct(self, user: User) -> Fraction:
-        return self.alpha_map[(user, user.cell)]
-
-    @cached_property
-    def integer_levels(self) -> tuple[int, tuple[tuple[tuple[int, ...], ...], ...]]:
-        """Every level as an integer over the levels' common denominator.
-
-        Returns ``(den, lv)`` with ``alpha(User(k, l), i) == Fraction(lv[k-1][l-1][i-1], den)``,
-        where ``den`` is the lcm of the levels' denominators.  Sums, differences
-        and comparisons of these integers are exact.  Built once per network.
-        """
-        den = math.lcm(*(v.denominator for v in self.alpha_map.values()))
-        lv = [[[0] * self.cells for _ in range(n)] for n in self.users_per_cell]
-        for ((k, l), i), v in self.alpha_map.items():
-            lv[k - 1][l - 1][i - 1] = v.numerator * (den // v.denominator)
-        return den, tuple(tuple(map(tuple, cell)) for cell in lv)
+        return self.alpha(user, user.cell)
 
     @cached_property
     def _condition_flags(self) -> tuple[bool, bool]:
         from .conditions import condition_flags  # conditions imports this module
 
-        return condition_flags(self.integer_levels[1])
+        return condition_flags(self.levels)
 
     @property
     def convexity_holds(self) -> bool:
@@ -299,8 +337,12 @@ class NetworkSpec:
         return self._condition_flags[1]
 
     @cached_property
+    def users_per_cell(self) -> tuple[int, ...]:
+        return tuple(map(len, self.levels))
+
+    @cached_property
     def cells(self) -> int:
-        return len(self.users_per_cell)
+        return len(self.levels)
 
     @cached_property
     def users(self) -> tuple[User, ...]:
@@ -411,8 +453,9 @@ class FiniteSnrSpec:
 
     ``link_powers[(user, rx_cell)]`` is the power ``|h|^2 * P_tx`` of a link,
     all that its level, rates and rate bounds read of it.  Keys go through
-    the user-key and count rules; there is at least one power, and each is
-    a finite number >= 0.  ``nominal_power`` is finite and exceeds 1.
+    the user-key and count rules, with every index at least 1; there is at
+    least one power, and each is a finite number >= 0.  ``nominal_power`` is
+    finite and exceeds 1.
     """
 
     nominal_power: float
@@ -423,6 +466,8 @@ class FiniteSnrSpec:
         powers = {}
         for key, value in _items(self.link_powers, "link_powers"):
             user, rx = link = _link(key, "link_powers")
+            if min(*user, rx) < 1:
+                raise NetworkSpecError(f"link {user}->rx{rx} has an index below 1")
             what = f"power of link {user}->rx{rx}"
             power = _real(value, what)
             if power < 0:
@@ -609,5 +654,8 @@ def finite_snr_from_document(doc: Mapping, where: str = "<document>") -> FiniteS
             raise NetworkSpecError(f"{where}: gain of link {user}->rx{rx} is NaN")
         if user not in budgets:
             raise NetworkSpecError(f"{where}: gains[{idx}]: no power budget for user {user}")
-        powers[(user, rx)] = _link_power(user, rx, h, budgets[user])
+        try:
+            powers[(user, rx)] = _link_power(user, rx, h, budgets[user])
+        except NetworkSpecError as exc:
+            raise NetworkSpecError(f"{where}: {exc}") from None
     return FiniteSnrSpec(p, powers)

@@ -268,8 +268,8 @@ def potential_skeleton(
     net: NetworkSpec, order: DecodingOrder, s: Subnetwork | None = None
 ) -> PotentialGraph:
     """The ``PotentialGraph`` of ``(net, order, s)`` at d = 0, built from
-    ``net.integer_levels``: the one place that writes the edge families.
-    Its lengths are integers over ``den``, the levels' common denominator.
+    ``net.levels``: the one place that writes the edge families.  Its
+    lengths are integers over ``net.den``, the levels' common denominator.
 
     Takes a checked scope and checks nothing: ``s`` (None for every user)
     and ``order`` as ``DecodingOrder.validate`` returns and checks them.
@@ -278,7 +278,7 @@ def potential_skeleton(
     network of a region, which ``polyhedral_region`` checked, and
     ``gap_report``'s identity order.
     """
-    den, lv = net.integer_levels
+    lv = net.levels
     active = net.users if s is None else sorted(s)
     # (vertex index, cell index, integer level row) of each active user.
     rows = [(i, u.cell - 1, lv[u.cell - 1][u.slot - 1]) for i, u in enumerate(active, 1)]
@@ -297,7 +297,7 @@ def potential_skeleton(
     for i, k, r in rows:
         edges.append((0, i, 0))
         edges.append((i, 0, r[k]))
-    return PotentialGraph(den, (GROUND, *active), tuple(edges))
+    return PotentialGraph(net.den, (GROUND, *active), tuple(edges))
 
 
 def _shifted(sk: PotentialGraph, d: GdofTuple | None) -> PotentialGraph:
@@ -323,9 +323,10 @@ def _shifted(sk: PotentialGraph, d: GdofTuple | None) -> PotentialGraph:
 def iter_simple_circuits(g: PotentialGraph) -> Iterator[Circuit]:
     """Every simple directed circuit of the (complete) potential graph."""
     v = g.vertices
-    lengths = {(v[t], v[h]): c for t, h, c in g.edges}
-    for c in enumerate_cyclic_sequences(v, min_len=2):
-        yield Circuit(c, Fraction(sum(lengths[(c[i - 1], c[i])] for i in range(len(c))), g.den))
+    lengths = {(t, h): c for t, h, c in g.edges}
+    for c in enumerate_cyclic_sequences(range(len(v)), min_len=2):
+        length = sum(lengths[(c[i - 1], c[i])] for i in range(len(c)))
+        yield Circuit(tuple(v[i] for i in c), Fraction(length, g.den))
 
 
 def all_circuits_region_oracle(net: NetworkSpec, order: DecodingOrder, d: GdofTuple) -> bool:

@@ -31,9 +31,10 @@ def enumerate_cyclic_sequences(cells: Iterable[int], min_len: int = 1) -> Iterat
     to rotation.  Each appears exactly once, as a plain tuple in canonical
     form (rotated so the smallest cell comes first), ordered by (length,
     subset, arrangement).  The count for n cells and min_len=1 is
-    sum_m C(n,m)*(m-1)!.
+    sum_m C(n,m)*(m-1)!.  Cells and ``min_len`` go through the count rule
+    (``model._index``).
     """
-    cells = sorted(set(cells))
+    cells = sorted({_index(k, "cell") for k in cells})
     if not cells:
         raise NetworkSpecError("cell set must be nonempty")
     min_len = _index(min_len, "min_len")
@@ -122,9 +123,8 @@ class PolyRegion:
     def inequalities(self) -> tuple[LinearInequality, ...]:
         """One inequality per index of ``bound_indices``, in its emission order."""
         net, order, _ = self.source
-        den, lv = net.integer_levels
         return tuple(
-            LinearInequality(index.users, Fraction(_rhs(lv, index.tops), den))
+            LinearInequality(index.users, Fraction(_rhs(net.levels, index.tops), net.den))
             for index in _bound_indices(net, order)
         )
 
@@ -216,7 +216,7 @@ def _rhs(lv, tops: tuple[User, ...]) -> int:
     """The rhs of the bound with these top users: the top user's direct
     level for one cell, else sum_j (alpha_{i_j i_j} - alpha_{i_j -> i_{j-1}})
     at the top users, with the predecessor taken around the cycle.  An
-    integer over the denominator of ``lv``, the levels of ``net.integer_levels``."""
+    integer over ``net.den`` when ``lv`` is ``net.levels``."""
     if len(tops) == 1:
         k, l = tops[0]
         return lv[k - 1][l - 1][k - 1]

@@ -141,9 +141,8 @@ def scaled_network(net: NetworkSpec, c) -> NetworkSpec:
     c = rationalize(c)
     if c <= 0:
         raise NetworkSpecError("scale factor must be positive")
-    return NetworkSpec(
-        net.users_per_cell, {key: c * v for key, v in net.alpha_map.items()}, net.slot_provenance
-    )
+    levels = [[[c.numerator * v for v in row] for row in cell] for cell in net.levels]
+    return NetworkSpec(net.den * c.denominator, levels, net.slot_provenance)
 
 
 def scaled_tuple(d: GdofTuple, c) -> GdofTuple:

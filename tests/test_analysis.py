@@ -21,6 +21,7 @@ from tin_gdof.analysis import (
     achievable_gdof,
     achievable_rates,
     gap_report,
+    gdof_dominates,
     gdof_outer_bound,
     general_membership,
     max_weighted_gdof,
@@ -70,6 +71,7 @@ RATE_TOL_BITS = 1e-9
 def test_general_membership_zero_tuple(pimac_nonconvex):
     res = general_membership(pimac_nonconvex, GdofTuple({}))
     assert res.member
+    assert bool(res) == res.member
     assert res.witness.subnetwork == frozenset()
     assert res.witness.allocation.off == frozenset(pimac_nonconvex.users)
 
@@ -83,6 +85,17 @@ def test_general_membership_reversed_order_witness(pimac_nonconvex):
     assert w.order.per_cell == ((2, 1), (1,))
     ceil = achievable_gdof(net, w.order, w.allocation)
     assert all(ceil[u] >= d[u] for u in net.users)
+
+
+def test_gdof_dominates_compares_with_the_achievable_gdof(pimac_nonconvex):
+    net = pimac_nonconvex
+    order = DecodingOrder(((2, 1), (1,)))
+    alloc = PowerAllocation({u: Fraction(-1, 10) for u in net.users}, frozenset())
+    ceil = achievable_gdof(net, order, alloc)
+    assert gdof_dominates(net, order, alloc, GdofTuple(ceil))
+    for u in net.users:
+        raised = GdofTuple({**ceil, u: ceil[u] + Fraction(1, 20)})
+        assert not gdof_dominates(net, order, alloc, raised), u
 
 
 def pimac_grid_oracle_reachable(net, d_target, step=0.05, floor=-3.0):
@@ -122,7 +135,9 @@ def test_general_membership_scaled_tuple_not_member(pimac_nonconvex):
     base = [Fraction(1, 5), Fraction(1, 2), Fraction(1)]
     scaled = [Fraction(13, 10) * v for v in base]
     d = GdofTuple.from_values(net, scaled)
-    assert not general_membership(net, d).member
+    res = general_membership(net, d)
+    assert not res.member
+    assert bool(res) == res.member
     assert not pimac_grid_oracle_reachable(net, scaled)
     # sanity: the unscaled tuple is reachable on the same grid
     assert pimac_grid_oracle_reachable(net, base)
@@ -523,7 +538,7 @@ def fraction_flow_network(net, order, s):
             f"has length {res.witness.length}"
         )
     start = res.allocation
-    den = net.integer_levels[0]
+    den = net.den
     users = g.vertices[1:]
     node_in = {GROUND: 0, **{u: 2 * i + 1 for i, u in enumerate(users)}}
     node_out = {GROUND: 0, **{u: 2 * i + 2 for i, u in enumerate(users)}}
@@ -593,7 +608,7 @@ def _networkx_flow_value(net, order, weights):
     """The same min-cost flow as the compact optimizer, solved by networkx."""
     nx = pytest.importorskip("networkx")
     g = build_potential_graph(net, order)
-    den = net.integer_levels[0]
+    den = net.den
     den_w = math.lcm(*(w.denominator for w in weights.values()))
     flow = nx.DiGraph()
     flow.add_node("ground", demand=0)

@@ -56,9 +56,9 @@ def test_sample_network_deterministic():
     p = params()
     a = sample_network(p, 3)
     b = sample_network(p, 3)
-    assert a.alpha_map == b.alpha_map
+    assert (a.den, a.levels) == (b.den, b.levels)
     c = sample_network(p, 4)
-    assert a.alpha_map != c.alpha_map
+    assert (a.den, a.levels) != (c.den, c.levels)
 
 
 def test_direct_levels_dominate_cross_levels():
@@ -173,6 +173,9 @@ def test_params_validation():
             seed=0,
             cells=1,
         )
+    for counts in ({"users_per_cell": 0}, {"trials": 0}, {"users_per_cell": -1}):
+        with pytest.raises(NetworkSpecError, match="users_per_cell and trials must be positive"):
+            params(**counts)
 
 
 def test_cells_follow_the_geometry():
@@ -255,7 +258,7 @@ def test_sampler_matches_scalar_reference():
     for p in oracle_scenarios():
         for trial in range(3):
             got, want = sample_network(p, trial), reference_sample_network(p, trial)
-            assert got.alpha_map == want.alpha_map, (p, trial)
+            assert (got.den, got.levels) == (want.den, want.levels), (p, trial)
             assert got.slot_provenance == want.slot_provenance, (p, trial)
             assert got == want
             checked += 1
@@ -469,7 +472,7 @@ def test_block_flags_match_condition_flags_on_lattice_tables():
     for cells in range(2, 7):
         for users in range(1, 6):
             nets = [lattice_table(rng, cells, users) for _ in range(40)]
-            tables = [net.integer_levels[1] for net in nets]
+            tables = [net.levels for net in nets]
             want = [condition_flags(lv) for lv in tables]
             assert want == [
                 (r.convexity_holds, r.optimality_holds) for r in map(evaluate_conditions, nets)
@@ -507,7 +510,7 @@ def test_optimality_slot_pairs_match_condition_flags(cells, users):
     # One user per cell has no slot pair; more users than cells have more
     # slot pairs than receivers.
     rng = random.Random(54 + 10 * cells + users)
-    tables = [lattice_table(rng, cells, users).integer_levels[1] for _ in range(120)]
+    tables = [lattice_table(rng, cells, users).levels for _ in range(120)]
     for r, seed in ((90.0, 1), (170.0, 2), (240.0, 3)):
         geometry = "linear" if cells == 2 else "circular"
         p = ScenarioParams(geometry, r, users, 60, seed, cells=cells)
@@ -569,18 +572,8 @@ def test_uniforms_across_interleaved_shapes():
 def block_networks(p: ScenarioParams, first: int, count: int) -> list[NetworkSpec]:
     """The networks of a block's rows, built as ``sample_network`` builds one."""
     lv, order = cellsim._sample(p, first, count)
-    cells = lv.shape[1]
     return [
-        NetworkSpec(
-            (p.users_per_cell,) * cells,
-            {
-                (User(k, l), i): Fraction(level, 10**9)
-                for k, rows in enumerate(table, start=1)
-                for l, row in enumerate(rows, start=1)
-                for i, level in enumerate(row, start=1)
-            },
-            tuple(tuple(s + 1 for s in slots) for slots in drawn),
-        )
+        NetworkSpec(10**9, table, [[s + 1 for s in slots] for slots in drawn])
         for table, drawn in zip(lv.tolist(), order.tolist())
     ]
 
@@ -597,7 +590,7 @@ def test_sample_across_interleaved_rings():
     for p, first, count in calls:
         for t, got in enumerate(block_networks(p, first, count)):
             want = reference_sample_network(p, first + t)
-            assert got.alpha_map == want.alpha_map, (p, first + t)
+            assert (got.den, got.levels) == (want.den, want.levels), (p, first + t)
             assert got.slot_provenance == want.slot_provenance, (p, first + t)
 
 

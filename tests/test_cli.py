@@ -46,7 +46,8 @@ def network_file(tmp_path, net, finite_snr=None, name="net.json"):
         "users_per_cell": list(net.users_per_cell),
         "alpha": [
             {"tx_cell": u.cell, "tx_slot": u.slot, "rx_cell": i, "value": str(net.alpha(u, i))}
-            for (u, i) in sorted(net.alpha_map)
+            for u in net.users
+            for i in range(1, net.cells + 1)
         ],
     }
     if finite_snr is not None:
@@ -477,6 +478,20 @@ def test_link_power_overflow_is_one_line_error(tmp_path, command):
         "error: link u(1,2)->rx1 has a power beyond the float range"
     ]
     assert run_cli(command, "--network", str(path), "--snr", "1e200").returncode == 0
+
+
+@pytest.mark.parametrize("command", ["check", "outer-bound"])
+def test_link_power_overflow_in_a_file_names_the_file(tmp_path, command):
+    # Every other error of a finite_snr block names its file; this one did not.
+    doc = json.loads(EXAMPLE.read_text())
+    doc["finite_snr"]["gains"][0]["value"] = 1e200
+    path = tmp_path / "huge-gain.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli(command, "--network", str(path))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        f"error: {path}: link u(1,1)->rx1 has a power beyond the float range"
+    ]
 
 
 def _huge_level_file(tmp_path):

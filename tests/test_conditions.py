@@ -213,7 +213,7 @@ net = NetworkSpec.from_alpha(
 )
 calls = {
     "evaluate_conditions": lambda: conditions.evaluate_conditions(net),
-    "condition_flags": lambda: conditions.condition_flags(net.integer_levels[1]),
+    "condition_flags": lambda: conditions.condition_flags(net.levels),
     "estimate_probabilities": lambda: estimate_probabilities(
         ScenarioParams("linear", 243.0, users_per_cell=2, trials=3, seed=5)
     ),
@@ -387,14 +387,14 @@ def test_conditions_match_fraction_oracle_on_lattice_networks():
 
 
 def test_condition_flags_match_reports_on_lattice_networks():
-    # The boolean kernel at another scale than ``integer_levels``: every
+    # The boolean kernel at another scale than ``net.levels``: every
     # level times 10^9, the scale of the cellular Monte Carlo's tables.
     rng = random.Random(51)
     outcomes = Counter()
     for _ in range(3_000):
         net = lattice_network(rng)
         report = evaluate_conditions(net)
-        den, lv = net.integer_levels
+        lv = net.levels
         scaled = [[[x * 10**9 for x in row] for row in cell] for cell in lv]
         flags = (report.convexity_holds, report.optimality_holds)
         assert condition_flags(scaled) == flags

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -120,6 +121,71 @@ def test_direct_order_invariant_holds_after_construction(pimac_nonconvex):
         assert directs == sorted(directs)
 
 
+# -- the level table ---------------------------------------------------------
+# ``NetworkSpec(den, levels, slot_provenance)`` is the one check of a table:
+# each of these was accepted, or failed later with another error.
+
+
+@pytest.mark.parametrize(
+    "den, levels, provenance, message",
+    [
+        # Accepted: its identity-order region read d11 <= 2 and d11 + d12 <= 1.
+        (1, [[[2], [1]]], [[1, 2]], r"direct levels of cell 1 do not ascend"),
+        (1, [[[1.0]]], [[1]], r"level of link u\(1,1\)->rx1 must be an integer, got 1\.0"),
+        (1, [[[True]]], [[1]], r"level of link u\(1,1\)->rx1 must be an integer, got True"),
+        (1, [[[-1]]], [[1]], r"level of link u\(1,1\)->rx1 must be >= 0, got -1"),
+        (1, [[[1, 0]], [[0]]], [[1], [1]], r"slot u\(2,1\) has 1 receiver levels for 2 cells"),
+        (1, [[[1, 0, 2]], [[0, 1]]], [[1], [1]], r"slot u\(1,1\) has 3 receiver levels"),
+        (1, [[[1, 0]], []], [[1], []], r"cell 2 has no slots"),
+        (1, [], [], r"network needs at least one cell"),
+        (1, [[[1], [2]]], [[1, 1]], r"slot_provenance of cell 1 is not a permutation"),
+        (1, [[[1]]], [[2]], r"slot_provenance of cell 1 is not a permutation"),
+        (1, [[[1]]], [[1.0]], r"slot_provenance entry must be an integer"),
+        (1, [[[1]]], [], r"slot_provenance has 0 entries for 1 cells"),
+        (0, [[[1]]], [[1]], r"den must be >= 1, got 0"),
+        (-2, [[[1]]], [[1]], r"den must be >= 1, got -2"),
+        (2.0, [[[1]]], [[1]], r"den must be an integer, got 2\.0"),
+        (1, 5, [[1]], r"levels and slot_provenance must be nested sequences"),
+    ],
+    ids=[
+        "descending", "float", "bool", "negative", "short-slot", "long-slot", "empty-cell",
+        "no-cells", "repeated-slot", "unknown-slot", "float-slot", "short-provenance",
+        "den-0", "den-negative", "den-float", "not-a-table",
+    ],
+)
+def test_constructor_refuses_bad_tables(den, levels, provenance, message):
+    with pytest.raises(NetworkSpecError, match=message):
+        NetworkSpec(den, levels, provenance)
+
+
+def test_a_network_at_two_denominators_is_one_network():
+    # The levels 1, 1/2, 0 and 2, as a table over 2 and over 6.
+    a = NetworkSpec(2, [[[2, 1]], [[0, 4]]], [[1], [1]])
+    b = NetworkSpec(6, (((6, 3),), ((0, 12),)), ((1,), (1,)))
+    assert a == b and hash(a) == hash(b)
+    assert (b.den, b.levels, b.slot_provenance) == (2, (((2, 1),), ((0, 4),)), ((1,), (1,)))
+    alpha = {(User(1, 1), 1): 1, (User(1, 1), 2): "1/2", (User(2, 1), 1): 0, (User(2, 1), 2): 2}
+    assert NetworkSpec.from_alpha(2, [1, 1], alpha) == a
+    assert NetworkSpec(1, [[[0, 0]], [[0, 0]]], [[1], [1]]).den == 1
+
+
+def test_the_table_gives_every_accessor():
+    net = NetworkSpec(10, [[[5, 0], [12, 3]], [[1, 7]]], [[2, 1], [1]])
+    assert (net.den, net.cells, net.users_per_cell) == (10, 2, (2, 1))
+    assert net.users == (User(1, 1), User(1, 2), User(2, 1))
+    assert net.direct(User(2, 1)) == Fraction(7, 10)
+    assert net.direct(User(1, 2)) == Fraction(6, 5)
+    assert net.alpha(User(1, 1), 2) == 0
+    # Index 0 would read the last entry of a row, as a negative index.
+    for user, rx in ((User(0, 1), 1), (User(1, 0), 1), (User(1, 1), 0), (User(1, 3), 1),
+                     (User(3, 1), 1), (User(1, 1), 3)):
+        with pytest.raises(NetworkSpecError, match=re.escape(f"unknown link {user}->rx{rx}")):
+            net.alpha(user, rx)
+    # numpy ints pass the count rule and are stored as ints
+    net = NetworkSpec(1, numpy.ones((1, 1, 1), dtype=numpy.int64), [[numpy.int64(1)]])
+    assert type(net.levels[0][0][0]) is int and type(net.slot_provenance[0][0]) is int
+
+
 def test_missing_entry_reports_location(tmp_path):
     doc = {
         "cells": 1,
@@ -234,7 +300,7 @@ def test_link_power_beyond_float_range_names_the_link():
             gains=alpha_records({(1, 1, 1): gain, (2, 1, 2): 10.0}),
             tx_powers=[{"cell": 1, "slot": 1, "value": power}, {"cell": 2, "slot": 1, "value": 1.0}],
         )
-        with pytest.raises(NetworkSpecError, match=r"link u\(1,1\)->rx1"):
+        with pytest.raises(NetworkSpecError, match=r"^<document>: link u\(1,1\)->rx1"):
             finite_snr_from_document(doc)
 
 
@@ -448,8 +514,16 @@ def test_bad_link_power_names_the_link(value):
         ({(User(1, 1), 1.5): 1.0}, r"receiver cell must be an integer, got 1.5"),
         ({(User(1, 1), "1"): 1.0}, r"receiver cell must be an integer, got '1'"),
         ([1.0], r"link_powers must be a mapping"),
+        # Accepted; outer_bound_rates then failed on an unknown link u(0,1)->rx1.
+        ({((0, 1), 1): 10.0, ((1, 1), 1): 100.0}, r"link u\(0,1\)->rx1 has an index below 1"),
+        ({((1, 0), 1): 1.0}, r"link u\(1,0\)->rx1 has an index below 1"),
+        ({(User(1, 1), 0): 1.0}, r"link u\(1,1\)->rx0 has an index below 1"),
+        ({((-1, 1), 1): 1.0}, r"link u\(-1,1\)->rx1 has an index below 1"),
     ],
-    ids=["str", "triple", "float-cell", "bool-cell", "float-rx", "str-rx", "list"],
+    ids=[
+        "str", "triple", "float-cell", "bool-cell", "float-rx", "str-rx", "list",
+        "cell-0", "slot-0", "rx-0", "cell-negative",
+    ],
 )
 def test_malformed_link_powers_are_spec_errors(link_powers, message):
     # A plain (cell, slot) key raised an AttributeError.
@@ -697,6 +771,7 @@ COUNT_ENTRIES = {
     "ScenarioParams-seed": (lambda net, v: _scenario(seed=v), 1),
     "ScenarioParams-cells": (lambda net, v: _scenario(cells=v), 2),
     "cyclic-min_len": (lambda net, v: list(enumerate_cyclic_sequences([1], v)), 1),
+    "cyclic-cell": (lambda net, v: list(enumerate_cyclic_sequences([2, v])), 1),
     "sample_network-trial_index": (lambda net, v: sample_network(_scenario(), v), 0),
 }
 REAL_ENTRIES = {
@@ -736,6 +811,10 @@ def _number_cases():
     # The four checks that raised a bare ValueError.
     yield pytest.param(lambda net: list(enumerate_cyclic_sequences([])), id="cyclic-no-cells")
     yield pytest.param(lambda net: list(enumerate_cyclic_sequences([1], 0)), id="cyclic-min_len-0")
+    # Cells that are not integers were arranged as if they were.
+    yield pytest.param(
+        lambda net: list(enumerate_cyclic_sequences(["a", "b"])), id="cyclic-str-cells"
+    )
     yield pytest.param(lambda net: LinearInequality(frozenset(), 0), id="LinearInequality-no-users")
     yield pytest.param(lambda net: path_loss_db(0), id="path_loss_db-0")
 
@@ -759,7 +838,7 @@ def test_a_float_exact_value_means_its_nine_digit_rounding(pimac_optimal):
     assert scaled_tuple(GdofTuple({ONE: 1}), 0.1)[ONE] == tenth
     assert PowerAllocation({ONE: -0.1}, frozenset())[ONE] == -tenth
     assert LinearInequality(frozenset([ONE]), 0.1).rhs == tenth
-    assert scaled_network(net, 0.1).alpha_map == scaled_network(net, tenth).alpha_map
+    assert scaled_network(net, 0.1) == scaled_network(net, tenth)
     region = _region_of(net)
     weights = dict.fromkeys(net.users, 1)
     assert max_weighted_gdof(region, {**weights, ONE: 0.1}) == max_weighted_gdof(

@@ -312,10 +312,13 @@ def test_membership_pimac_examples(pimac_nonconvex):
     rid = polyhedral_region(net, DecodingOrder.identity(net))
     res = membership(rid, d)
     assert not res.member
+    assert bool(res) == res.member
     assert res.violated.users == frozenset(net.users)
     assert res.violated.rhs == Fraction(3, 2)
     rbar = polyhedral_region(net, DecodingOrder(((2, 1), (1,))))
-    assert membership(rbar, d).member
+    res = membership(rbar, d)
+    assert res.member
+    assert bool(res) == res.member
 
 
 def test_membership_negative_rhs_means_empty_region():

@@ -52,7 +52,11 @@ def digest(nets, rng: random.Random) -> str:
     h = hashlib.sha256()
     for net in nets:
         h.update(repr((net.users_per_cell, net.slot_provenance)).encode())
-        levels = sorted((k, l, i, str(v)) for ((k, l), i), v in net.alpha_map.items())
+        levels = sorted(
+            (u.cell, u.slot, i, str(net.alpha(u, i)))
+            for u in net.users
+            for i in range(1, net.cells + 1)
+        )
         h.update(repr(levels).encode())
     h.update(repr(rng.getstate()).encode())
     return h.hexdigest()[:16]
